@@ -1184,7 +1184,8 @@ mod tests {
         assert_eq!(report.device_count_of(Modality::Camera), 2);
         assert_eq!(report.leaked_sensitive_utterances(), 0);
         // Running the camera devices trained the frame classifier but
-        // still no speech models.
+        // still no speech models, so the fleet never asked for a speech
+        // synthesizer or rendered its waveform table.
         let debug = format!("{:?}", fleet.models());
         assert!(debug.contains("vision_trained: true"));
         assert!(debug.contains("audio_trained: false"));

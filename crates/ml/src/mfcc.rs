@@ -7,14 +7,23 @@
 //!
 //! The pipeline runs in **f32 with precomputed tables**: the Hamming
 //! window (pre-scaled by the i16 full-scale), every FFT twiddle factor
-//! (tabulated per stage, so the butterfly loop has no dependent rotation
-//! recurrence, let alone trigonometry), the mel filterbank taps and the
-//! DCT-II basis. Constants are computed once in f64 and rounded to f32;
-//! the per-frame arithmetic is pure single-precision, which halves the
-//! scratch bandwidth and doubles the SIMD lane count on the TA hot path.
-//! Frame energies for VAD are the one exception: the sums of squared i16
-//! samples are **exact i64 integers**, with a single f64 divide and
-//! square root per frame at the end.
+//! (tabulated per stage as two tables, real and imaginary parts, so the
+//! butterfly loop has no dependent rotation recurrence, let alone
+//! trigonometry), the mel filterbank taps and the DCT-II basis. Constants
+//! are computed once in f64 and rounded to f32; the per-frame arithmetic
+//! is pure single-precision, which halves the scratch bandwidth and
+//! doubles the SIMD lane count on the TA hot path. Frame energies for VAD
+//! are the one exception: the sums of squared i16 samples are **exact i64
+//! integers**, with a single f64 divide and square root per frame at the
+//! end.
+//!
+//! The butterfly stages walk `len`-sized blocks split into equal-length
+//! halves, so the inner loop carries no bounds checks and the compiler
+//! vectorises it; the len=2 stage, whose halves are single elements, has
+//! its own loop over adjacent pairs. Every butterfly evaluates the same
+//! f32 expressions in the same order as a plain indexed loop (no fused
+//! multiply-add, no reassociation), so the output is bit-identical to it —
+//! the unit tests keep that indexed loop as an oracle.
 
 use serde::{Deserialize, Serialize};
 
@@ -73,20 +82,23 @@ fn fft_radix2(re: &mut [f32], im: &mut [f32]) {
 }
 
 /// The precomputed constants of one radix-2 FFT size: the bit-reversal
-/// permutation and the **full twiddle table** of every butterfly stage.
+/// permutation and the **full twiddle tables** of every butterfly stage.
 /// Building the plan costs one pass of f64 trigonometry at extractor
 /// construction; every subsequent frame reuses it — the FFT hot loop
-/// performs no `sin`/`cos` and no incremental rotation (the dependent
-/// multiply chain the old f64 loop serialized on), just table lookups
-/// over `n - 1` tabulated (cos, sin) pairs.
+/// performs no `sin`/`cos` and no incremental rotation, just loads from
+/// `n - 1` tabulated twiddles. The real and imaginary parts live in two
+/// separate tables, so a stage's twiddles are two contiguous `f32` slices
+/// that line up lane for lane with the block halves they multiply.
 #[derive(Debug, Clone)]
 struct FftPlan {
     n: usize,
     /// Swap targets of the bit-reversal permutation (`i < j` pairs only).
     swaps: Vec<(u32, u32)>,
-    /// Twiddles of stage `s` (len = 2^(s+1)): `len/2` (cos, sin) pairs,
+    /// Twiddle cosines of stage `s` (len = 2^(s+1)): `len/2` values,
     /// flattened stage after stage (offset of stage `s` is `2^s - 1`).
-    twiddles: Vec<(f32, f32)>,
+    tw_re: Vec<f32>,
+    /// Twiddle sines, laid out like `tw_re`.
+    tw_im: Vec<f32>,
 }
 
 impl FftPlan {
@@ -105,16 +117,23 @@ impl FftPlan {
                 swaps.push((i as u32, j as u32));
             }
         }
-        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_re = Vec::with_capacity(n.saturating_sub(1));
+        let mut tw_im = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2usize;
         while len <= n {
             for k in 0..len / 2 {
                 let angle = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
-                twiddles.push((angle.cos() as f32, angle.sin() as f32));
+                tw_re.push(angle.cos() as f32);
+                tw_im.push(angle.sin() as f32);
             }
             len <<= 1;
         }
-        FftPlan { n, swaps, twiddles }
+        FftPlan {
+            n,
+            swaps,
+            tw_re,
+            tw_im,
+        }
     }
 
     /// Runs the planned FFT in place.
@@ -133,28 +152,50 @@ impl FftPlan {
             re.swap(i as usize, j as usize);
             im.swap(i as usize, j as usize);
         }
-        let mut len = 2usize;
-        let mut stage_offset = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let twiddles = &self.twiddles[stage_offset..stage_offset + half];
-            let mut i = 0;
-            while i < n {
-                for (k, &(w_re, w_im)) in twiddles.iter().enumerate() {
-                    let even_re = re[i + k];
-                    let even_im = im[i + k];
-                    let odd_re = re[i + k + half] * w_re - im[i + k + half] * w_im;
-                    let odd_im = re[i + k + half] * w_im + im[i + k + half] * w_re;
-                    re[i + k] = even_re + odd_re;
-                    im[i + k] = even_im + odd_im;
-                    re[i + k + half] = even_re - odd_re;
-                    im[i + k + half] = even_im - odd_im;
-                }
-                i += len;
-            }
-            stage_offset += half;
-            len <<= 1;
+        // len = 2: one twiddle, and each block's halves are single
+        // elements, so walk the adjacent pairs directly.
+        let (w_re, w_im) = (self.tw_re[0], self.tw_im[0]);
+        for (re, im) in re.chunks_exact_mut(2).zip(im.chunks_exact_mut(2)) {
+            let (even_re, even_im) = (re[0], im[0]);
+            let odd_re = re[1] * w_re - im[1] * w_im;
+            let odd_im = re[1] * w_im + im[1] * w_re;
+            re[0] = even_re + odd_re;
+            im[0] = even_im + odd_im;
+            re[1] = even_re - odd_re;
+            im[1] = even_im - odd_im;
         }
+        // len >= 4: stage twiddles start at offset `half - 1`.
+        let mut half = 2usize;
+        while half < n {
+            let len = 2 * half;
+            let tw_re = &self.tw_re[half - 1..len - 1];
+            let tw_im = &self.tw_im[half - 1..len - 1];
+            for (re, im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+                butterflies(re, im, tw_re, tw_im);
+            }
+            half = len;
+        }
+    }
+}
+
+/// One block of a butterfly stage: `re`/`im` hold `2 * half` values and
+/// the twiddle slices `half`. Every slice is cut to exactly `half`
+/// elements up front, so the indexed loop below carries no bounds checks
+/// and the four disjoint `&mut` halves let it vectorise.
+#[inline(always)]
+fn butterflies(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+    let half = tw_re.len();
+    let (lo_re, hi_re) = re.split_at_mut(half);
+    let (lo_im, hi_im) = im.split_at_mut(half);
+    let (hi_re, hi_im, tw_im) = (&mut hi_re[..half], &mut hi_im[..half], &tw_im[..half]);
+    for k in 0..half {
+        let (even_re, even_im) = (lo_re[k], lo_im[k]);
+        let odd_re = hi_re[k] * tw_re[k] - hi_im[k] * tw_im[k];
+        let odd_im = hi_re[k] * tw_im[k] + hi_im[k] * tw_re[k];
+        lo_re[k] = even_re + odd_re;
+        lo_im[k] = even_im + odd_im;
+        hi_re[k] = even_re - odd_re;
+        hi_im[k] = even_im - odd_im;
     }
 }
 
@@ -337,8 +378,10 @@ impl MfccExtractor {
             // Power spectrum (first half).
             plan.power.clear();
             plan.power.extend(
-                (0..n_bins)
-                    .map(|b| plan.fft_re[b] * plan.fft_re[b] + plan.fft_im[b] * plan.fft_im[b]),
+                plan.fft_re[..n_bins]
+                    .iter()
+                    .zip(&plan.fft_im[..n_bins])
+                    .map(|(&re, &im)| re * re + im * im),
             );
             // Mel filterbank energies, log compressed.
             plan.log_mel.clear();
@@ -372,7 +415,91 @@ impl MfccExtractor {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The indexed radix-2 butterfly loop the planned FFT replaced, kept as
+    /// the bit-identity oracle: same tables, same f32 expressions, with
+    /// every element addressed by index.
+    fn fft_ref(plan: &FftPlan, re: &mut [f32], im: &mut [f32]) {
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        for &(i, j) in &plan.swaps {
+            re.swap(i as usize, j as usize);
+            im.swap(i as usize, j as usize);
+        }
+        let mut len = 2usize;
+        let mut stage_offset = 0usize;
+        while len <= n {
+            let half = len / 2;
+            let mut i = 0;
+            while i < n {
+                for k in 0..half {
+                    let w_re = plan.tw_re[stage_offset + k];
+                    let w_im = plan.tw_im[stage_offset + k];
+                    let even_re = re[i + k];
+                    let even_im = im[i + k];
+                    let odd_re = re[i + k + half] * w_re - im[i + k + half] * w_im;
+                    let odd_im = re[i + k + half] * w_im + im[i + k + half] * w_re;
+                    re[i + k] = even_re + odd_re;
+                    im[i + k] = even_im + odd_im;
+                    re[i + k + half] = even_re - odd_re;
+                    im[i + k + half] = even_im - odd_im;
+                }
+                i += len;
+            }
+            stage_offset += half;
+            len <<= 1;
+        }
+    }
+
+    /// Seeded splitmix64 values in roughly [-scale, scale], with exact
+    /// zeros of both signs sprinkled in.
+    fn random_signal(n: usize, seed: u64, scale: f32) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                match z % 29 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => ((z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32 * scale,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The planned FFT equals the indexed oracle bit for bit, at every
+        /// power-of-two size from 2 to 1024 and on complex inputs of any
+        /// magnitude.
+        #[test]
+        fn planned_fft_is_bit_identical_to_the_indexed_oracle(
+            seed in any::<u64>(),
+            scale in 1.0e-3f32..1.0e4,
+        ) {
+            for log_n in 1..=10 {
+                let n = 1usize << log_n;
+                let plan = FftPlan::new(n);
+                let mut re = random_signal(n, seed, scale);
+                let mut im = random_signal(n, seed ^ 0xA5A5_A5A5, scale);
+                let (mut re_ref, mut im_ref) = (re.clone(), im.clone());
+                plan.run(&mut re, &mut im);
+                fft_ref(&plan, &mut re_ref, &mut im_ref);
+                for k in 0..n {
+                    prop_assert_eq!(re[k].to_bits(), re_ref[k].to_bits(), "re[{}] at n={}", k, n);
+                    prop_assert_eq!(im[k].to_bits(), im_ref[k].to_bits(), "im[{}] at n={}", k, n);
+                }
+            }
+        }
+    }
 
     fn tone(freq: f64, len: usize, rate: f64, amplitude: f64) -> Vec<i16> {
         (0..len)

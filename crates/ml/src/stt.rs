@@ -289,45 +289,42 @@ impl KeywordStt {
             .collect()
     }
 
-    /// [`KeywordStt::voiced_mean`] into the plan's scratch buffers — the
-    /// identical arithmetic, with the MFCC features, frame energies and
-    /// the mean vector all reused across calls. The result lives in
-    /// `plan.mean` afterwards.
-    fn voiced_mean_with(&self, samples: &[i16], plan: &mut FeaturePlan) {
-        let frames = self.extractor.extract_into(samples, plan);
+    /// [`KeywordStt::voiced_mean`] of the VAD segment `start..end` (frame
+    /// indices into `samples`, whose energies are in `plan.energies`) into
+    /// `plan.mean`, with the MFCC features and the mean vector reused
+    /// across calls.
+    ///
+    /// The allocating path re-extracts the segment's samples up to
+    /// `end`'s frame and re-gates them on their energies. Segment frame
+    /// `j` *is* outer frame `start + j` (segments start on a hop
+    /// boundary), frames `start..end` are all voiced and frame `end`, if
+    /// present, is not. So the voiced mean is the plain mean over exactly
+    /// those frames, accumulated in the same order — bit-identical,
+    /// without recomputing energies or the MFCC of the trailing unvoiced
+    /// frame, and the all-frames fallback cannot arise.
+    fn segment_mean_with(
+        &self,
+        samples: &[i16],
+        (start, end): (usize, usize),
+        plan: &mut FeaturePlan,
+    ) {
+        debug_assert!(plan.energies[start..end]
+            .iter()
+            .all(|&e| e > self.config.vad_threshold));
+        let hop = self.config.mfcc.hop_len;
+        let segment = &samples[start * hop..(end - 1) * hop + self.config.mfcc.frame_len];
+        let frames = self.extractor.extract_into(segment, plan);
+        debug_assert_eq!(frames, end - start);
         let n_coeffs = self.config.mfcc.n_coeffs.max(1);
-        self.extractor
-            .frame_energies_into(samples, &mut plan.energies);
         plan.mean.clear();
         plan.mean.resize(n_coeffs, 0.0);
-        let mut voiced = 0usize;
-        for frame in 0..frames.min(plan.energies.len()) {
-            if plan.energies[frame] > self.config.vad_threshold {
-                let row = &plan.mfcc[frame * n_coeffs..(frame + 1) * n_coeffs];
-                for (acc, &v) in plan.mean.iter_mut().zip(row) {
-                    *acc += v;
-                }
-                voiced += 1;
+        for row in plan.mfcc.chunks_exact(n_coeffs) {
+            for (acc, &v) in plan.mean.iter_mut().zip(row) {
+                *acc += v;
             }
-        }
-        if voiced == 0 {
-            // The fallback of the allocating path: the plain mean over all
-            // frames (zero vector when there are none).
-            if frames > 0 {
-                for frame in 0..frames {
-                    let row = &plan.mfcc[frame * n_coeffs..(frame + 1) * n_coeffs];
-                    for (acc, &v) in plan.mean.iter_mut().zip(row) {
-                        *acc += v;
-                    }
-                }
-                for v in &mut plan.mean {
-                    *v /= frames as f32;
-                }
-            }
-            return;
         }
         for v in &mut plan.mean {
-            *v /= voiced as f32;
+            *v /= frames as f32;
         }
     }
 
@@ -419,14 +416,8 @@ impl KeywordStt {
             }
         }
         let bounds = std::mem::take(&mut plan.bounds);
-        for &(start_frame, end_frame) in &bounds {
-            let seg_start = start_frame * self.config.mfcc.hop_len;
-            let seg_end = (end_frame * self.config.mfcc.hop_len + self.config.mfcc.frame_len)
-                .min(samples.len());
-            if seg_end <= seg_start {
-                continue;
-            }
-            self.voiced_mean_with(&samples[seg_start..seg_end], plan);
+        for &segment in &bounds {
+            self.segment_mean_with(samples, segment, plan);
             let best = if int8 {
                 self.match_segment_int8(plan)
             } else {
@@ -438,7 +429,7 @@ impl KeywordStt {
                 }
             }
         }
-        // Hand the bounds buffer (taken above so `voiced_mean_with` can
+        // Hand the bounds buffer (taken above so `segment_mean_with` can
         // borrow the plan mutably) back to the plan for the next window.
         plan.bounds = bounds;
         tokens
@@ -538,6 +529,40 @@ mod tests {
                 stt.transcribe_to_tokens_with(case, &mut plan),
                 stt.transcribe_to_tokens(case),
             );
+        }
+    }
+
+    #[test]
+    fn segment_means_are_bit_identical_to_the_voiced_mean_of_the_segment() {
+        let vocab = vocabulary(6);
+        let stt = KeywordStt::train(&vocab, SttConfig::default()).unwrap();
+        let mut samples = Vec::new();
+        for &word in &[3usize, 0, 5] {
+            samples.extend(silence(1_600));
+            samples.extend(&vocab[word].1);
+        }
+        // The audio ends mid-word, so the last segment runs to the end.
+        samples.extend(silence(1_600));
+        samples.extend(&vocab[1].1[..2_000]);
+        let segments = stt.segment(&samples);
+        assert_eq!(segments.len(), 4);
+        assert_eq!(
+            segments[3].1,
+            stt.extractor.frame_count(samples.len()),
+            "last segment is clipped at the end of the audio"
+        );
+        let mut plan = crate::plan::FeaturePlan::new();
+        stt.extractor
+            .frame_energies_into(&samples, &mut plan.energies);
+        let (hop, frame_len) = (stt.config.mfcc.hop_len, stt.config.mfcc.frame_len);
+        for &(start, end) in &segments {
+            stt.segment_mean_with(&samples, (start, end), &mut plan);
+            // The allocating path's segment: up to and including frame
+            // `end` where the audio has one.
+            let segment = &samples[start * hop..(end * hop + frame_len).min(samples.len())];
+            let want = KeywordStt::voiced_mean(&stt.extractor, segment, stt.config.vad_threshold);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plan.mean), bits(&want), "segment {start}..{end}");
         }
     }
 

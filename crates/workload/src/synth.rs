@@ -6,6 +6,12 @@
 //! template matcher in `perisec-ml` can recover the word sequence from the
 //! PCM stream — giving the repository an end-to-end audio → transcript →
 //! classification path without real recordings.
+//!
+//! A word's rendering is a pure function of its token, so the synthesizer
+//! renders each vocabulary word once, on first use, into a waveform table
+//! that every clone shares; utterances are then silence plus copies.
+
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -38,21 +44,49 @@ impl Default for SynthConfig {
 }
 
 /// The deterministic speech synthesizer.
-#[derive(Debug, Clone)]
+///
+/// Cloning is cheap: clones share one waveform table.
+#[derive(Clone)]
 pub struct SpeechSynthesizer {
     vocabulary: Vocabulary,
     config: SynthConfig,
+    /// [`SpeechSynthesizer::render_word`] of every vocabulary token, in
+    /// token order. Built by the first render, so a synthesizer that
+    /// never renders never pays for it.
+    table: Arc<OnceLock<Vec<Vec<i16>>>>,
+}
+
+impl std::fmt::Debug for SpeechSynthesizer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpeechSynthesizer")
+            .field("vocabulary", &self.vocabulary)
+            .field("config", &self.config)
+            .field("table_built", &self.table.get().is_some())
+            .finish()
+    }
 }
 
 impl SpeechSynthesizer {
     /// Creates a synthesizer over `vocabulary`.
     pub fn new(vocabulary: Vocabulary, config: SynthConfig) -> Self {
-        SpeechSynthesizer { vocabulary, config }
+        SpeechSynthesizer {
+            vocabulary,
+            config,
+            table: Arc::default(),
+        }
     }
 
     /// Synthesizer with the default smart-home vocabulary and parameters.
+    ///
+    /// Every call returns a clone of one process-wide synthesizer, so all
+    /// of them share a single waveform table (built by the first render).
     pub fn smart_home() -> Self {
-        SpeechSynthesizer::new(Vocabulary::smart_home(), SynthConfig::default())
+        static SMART_HOME: OnceLock<SpeechSynthesizer> = OnceLock::new();
+        SMART_HOME
+            .get_or_init(|| {
+                SpeechSynthesizer::new(Vocabulary::smart_home(), SynthConfig::default())
+            })
+            .clone()
     }
 
     /// The vocabulary in use.
@@ -106,14 +140,30 @@ impl SpeechSynthesizer {
             .collect()
     }
 
+    /// The shared waveform table, rendered on first use.
+    fn table(&self) -> &[Vec<i16>] {
+        self.table.get_or_init(|| {
+            (0..self.vocabulary.len())
+                .map(|token| self.render_word(token))
+                .collect()
+        })
+    }
+
     /// Renders a token sequence to a full utterance (leading, inter-word
-    /// and trailing silences included).
+    /// and trailing silences included). Vocabulary words are copied from
+    /// the waveform table; a token outside the vocabulary is rendered by
+    /// [`SpeechSynthesizer::render_word`] directly.
     pub fn render_tokens(&self, tokens: &[usize]) -> AudioBuffer {
-        let mut samples = Vec::new();
-        samples.extend(std::iter::repeat_n(0i16, self.gap_samples()));
+        let table = self.table();
+        let gap = self.gap_samples();
+        let mut samples = Vec::with_capacity(gap + tokens.len() * (self.word_samples() + gap));
+        samples.resize(gap, 0i16);
         for &token in tokens {
-            samples.extend(self.render_word(token));
-            samples.extend(std::iter::repeat_n(0i16, self.gap_samples()));
+            match table.get(token) {
+                Some(word) => samples.extend_from_slice(word),
+                None => samples.extend(self.render_word(token)),
+            }
+            samples.resize(samples.len() + gap, 0i16);
         }
         AudioBuffer::new(self.format(), samples)
     }
@@ -135,8 +185,8 @@ impl SpeechSynthesizer {
         self.vocabulary
             .words()
             .iter()
-            .enumerate()
-            .map(|(token, word)| (word.text.clone(), self.render_word(token)))
+            .zip(self.table())
+            .map(|(word, samples)| (word.text.clone(), samples.clone()))
             .collect()
     }
 }
@@ -181,6 +231,71 @@ mod tests {
         let refs = synth.reference_renderings();
         assert_eq!(refs.len(), synth.vocabulary().len());
         assert_eq!(refs[0].0, synth.vocabulary().word(0).unwrap().text);
+    }
+
+    /// The formula rendering of an utterance: per-word `render_word`
+    /// joined by silences.
+    fn rendered_by_formula(synth: &SpeechSynthesizer, tokens: &[usize]) -> Vec<i16> {
+        let gap = vec![0i16; synth.gap_samples()];
+        let mut samples = gap.clone();
+        for &token in tokens {
+            samples.extend(synth.render_word(token));
+            samples.extend(&gap);
+        }
+        samples
+    }
+
+    #[test]
+    fn table_renderings_equal_the_formula_for_every_token() {
+        let synth = SpeechSynthesizer::new(Vocabulary::smart_home(), SynthConfig::default());
+        let all: Vec<usize> = (0..synth.vocabulary().len()).collect();
+        for &token in &all {
+            assert_eq!(
+                synth.render_tokens(&[token]).samples(),
+                rendered_by_formula(&synth, &[token]),
+                "token {token}"
+            );
+        }
+        assert_eq!(
+            synth.render_tokens(&all).samples(),
+            rendered_by_formula(&synth, &all)
+        );
+        assert_eq!(
+            synth.render_tokens(&[]).samples(),
+            rendered_by_formula(&synth, &[])
+        );
+        // A token past the vocabulary still renders by the formula.
+        let outside = [synth.vocabulary().len() + 3, 1];
+        assert_eq!(
+            synth.render_tokens(&outside).samples(),
+            rendered_by_formula(&synth, &outside)
+        );
+    }
+
+    #[test]
+    fn reference_renderings_are_the_formula_renderings() {
+        let synth = SpeechSynthesizer::smart_home();
+        for (token, (text, samples)) in synth.reference_renderings().into_iter().enumerate() {
+            assert_eq!(text, synth.vocabulary().word(token).unwrap().text);
+            assert_eq!(samples, synth.render_word(token), "token {token}");
+        }
+    }
+
+    #[test]
+    fn clones_share_one_lazily_built_table() {
+        let synth = SpeechSynthesizer::new(Vocabulary::smart_home(), SynthConfig::default());
+        let clone = synth.clone();
+        assert!(Arc::ptr_eq(&synth.table, &clone.table));
+        assert!(synth.table.get().is_none(), "built before any render");
+        clone.render_tokens(&[2]);
+        assert!(
+            synth.table.get().is_some(),
+            "a clone's render fills the shared table"
+        );
+        assert!(Arc::ptr_eq(
+            &SpeechSynthesizer::smart_home().table,
+            &SpeechSynthesizer::smart_home().table
+        ));
     }
 
     #[test]
