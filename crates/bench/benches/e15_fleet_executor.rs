@@ -1,7 +1,6 @@
 //! Criterion bench behind experiment E15: host-time cost of running a
 //! camera fleet on the bounded work-stealing executor as the worker pool
-//! grows, against the thread-per-device baseline, plus the scheduler's
-//! steal pass on ragged batches.
+//! grows, plus the scheduler's steal pass on ragged batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -32,10 +31,6 @@ fn bench_fleet_harnesses(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("e15_fleet_harness");
     group.sample_size(10);
-    group.bench_function("thread_per_device", |b| {
-        let fleet = fleet(0);
-        b.iter(|| fleet.run_mixed_threaded(&[], &cameras).unwrap());
-    });
     for workers in [2usize, 8] {
         group.bench_with_input(
             BenchmarkId::new("executor_workers", workers),

@@ -888,10 +888,11 @@ pub fn run_e14_shard_sweep() -> String {
     out
 }
 
-/// E15 — the bounded work-stealing fleet executor: fixed worker pools vs
-/// the thread-per-device harness at four-digit device counts, a 10k+
-/// device mega-fleet on 8 workers, and the session scheduler's
-/// work-stealing pass on a ragged high-fps mix.
+/// E15 — the bounded work-stealing fleet executor: camera fleets of
+/// four-digit device counts on a fixed worker pool, their reports
+/// byte-identical across worker counts, a 10k+ device mega-fleet on 8
+/// workers, and the session scheduler's work-stealing pass on a ragged
+/// high-fps mix.
 pub fn run_e15_fleet_executor() -> String {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
@@ -899,18 +900,15 @@ pub fn run_e15_fleet_executor() -> String {
     use perisec_sched::pool::TeePoolConfig;
     use perisec_workload::scenario::CameraScenario;
 
-    let mut out = String::from(
-        "## E15 — bounded work-stealing fleet executor (fixed workers vs thread-per-device)\n\n",
-    );
+    let mut out = String::from("## E15 — bounded work-stealing fleet executor\n\n");
 
-    // Part 1: the executor against the historical one-thread-per-device
-    // harness, same devices, same scenarios, byte-identical reports —
-    // only host cost differs. Camera devices carry the comparison: their
-    // per-device work is small, so the per-thread overhead the executor
-    // eliminates is visible rather than drowned in ML time.
+    // Part 1: camera fleets on 8 workers. Camera devices carry the
+    // table: their per-device work is small, so executor overhead would
+    // show rather than drown in ML time. The 1024-device fleet also runs
+    // on one worker: the schedule may change host cost, never the report.
     out.push_str(
-        "| devices | harness | workers | host ms | resident stacks | steals | leaked | payload bytes |\n\
-         |---|---|---|---|---|---|---|---|\n",
+        "| devices | workers | host ms | resident stacks | steals | leaked | payload bytes |\n\
+         |---|---|---|---|---|---|---|\n",
     );
     let models = SharedModels::deferred(Architecture::Cnn, 60, 0xE15).with_vision_spec(120, 0xE15);
     models.vision().expect("train frame classifier");
@@ -918,37 +916,26 @@ pub fn run_e15_fleet_executor() -> String {
         batch_windows: 4,
         ..CameraPipelineConfig::default()
     };
-    let mut ratio_at_1024 = 0.0f64;
-    let mut identical_at_1024 = false;
-    for devices in [256usize, 1024] {
-        // Two one-frame windows per device: small per-device work, so
-        // the per-thread cost the executor eliminates is the signal.
-        let cameras = CameraScenario::fleet_high_fps(devices, 2, 1, 30, 0.4, 0xE15);
-        let fleet = PipelineFleet::with_models(
+    let fleet = |devices: usize, workers: usize| {
+        PipelineFleet::with_models(
             FleetConfig {
-                workers: 8,
+                workers,
                 camera_pipeline: camera_pipeline.clone(),
                 ..FleetConfig::mixed(0, devices)
             },
             models.clone(),
-        );
-        let threads_start = std::time::Instant::now();
-        let threaded = fleet
-            .run_mixed_threaded(&[], &cameras)
-            .expect("threaded fleet");
-        let threads_ms = threads_start.elapsed().as_secs_f64() * 1000.0;
-        let (pooled, stats) = fleet
+        )
+    };
+    let mut identical_at_1024 = false;
+    for devices in [256usize, 1024] {
+        // Two one-frame windows per device.
+        let cameras = CameraScenario::fleet_high_fps(devices, 2, 1, 30, 0.4, 0xE15);
+        let (pooled, stats) = fleet(devices, 8)
             .run_mixed_stats(&[], &cameras)
             .expect("executor fleet");
         let _ = writeln!(
             out,
-            "| {devices} | threads | {devices} | {threads_ms:.0} | {devices} | — | {} | {} |",
-            threaded.leaked_sensitive_utterances(),
-            threaded.total_payload_bytes(),
-        );
-        let _ = writeln!(
-            out,
-            "| {devices} | executor | {} | {:.0} | {} | {} | {} | {} |",
+            "| {devices} | {} | {:.0} | {} | {} | {} | {} |",
             stats.workers,
             stats.host_millis,
             stats.peak_resident,
@@ -957,14 +944,15 @@ pub fn run_e15_fleet_executor() -> String {
             pooled.total_payload_bytes(),
         );
         if devices == 1024 {
-            ratio_at_1024 = threads_ms / stats.host_millis.max(0.001);
-            identical_at_1024 = pooled.to_json() == threaded.to_json();
+            let serial = fleet(devices, 1)
+                .run_mixed(&[], &cameras)
+                .expect("one-worker fleet");
+            identical_at_1024 = pooled.to_json() == serial.to_json();
         }
     }
     let _ = writeln!(
         out,
-        "\nExecutor speedup at 1024 devices: {ratio_at_1024:.2}x wall-clock over \
-         thread-per-device; reports byte-identical: {}.",
+        "\nReports byte-identical across workers 1 and 8 at 1024 devices: {}",
         if identical_at_1024 {
             "yes"
         } else {
@@ -972,9 +960,8 @@ pub fn run_e15_fleet_executor() -> String {
         },
     );
 
-    // Part 2: the 10k-device mega fleet the thread-per-device harness was
-    // never built for — mixed audio+camera, all on 8 workers, residency
-    // bounded by the pool.
+    // Part 2: the 10k-device mega fleet — mixed audio+camera, all on 8
+    // workers, residency bounded by the pool.
     out.push_str("\n### Mega fleet: 10k+ mixed devices on 8 workers\n\n");
     out.push_str(
         "| devices | audio | cameras | workers | utterances | leaked | payload bytes | resident stacks | host ms |\n\
@@ -1018,11 +1005,10 @@ pub fn run_e15_fleet_executor() -> String {
     );
     let _ = writeln!(
         out,
-        "\nThe same fleet under thread-per-device would hold all {} device stacks \
-         (one OS thread each) resident at once; the executor held {} — one per worker \
-         — and stole {} pending devices across queues.",
-        mega.device_count(),
+        "\nThe executor held {} of the {} device stacks resident at once — one per \
+         worker — and stole {} pending devices across queues.",
         stats.peak_resident,
+        mega.device_count(),
         stats.tasks_stolen(),
     );
 

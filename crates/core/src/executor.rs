@@ -1,11 +1,11 @@
 //! The bounded work-stealing fleet executor.
 //!
-//! The fleet harnesses used to spawn **one OS thread per simulated
-//! device**, so a fleet's host cost grew with its device count twice
-//! over: once in scheduler pressure (thousands of runnable threads) and
-//! once in memory (every device's full pipeline stack resident at the
-//! same time). This module replaces that model with a fixed pool of
-//! worker threads executing resumable [`DeviceTask`] state machines:
+//! One OS thread per simulated device would make a fleet's host cost grow
+//! with its device count twice over: once in scheduler pressure
+//! (thousands of runnable threads) and once in memory (every device's
+//! full pipeline stack resident at the same time). The executor instead
+//! runs a fixed pool of worker threads over resumable [`DeviceTask`]
+//! state machines:
 //!
 //! * a device run is decomposed into *steps* over the staged pipeline
 //!   architecture — each step is one batch through
@@ -22,11 +22,13 @@
 //! **Determinism contract.** Every device builds its own hermetic stack
 //! (platform, virtual clock, TEE core, cloud) and no report field depends
 //! on host time, so a given fleet seed reproduces a byte-identical
-//! [`FleetReport`] for *any* worker count and *any* steal interleaving —
-//! the executor analogue of the PR-3 scheduler-determinism contract,
-//! pinned by `tests/executor_determinism.rs`. Steal decisions and peak
-//! residency are host-side telemetry and live in [`ExecutorStats`], which
-//! is deliberately **not** part of the fleet report.
+//! [`FleetReport`](crate::fleet::FleetReport) for *any* worker count and
+//! *any* steal interleaving — the executor analogue of the sharding
+//! scheduler's determinism contract, pinned by
+//! `tests/executor_determinism.rs` at 1, 2 and 8 workers. Steal decisions
+//! and peak residency are host-side telemetry and live in
+//! [`ExecutorStats`], which is deliberately **not** part of the fleet
+//! report.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,7 +159,7 @@ pub struct StealRecord {
 
 /// Host-side telemetry of one executor run. Timing-dependent (steal
 /// interleavings vary run to run), which is exactly why it is kept out of
-/// the deterministic [`FleetReport`].
+/// the deterministic [`FleetReport`](crate::fleet::FleetReport).
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorStats {
     /// Worker threads used.
@@ -246,9 +248,9 @@ impl FleetExecutor {
     /// # Errors
     ///
     /// Returns the lowest-indexed device's failure after every device has
-    /// been driven — the same first-failure contract as the historical
-    /// thread-per-device harness. A panicking device task is translated
-    /// into a [`CoreError::Config`] carrying the panic message.
+    /// been driven. A panicking device task is translated into a
+    /// [`CoreError::Config`] carrying the device index and the panic
+    /// message.
     pub fn run(&self, tasks: Vec<QueuedDevice>) -> Result<(Vec<DeviceReport>, ExecutorStats)> {
         let total = tasks.len();
         if total == 0 {
@@ -471,11 +473,8 @@ fn step_slice(
     Ok(None)
 }
 
-/// Extracts the human-readable message of a panic payload — the one
-/// panic-translation helper shared by the executor's workers and the
-/// thread-per-device baseline below (it used to be duplicated across the
-/// two fleet harnesses).
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts the human-readable message of a panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -487,51 +486,6 @@ fn device_panic_error(device: usize, message: &str) -> CoreError {
     CoreError::Config {
         reason: format!("device {device} pipeline thread panicked: {message}"),
     }
-}
-
-/// The historical harness, kept as the executor's baseline: one OS thread
-/// per device, each building its stack and stepping its task to
-/// completion. E15 measures the executor against exactly this.
-///
-/// # Errors
-///
-/// Same first-failure and panic-translation contract as
-/// [`FleetExecutor::run`].
-pub fn run_thread_per_device(tasks: Vec<QueuedDevice>) -> Result<Vec<DeviceReport>> {
-    let total = tasks.len();
-    let outcomes: Vec<Result<DeviceReport>> = thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let device = task.device;
-                (
-                    device,
-                    scope.spawn(move || -> Result<DeviceReport> {
-                        let mut built = (task.build)()?;
-                        loop {
-                            if let StepOutcome::Complete(report) = built.step()? {
-                                return Ok(*report);
-                            }
-                        }
-                    }),
-                )
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(device, handle)| {
-                handle.join().unwrap_or_else(|payload| {
-                    Err(device_panic_error(device, &panic_message(payload)))
-                })
-            })
-            .collect()
-    });
-    let mut reports = Vec::with_capacity(total);
-    for outcome in outcomes {
-        reports.push(outcome?);
-    }
-    reports.sort_by_key(|report| report.device);
-    Ok(reports)
 }
 
 #[cfg(test)]
@@ -646,28 +600,12 @@ mod tests {
             error.to_string().contains("synthetic step panic"),
             "{error}"
         );
-        // Step-time panics carry the device index, like the historical
-        // thread-per-device message did.
+        // Step-time panics carry the device index.
         assert!(error.to_string().contains("device 1"), "{error}");
         // Build-time panics carry it too.
         let tasks = vec![QueuedDevice::new(0, || panic!("synthetic build panic"))];
         let error = FleetExecutor::default().run(tasks).unwrap_err();
         assert!(error.to_string().contains("device 0"), "{error}");
-        let tasks = vec![QueuedDevice::new(0, || panic!("synthetic build panic"))];
-        let error = run_thread_per_device(tasks).unwrap_err();
-        assert!(error.to_string().contains("device 0"), "{error}");
-    }
-
-    #[test]
-    fn thread_per_device_baseline_matches_the_executor() {
-        let threaded = run_thread_per_device(countdown_fleet(12)).unwrap();
-        let (pooled, _) = FleetExecutor::new(ExecutorConfig::with_workers(3))
-            .run(countdown_fleet(12))
-            .unwrap();
-        assert_eq!(threaded.len(), pooled.len());
-        for (a, b) in threaded.iter().zip(&pooled) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -51,9 +51,9 @@ pub mod cmd {
     /// Process a whole batch of capture windows in one invocation — the
     /// transition-amortized path. Param 0 is an input memref encoding the
     /// per-window `(dialog_id, periods)` pairs (see
-    /// [`super::filter_ta::encode_batch_request`]); the reply carries the
+    /// [`super::encode_batch_request`]); the reply carries the
     /// per-window verdicts in an output memref (see
-    /// [`super::filter_ta::decode_batch_verdicts`]), the aggregate
+    /// [`super::decode_batch_verdicts`]), the aggregate
     /// `(capture_wire_ns, capture_cpu_ns)` in value slot 2 and
     /// `(ml_ns, relay_ns)` in value slot 3. All permitted utterances of the
     /// batch are relayed in a **single** sealed record, so the whole batch

@@ -2,47 +2,48 @@
 //!
 //! A [`PipelineFleet`] runs M concurrent device pipelines — each with its
 //! own platform, TEE core, secure driver and cloud connection — while
-//! sharing **one** trained model set ([`crate::pipeline::SharedModels`])
-//! across every device via [`Arc`](std::sync::Arc). Training dominates
-//! pipeline setup cost, so a fleet of N devices sets up roughly N times
-//! faster than N independently-built pipelines, and the secure model
-//! weights exist once in (simulated) memory.
+//! sharing **one** trained model set ([`SharedModels`]) across every
+//! device via [`Arc`]. Training dominates pipeline setup cost, so a fleet
+//! of N devices sets up roughly N times faster than N independently-built
+//! pipelines, and the secure model weights exist once in (simulated)
+//! memory.
 //!
-//! Devices execute on the bounded work-stealing
-//! [`FleetExecutor`](crate::executor::FleetExecutor):
+//! Devices execute on the bounded work-stealing [`FleetExecutor`]:
 //! [`FleetConfig::workers`] OS threads step resumable device tasks at
 //! TEE-crossing granularity, so a 10k-device fleet holds `workers`
-//! pipeline stacks in memory instead of 10k. The historical
-//! thread-per-device harness survives as
-//! [`PipelineFleet::run_mixed_threaded`] — the baseline experiment E15
-//! measures the executor against.
+//! pipeline stacks in memory instead of 10k. Audio and camera devices
+//! run as one generic task over the pipelines' shared
+//! begin/step/finish seam, and every run entry point goes through one
+//! body: validate, queue, execute, then fold the observation sinks.
 //!
 //! Fleets may be single-modality ([`PipelineFleet::run`]) or mixed
 //! ([`PipelineFleet::run_mixed`]): audio devices and camera devices run
 //! side by side off the same shared model set, since [`SharedModels`]
-//! carries both the speech models and the frame classifier.
+//! carries both the speech models and the frame classifier. A camera
+//! sharded across several secure cores is not a fleet device kind; it
+//! runs through the scheduler crate's `ShardedVisionPipeline`.
 //!
 //! Per-device [`PipelineReport`]s are merged into a [`FleetReport`] with
 //! fleet-wide privacy, latency and transition aggregates.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use perisec_relay::attest::SessionIngest;
 use perisec_relay::netsim::FaultSpec;
 use perisec_telemetry::{
-    DeviceHealthMonitor, FleetHealth, FleetHealthReport, FleetTelemetry, HealthConfig, HealthSink,
-    TelemetryConfig,
+    DeviceHealthMonitor, DeviceTelemetry, FleetHealth, FleetHealthReport, FleetTelemetry,
+    HealthConfig, HealthSink, TelemetryConfig, Tracer,
 };
-use perisec_tz::time::SimDuration;
+use perisec_tz::time::{SimDuration, SimInstant};
 use perisec_workload::scenario::{CameraScenario, Scenario};
 
 use serde::{Deserialize, Serialize};
 
 use crate::executor::{
-    run_thread_per_device, DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice,
-    StepOutcome,
+    DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StepOutcome,
 };
 use crate::ingest::IngestHook;
 use crate::pipeline::{
@@ -66,13 +67,6 @@ pub struct FleetConfig {
     pub camera_devices: usize,
     /// Configuration applied to every camera device pipeline.
     pub camera_pipeline: CameraPipelineConfig,
-    /// Secure cores per camera device: each camera device's frame stream
-    /// is sharded across this many TA sessions on a multi-core TEE pool.
-    /// `1` (the default) is the classic single-session pipeline that
-    /// [`PipelineFleet`] runs directly; values above 1 are executed by the
-    /// scheduler crate's `ShardedFleet` runner, and [`PipelineFleet`]
-    /// rejects them loudly rather than silently running unsharded.
-    pub tee_cores: usize,
     /// Worker threads of the fleet executor. `0` (the default) means one
     /// worker per host core; any value is capped by the device count. The
     /// merged [`FleetReport`] is byte-identical for every worker count —
@@ -125,7 +119,6 @@ impl FleetConfig {
             pipeline: PipelineConfig::default(),
             camera_devices: 0,
             camera_pipeline: CameraPipelineConfig::default(),
-            tee_cores: 1,
             workers: 0,
             telemetry: TelemetryConfig::default(),
             trace_devices: BTreeSet::new(),
@@ -147,20 +140,6 @@ impl FleetConfig {
 
     fn total_devices(&self) -> usize {
         self.devices + self.camera_devices
-    }
-
-    fn reject_sharding(&self) -> Result<()> {
-        if self.tee_cores > 1 {
-            return Err(CoreError::Config {
-                reason: format!(
-                    "fleet config asks for {} tee cores per camera device; \
-                     PipelineFleet runs single-session devices only — use the \
-                     scheduler crate's ShardedFleet for multi-core sharding",
-                    self.tee_cores
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -509,41 +488,121 @@ impl FleetReport {
 /// stays deterministic no matter which worker finishes which device
 /// first — the same structural argument that makes the [`FleetReport`]
 /// worker-count-invariant.
-pub type TelemetrySink = Arc<Mutex<FleetTelemetry>>;
+type TelemetrySink = Arc<Mutex<FleetTelemetry>>;
 
-/// The resumable audio-device state machine: one built [`SecurePipeline`]
-/// plus a scenario cursor; each step is one TEE crossing.
-struct AudioDeviceTask {
+/// The per-device fleet planes a pipeline config carries: its telemetry
+/// switchboard, its link's fault spec and its ingest-plane session.
+type PlaneFields<'a> = (
+    &'a mut TelemetryConfig,
+    &'a mut Option<FaultSpec>,
+    &'a mut Option<IngestHook>,
+);
+
+/// What a fleet device runs over: the resumable scenario replay of a
+/// single-session pipeline, plus the virtual clock and tracer the
+/// observation planes read. [`SecurePipeline`] and
+/// [`SecureCameraPipeline`] implement it by delegating to their own
+/// methods.
+trait FleetPipeline: Sized + 'static {
+    type Config: Clone + Send + 'static;
+    type Scenario: Clone + Send + Sync + 'static;
+    const MODALITY: Modality;
+
+    /// Builds the device stack and begins its scenario replay.
+    fn build(config: Self::Config, models: &SharedModels) -> Result<(Self, ScenarioProgress)>;
+    fn planes(config: &mut Self::Config) -> PlaneFields<'_>;
+    fn scenario_name(scenario: &Self::Scenario) -> &str;
+    fn step(&mut self, scenario: &Self::Scenario, progress: &mut ScenarioProgress) -> Result<bool>;
+    fn finish(&mut self, scenario: &Self::Scenario, progress: ScenarioProgress) -> PipelineReport;
+    fn now(&self) -> SimInstant;
+    fn tracer(&self) -> &Tracer;
+    fn take_telemetry(&self) -> DeviceTelemetry;
+}
+
+macro_rules! fleet_pipeline {
+    ($pipeline:ident, $config:ident, $scenario:ident, $modality:expr) => {
+        impl FleetPipeline for $pipeline {
+            type Config = $config;
+            type Scenario = $scenario;
+            const MODALITY: Modality = $modality;
+
+            fn build(config: $config, models: &SharedModels) -> Result<(Self, ScenarioProgress)> {
+                let mut pipeline = $pipeline::with_models(config, models)?;
+                let progress = pipeline.begin_scenario();
+                Ok((pipeline, progress))
+            }
+            fn planes(config: &mut $config) -> PlaneFields<'_> {
+                (
+                    &mut config.telemetry,
+                    &mut config.faults,
+                    &mut config.ingest,
+                )
+            }
+            fn scenario_name(scenario: &$scenario) -> &str {
+                &scenario.name
+            }
+            fn step(
+                &mut self,
+                scenario: &$scenario,
+                progress: &mut ScenarioProgress,
+            ) -> Result<bool> {
+                self.step_scenario(scenario, progress)
+            }
+            fn finish(
+                &mut self,
+                scenario: &$scenario,
+                progress: ScenarioProgress,
+            ) -> PipelineReport {
+                self.finish_scenario(scenario, progress)
+            }
+            fn now(&self) -> SimInstant {
+                self.platform().clock().now()
+            }
+            fn tracer(&self) -> &Tracer {
+                $pipeline::tracer(self)
+            }
+            fn take_telemetry(&self) -> DeviceTelemetry {
+                $pipeline::take_telemetry(self)
+            }
+        }
+    };
+}
+
+fleet_pipeline!(SecurePipeline, PipelineConfig, Scenario, Modality::Audio);
+fleet_pipeline!(
+    SecureCameraPipeline,
+    CameraPipelineConfig,
+    CameraScenario,
+    Modality::Camera
+);
+
+/// The resumable device state machine, for either device kind: one built
+/// pipeline plus a scenario cursor; each step is one TEE crossing.
+struct FleetDeviceTask<P: FleetPipeline> {
     device: usize,
-    scenario: Arc<Scenario>,
-    pipeline: SecurePipeline,
+    scenario: Arc<P::Scenario>,
+    pipeline: P,
     progress: Option<ScenarioProgress>,
     telemetry: Option<TelemetrySink>,
     health: Option<DeviceHealthMonitor>,
 }
 
-impl DeviceTask for AudioDeviceTask {
+impl<P: FleetPipeline> DeviceTask for FleetDeviceTask<P> {
     fn step(&mut self) -> Result<StepOutcome> {
         let mut progress = self.progress.take().expect("task stepped after completion");
-        if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
+        if self.pipeline.step(&self.scenario, &mut progress)? {
             if let Some(monitor) = &mut self.health {
-                monitor.advance(
-                    self.pipeline.platform().clock().now(),
-                    self.pipeline.tracer(),
-                );
+                monitor.advance(self.pipeline.now(), self.pipeline.tracer());
             }
             self.progress = Some(progress);
             return Ok(StepOutcome::Yielded);
         }
-        let report = self.pipeline.finish_scenario(&self.scenario, progress);
+        let report = self.pipeline.finish(&self.scenario, progress);
         // The monitor must finish *before* the telemetry absorb:
         // `take_telemetry` drains the tracer, and an epoch cut over a
         // drained tracer would read every running total as zero.
         if let Some(monitor) = self.health.take() {
-            monitor.finish(
-                self.pipeline.platform().clock().now(),
-                self.pipeline.tracer(),
-            );
+            monitor.finish(self.pipeline.now(), self.pipeline.tracer());
         }
         if let Some(sink) = &self.telemetry {
             sink.lock()
@@ -551,129 +610,45 @@ impl DeviceTask for AudioDeviceTask {
         }
         Ok(StepOutcome::Complete(Box::new(DeviceReport {
             device: self.device,
-            modality: Modality::Audio,
-            scenario: self.scenario.name.clone(),
+            modality: P::MODALITY,
+            scenario: P::scenario_name(&self.scenario).to_owned(),
             report,
         })))
     }
 }
 
-/// The resumable camera-device state machine — the vision twin of
-/// [`AudioDeviceTask`].
-struct CameraDeviceTask {
-    device: usize,
-    scenario: Arc<CameraScenario>,
-    pipeline: SecureCameraPipeline,
-    progress: Option<ScenarioProgress>,
+/// The observation sinks one fleet run feeds.
+#[derive(Default)]
+struct Sinks {
     telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
+    health: Option<(HealthConfig, HealthSink)>,
 }
 
-impl DeviceTask for CameraDeviceTask {
-    fn step(&mut self) -> Result<StepOutcome> {
-        let mut progress = self.progress.take().expect("task stepped after completion");
-        if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
-            if let Some(monitor) = &mut self.health {
-                monitor.advance(
-                    self.pipeline.platform().clock().now(),
-                    self.pipeline.tracer(),
-                );
-            }
-            self.progress = Some(progress);
-            return Ok(StepOutcome::Yielded);
-        }
-        let report = self.pipeline.finish_scenario(&self.scenario, progress);
-        // Finish before the absorb — see `AudioDeviceTask::step`.
-        if let Some(monitor) = self.health.take() {
-            monitor.finish(
-                self.pipeline.platform().clock().now(),
-                self.pipeline.tracer(),
-            );
-        }
-        if let Some(sink) = &self.telemetry {
-            sink.lock()
-                .absorb(self.device, self.pipeline.take_telemetry());
-        }
-        Ok(StepOutcome::Complete(Box::new(DeviceReport {
-            device: self.device,
-            modality: Modality::Camera,
-            scenario: self.scenario.name.clone(),
-            report,
-        })))
+impl Sinks {
+    fn monitor(&self, device: usize) -> Option<DeviceHealthMonitor> {
+        self.health.as_ref().map(|(config, sink)| {
+            DeviceHealthMonitor::new(device, config.clone(), Arc::clone(sink))
+        })
     }
 }
 
-/// Queues one audio device: the pipeline stack builds lazily when a
-/// worker first schedules the device, and the scenario is shared by
-/// `Arc` — a 10k-device fleet cycling over a few scenarios must not
-/// hold 10k copies of their event lists in its run queues. Shared with
-/// the scheduler crate's `ShardedFleet`, whose audio devices are
-/// identical to this fleet's.
-pub fn audio_device_task(
-    device: usize,
-    scenario: Arc<Scenario>,
-    config: PipelineConfig,
-    models: SharedModels,
-) -> QueuedDevice {
-    audio_device_task_observed(device, scenario, config, models, None, None)
+/// Takes a sink's fold back once the executor has joined its workers.
+/// Nothing else holds the sink by then; the clone fallback is for safety
+/// only.
+fn into_fold<T: Clone>(sink: Arc<Mutex<T>>) -> T {
+    Arc::try_unwrap(sink)
+        .map(Mutex::into_inner)
+        .unwrap_or_else(|sink| sink.lock().clone())
 }
 
-/// [`audio_device_task`] with observation planes attached: the device's
-/// tracer snapshot is folded into `telemetry` when the scenario
-/// completes, and `health` judges its virtual-time epochs as it runs.
-pub fn audio_device_task_observed(
-    device: usize,
-    scenario: Arc<Scenario>,
-    config: PipelineConfig,
-    models: SharedModels,
-    telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
-) -> QueuedDevice {
-    QueuedDevice::new(device, move || {
-        let mut pipeline = SecurePipeline::with_models(config, &models)?;
-        let progress = pipeline.begin_scenario();
-        Ok(Box::new(AudioDeviceTask {
-            device,
-            scenario,
-            pipeline,
-            progress: Some(progress),
-            telemetry,
-            health,
-        }))
-    })
-}
-
-/// Queues one single-session camera device.
-pub fn camera_device_task(
-    device: usize,
-    scenario: Arc<CameraScenario>,
-    config: CameraPipelineConfig,
-    models: SharedModels,
-) -> QueuedDevice {
-    camera_device_task_observed(device, scenario, config, models, None, None)
-}
-
-/// [`camera_device_task`] with observation planes attached.
-pub fn camera_device_task_observed(
-    device: usize,
-    scenario: Arc<CameraScenario>,
-    config: CameraPipelineConfig,
-    models: SharedModels,
-    telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
-) -> QueuedDevice {
-    QueuedDevice::new(device, move || {
-        let mut pipeline = SecureCameraPipeline::with_models(config, &models)?;
-        let progress = pipeline.begin_scenario();
-        Ok(Box::new(CameraDeviceTask {
-            device,
-            scenario,
-            pipeline,
-            progress: Some(progress),
-            telemetry,
-            health,
-        }))
-    })
+/// How much a fleet run observes beyond the report and executor stats:
+/// nothing, the telemetry fold, or the telemetry fold plus the health
+/// plane.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Observe {
+    Report,
+    Telemetry,
+    Health,
 }
 
 // ----- the fleet -----------------------------------------------------------
@@ -692,9 +667,6 @@ impl PipelineFleet {
     ///
     /// Propagates ML training failures.
     pub fn new(config: FleetConfig) -> Result<Self> {
-        // Fail before the expensive model training: a sharded config can
-        // never run on this fleet, so it must not get to pay for setup.
-        config.reject_sharding()?;
         if config.total_devices() == 0 {
             return Err(CoreError::Config {
                 reason: "fleet needs at least one device".to_owned(),
@@ -745,31 +717,10 @@ impl PipelineFleet {
     ///
     /// # Errors
     ///
-    /// Returns the first device failure ([`CoreError`]), or a
-    /// [`CoreError::Config`] for an empty scenario list.
+    /// Same contract as [`PipelineFleet::run_mixed`] with no camera
+    /// scenarios, so a fleet with camera devices is refused too.
     pub fn run(&self, scenarios: &[Scenario]) -> Result<FleetReport> {
-        // Guard here as well as in `new`: `with_models` skips `new`'s
-        // validation, and an empty fleet report would read as a perfectly
-        // clean privacy outcome when nothing ran at all.
-        self.config.reject_sharding()?;
-        if self.config.devices == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one audio device".to_owned(),
-            });
-        }
-        if self.config.camera_devices > 0 {
-            return Err(CoreError::Config {
-                reason: "fleet has camera devices configured; use run_mixed so their \
-                         scene schedules are supplied instead of silently skipping them"
-                    .to_owned(),
-            });
-        }
-        if scenarios.is_empty() {
-            return Err(CoreError::Config {
-                reason: "fleet run needs at least one scenario".to_owned(),
-            });
-        }
-        self.execute(scenarios, &[]).map(|(report, _)| report)
+        self.run_mixed(scenarios, &[])
     }
 
     /// Runs a mixed fleet: the configured audio devices replay `audio`
@@ -783,7 +734,8 @@ impl PipelineFleet {
     /// Returns the first device failure, or [`CoreError::Config`] when a
     /// modality's devices and scenarios disagree — devices with no
     /// scenarios *and* scenarios with no devices are both rejected, so
-    /// nothing is ever silently skipped — or when the fleet is empty.
+    /// nothing is ever silently skipped — or when the fleet is empty
+    /// (checked on every run: [`PipelineFleet::with_models`] skips `new`).
     pub fn run_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<FleetReport> {
         self.run_mixed_stats(audio, cameras)
             .map(|(report, _)| report)
@@ -800,9 +752,8 @@ impl PipelineFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<(FleetReport, ExecutorStats)> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        self.execute(audio, cameras)
+        self.execute(audio, cameras, Observe::Report)
+            .map(|(report, stats, ..)| (report, stats))
     }
 
     /// [`PipelineFleet::run_mixed_stats`] with the fleet telemetry plane
@@ -821,18 +772,8 @@ impl PipelineFleet {
         audio: &[Scenario],
         cameras: &[CameraScenario],
     ) -> Result<(FleetReport, ExecutorStats, FleetTelemetry)> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        let sink: TelemetrySink = Arc::new(Mutex::new(FleetTelemetry::new()));
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) =
-            executor.run(self.queued_devices(audio, cameras, Some(&sink), None))?;
-        // The executor has joined its workers; nothing else holds the
-        // sink. The clone fallback is for safety only.
-        let telemetry = Arc::try_unwrap(sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|sink| sink.lock().clone());
-        Ok((FleetReport::new(reports), stats, telemetry))
+        self.execute(audio, cameras, Observe::Telemetry)
+            .map(|(report, stats, telemetry, _)| (report, stats, telemetry))
     }
 
     /// [`PipelineFleet::run_mixed_telemetry`] with the live health plane
@@ -861,74 +802,84 @@ impl PipelineFleet {
         FleetTelemetry,
         FleetHealthReport,
     )> {
-        self.config.reject_sharding()?;
-        self.validate_mixed(audio, cameras)?;
-        let Some(health_config) = &self.config.health else {
-            return Err(CoreError::Config {
-                reason: "run_mixed_health needs FleetConfig::health set; an unconfigured \
-                         health plane would report every device as healthy"
-                    .to_owned(),
-            });
-        };
-        let sink: TelemetrySink = Arc::new(Mutex::new(FleetTelemetry::new()));
-        let health: HealthSink = Arc::new(Mutex::new(FleetHealth::new(health_config.window)));
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) =
-            executor.run(self.queued_devices(audio, cameras, Some(&sink), Some(&health)))?;
-        let telemetry = Arc::try_unwrap(sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|sink| sink.lock().clone());
-        let health = Arc::try_unwrap(health)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|health| health.lock().clone());
-        Ok((FleetReport::new(reports), stats, telemetry, health.report()))
+        let (report, stats, telemetry, health) = self.execute(audio, cameras, Observe::Health)?;
+        let health = health.expect("a health run folds a health report");
+        Ok((report, stats, telemetry, health))
     }
 
-    /// The historical harness: one OS thread per device, every device
-    /// stack resident at once. Kept as E15's baseline; produces a
-    /// byte-identical [`FleetReport`] to the executor (device runs are
-    /// hermetic), at one-thread-per-device host cost.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PipelineFleet::run_mixed`].
-    pub fn run_mixed_threaded(
+    /// The one body behind every run entry point: validate, queue,
+    /// execute, then take the observation sinks' folds back.
+    fn execute(
         &self,
         audio: &[Scenario],
         cameras: &[CameraScenario],
-    ) -> Result<FleetReport> {
-        self.config.reject_sharding()?;
+        observe: Observe,
+    ) -> Result<(
+        FleetReport,
+        ExecutorStats,
+        FleetTelemetry,
+        Option<FleetHealthReport>,
+    )> {
         self.validate_mixed(audio, cameras)?;
-        run_thread_per_device(self.queued_devices(audio, cameras, None, None)).map(FleetReport::new)
+        let mut sinks = Sinks::default();
+        if observe != Observe::Report {
+            sinks.telemetry = Some(Arc::new(Mutex::new(FleetTelemetry::new())));
+        }
+        if observe == Observe::Health {
+            let Some(config) = &self.config.health else {
+                return Err(CoreError::Config {
+                    reason: "run_mixed_health needs FleetConfig::health set; an unconfigured \
+                             health plane would report every device as healthy"
+                        .to_owned(),
+                });
+            };
+            let sink = Arc::new(Mutex::new(FleetHealth::new(config.window)));
+            sinks.health = Some((config.clone(), sink));
+        }
+        let (audio_devices, total) = (self.config.devices, self.config.total_devices());
+        let mut tasks = Vec::with_capacity(total);
+        self.queue::<SecurePipeline>(
+            &mut tasks,
+            0..audio_devices,
+            audio,
+            &self.config.pipeline,
+            &sinks,
+        );
+        self.queue::<SecureCameraPipeline>(
+            &mut tasks,
+            audio_devices..total,
+            cameras,
+            &self.config.camera_pipeline,
+            &sinks,
+        );
+        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
+        let (reports, stats) = executor.run(tasks)?;
+        Ok((
+            FleetReport::new(reports),
+            stats,
+            sinks.telemetry.map(into_fold).unwrap_or_default(),
+            sinks.health.map(|(_, sink)| into_fold(sink).report()),
+        ))
     }
 
     fn validate_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<()> {
-        if self.config.total_devices() == 0 {
-            return Err(CoreError::Config {
-                reason: "fleet needs at least one device".to_owned(),
-            });
-        }
-        if self.config.devices > 0 && audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio devices configured but no audio scenarios given".to_owned(),
-            });
-        }
-        if self.config.devices == 0 && !audio.is_empty() {
-            return Err(CoreError::Config {
-                reason: "audio scenarios given but no audio devices configured".to_owned(),
-            });
-        }
-        if self.config.camera_devices > 0 && cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera devices configured but no camera scenarios given".to_owned(),
-            });
-        }
-        if self.config.camera_devices == 0 && !cameras.is_empty() {
-            return Err(CoreError::Config {
-                reason: "camera scenarios given but no camera devices configured".to_owned(),
-            });
-        }
-        Ok(())
+        let (audio_devices, camera_devices) = (self.config.devices, self.config.camera_devices);
+        let reason = if audio_devices + camera_devices == 0 {
+            "fleet needs at least one device"
+        } else if audio_devices > 0 && audio.is_empty() {
+            "audio devices configured but no audio scenarios given"
+        } else if audio_devices == 0 && !audio.is_empty() {
+            "audio scenarios given but no audio devices configured"
+        } else if camera_devices > 0 && cameras.is_empty() {
+            "camera devices configured but no camera scenarios given"
+        } else if camera_devices == 0 && !cameras.is_empty() {
+            "camera scenarios given but no camera devices configured"
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::Config {
+            reason: reason.to_owned(),
+        })
     }
 
     /// The fleet-level telemetry config a given device runs under: the
@@ -953,77 +904,49 @@ impl PipelineFleet {
         }
     }
 
-    /// Queues the fleet's devices. Callers have already validated that a
-    /// modality's scenario slice is non-empty exactly when it has devices.
-    fn queued_devices(
+    /// Queues the fleet's devices of one kind: the `i`-th device of
+    /// `devices` replays `scenarios[i % scenarios.len()]` under `base`
+    /// with the fleet's planes applied. `validate_mixed` has already
+    /// checked that `scenarios` is non-empty exactly when `devices` is.
+    ///
+    /// Each stack builds lazily, when a worker first schedules its
+    /// device, and scenarios are shared by `Arc`: a 10k-device fleet
+    /// cycling over a few scenarios must not hold 10k copies of their
+    /// event lists in its run queues.
+    fn queue<P: FleetPipeline>(
         &self,
-        audio: &[Scenario],
-        cameras: &[CameraScenario],
-        sink: Option<&TelemetrySink>,
-        health: Option<&HealthSink>,
-    ) -> Vec<QueuedDevice> {
-        let audio_devices = self.config.devices;
-        let camera_devices = self.config.camera_devices;
-        let monitor = |device: usize| match (health, &self.config.health) {
-            (Some(sink), Some(config)) => Some(DeviceHealthMonitor::new(
-                device,
-                config.clone(),
-                Arc::clone(sink),
-            )),
-            _ => None,
-        };
-        // One shared copy per distinct scenario; devices hold `Arc`s.
-        let audio: Vec<Arc<Scenario>> = audio.iter().cloned().map(Arc::new).collect();
-        let cameras: Vec<Arc<CameraScenario>> = cameras.iter().cloned().map(Arc::new).collect();
-        let mut tasks = Vec::with_capacity(audio_devices + camera_devices);
-        for device in 0..audio_devices {
-            let mut config = self.config.pipeline.clone();
-            config.telemetry = self.device_telemetry(config.telemetry, device);
+        tasks: &mut Vec<QueuedDevice>,
+        devices: Range<usize>,
+        scenarios: &[P::Scenario],
+        base: &P::Config,
+        sinks: &Sinks,
+    ) {
+        let scenarios: Vec<Arc<P::Scenario>> = scenarios.iter().cloned().map(Arc::new).collect();
+        for (i, device) in devices.enumerate() {
+            let mut config = base.clone();
+            let (telemetry, faults, ingest) = P::planes(&mut config);
+            *telemetry = self.device_telemetry(*telemetry, device);
             if let Some(spec) = self.config.faults {
-                config.faults = Some(spec.for_device(device as u64));
+                *faults = Some(spec.for_device(device as u64));
             }
             if let Some(plane) = &self.config.ingest {
-                config.ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
+                *ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
             }
-            tasks.push(audio_device_task_observed(
-                device,
-                Arc::clone(&audio[device % audio.len()]),
-                config,
-                self.models.clone(),
-                sink.cloned(),
-                monitor(device),
-            ));
+            let scenario = Arc::clone(&scenarios[i % scenarios.len()]);
+            let models = self.models.clone();
+            let (telemetry, health) = (sinks.telemetry.clone(), sinks.monitor(device));
+            tasks.push(QueuedDevice::new(device, move || {
+                let (pipeline, progress) = P::build(config, &models)?;
+                Ok(Box::new(FleetDeviceTask {
+                    device,
+                    scenario,
+                    pipeline,
+                    progress: Some(progress),
+                    telemetry,
+                    health,
+                }) as Box<dyn DeviceTask>)
+            }));
         }
-        for camera in 0..camera_devices {
-            let device = audio_devices + camera;
-            let mut config = self.config.camera_pipeline.clone();
-            config.telemetry = self.device_telemetry(config.telemetry, device);
-            if let Some(spec) = self.config.faults {
-                config.faults = Some(spec.for_device(device as u64));
-            }
-            if let Some(plane) = &self.config.ingest {
-                config.ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
-            }
-            tasks.push(camera_device_task_observed(
-                device,
-                Arc::clone(&cameras[camera % cameras.len()]),
-                config,
-                self.models.clone(),
-                sink.cloned(),
-                monitor(device),
-            ));
-        }
-        tasks
-    }
-
-    fn execute(
-        &self,
-        audio: &[Scenario],
-        cameras: &[CameraScenario],
-    ) -> Result<(FleetReport, ExecutorStats)> {
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) = executor.run(self.queued_devices(audio, cameras, None, None))?;
-        Ok((FleetReport::new(reports), stats))
     }
 }
 
@@ -1160,7 +1083,6 @@ mod tests {
         // Camera devices without camera scenarios are rejected too.
         let mixed = PipelineFleet::with_models(FleetConfig::mixed(0, 1), fleet.models().clone());
         assert!(mixed.run_mixed(&[], &[]).is_err());
-        assert!(mixed.run_mixed_threaded(&[], &[]).is_err());
         // run() on a config with camera devices refuses instead of
         // silently running an audio-only subset of the fleet.
         let mixed = PipelineFleet::with_models(FleetConfig::mixed(1, 1), fleet.models().clone());
@@ -1247,32 +1169,6 @@ mod tests {
         let a = fleet.models().vision().unwrap();
         let b = fleet.models().vision().unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn sharded_configs_are_routed_to_the_scheduler_crate() {
-        let models =
-            SharedModels::train(perisec_ml::classifier::Architecture::Cnn, 16, 0x5C4E).unwrap();
-        let fleet = PipelineFleet::with_models(
-            FleetConfig {
-                devices: 1,
-                tee_cores: 4,
-                ..FleetConfig::of(0)
-            },
-            models,
-        );
-        let scenarios = Scenario::fleet(1, 2, 0.5, SimDuration::from_secs(1), 3);
-        let err = fleet.run(&scenarios).unwrap_err();
-        assert!(err.to_string().contains("ShardedFleet"), "{err}");
-        assert!(fleet.run_mixed(&scenarios, &[]).is_err());
-        assert!(fleet.run_mixed_threaded(&scenarios, &[]).is_err());
-        // `new` rejects before paying for model training.
-        assert!(PipelineFleet::new(FleetConfig {
-            devices: 1,
-            tee_cores: 2,
-            ..FleetConfig::of(0)
-        })
-        .is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! crate's lower layers, not the other way round); the pipeline only
 //! sees the [`SessionIngest`] trait object. An [`IngestHook`] is one
 //! device's handle onto a shared plane — the plane plus the device's
-//! session id — and [`IngestEndpoint`] adapts it to the network fabric:
+//! session id — and `IngestEndpoint` adapts it to the network fabric:
 //! registered under the cloud hostname, it forwards every wire request
 //! to the plane together with the device's *virtual* clock reading, so
 //! the plane can evaluate its crash schedule against the same timeline

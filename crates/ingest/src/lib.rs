@@ -8,7 +8,7 @@
 //! * [`fault`] — [`ShardFaultSpec`], whole-shard crash/restart windows
 //!   in virtual time as a pure function of a seed (the shard-level
 //!   sibling of the link layer's `FaultSpec`);
-//! * [`shard`] — the journaled, attestation-gated per-session ingest
+//! * `shard` — the journaled, attestation-gated per-session ingest
 //!   state machine: volatile channel/stash tier rebuilt from an
 //!   append-only journal on every crash, commit logic shared
 //!   byte-for-byte with the direct `MockCloudService`;

@@ -8,10 +8,10 @@
 //! exactly what the paper proposes to compare:
 //!
 //! * [`TextCnn`] — embedding → parallel 1-D convolutions of several widths
-//!   → global max pooling (the classic text-CNN of the paper's ref. [1]);
+//!   → global max pooling (the classic text-CNN of the paper's ref. \[1\]);
 //! * [`TransformerEncoder`] — embedding + positional encoding → self-
 //!   attention blocks with residuals and layer norm → mean pooling
-//!   (ref. [24]);
+//!   (ref. \[24\]);
 //! * [`HybridCnnTransformer`] — "use the CNN model as a feature extractor
 //!   and the transformer as a classifier" (§IV.4): convolution first, then
 //!   an attention block over the convolution's positional outputs.

@@ -377,7 +377,7 @@ impl KeywordStt {
     }
 
     /// [`KeywordStt::transcribe_to_tokens_with`] with the template
-    /// matching on the int8 kernels ([`KeywordStt::match_segment_int8`])
+    /// matching on the int8 kernels (`KeywordStt::match_segment_int8`)
     /// — the filter TA's hot path in int8 mode. Segmentation and the
     /// MFCC front end are shared with the f32 path; only the final
     /// template comparison runs on quantized vectors.

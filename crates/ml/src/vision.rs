@@ -426,9 +426,10 @@ impl FrameCnn {
         self.head.predict(&features)
     }
 
-    /// [`FrameCnn::predict`] over a caller-owned [`FeaturePlan`]: the
-    /// same arithmetic with the featurizer and head scratch reused — the
-    /// vision TA's allocation-free per-frame path.
+    /// [`FrameCnn::predict`] over a caller-owned
+    /// [`FeaturePlan`](crate::plan::FeaturePlan): the same arithmetic with
+    /// the featurizer and head scratch reused — the vision TA's
+    /// allocation-free per-frame path.
     ///
     /// # Errors
     ///

@@ -28,10 +28,10 @@
 //!   picks `batch_windows` per shard from queue depth against a latency
 //!   SLO using the E11 cost curve;
 //! * [`pipeline`] — [`pipeline::ShardedVisionPipeline`]: the secure
-//!   camera pipeline fanned out across a pool, end to end;
-//! * [`fleet`] — [`fleet::ShardedFleet`]: the multi-device harness whose
-//!   camera devices each run on a pool
-//!   ([`perisec_core::fleet::FleetConfig::tee_cores`]).
+//!   camera pipeline fanned out across a pool, end to end. It is the one
+//!   way to run a sharded camera: fleets
+//!   ([`perisec_core::fleet::PipelineFleet`]) run single-session devices
+//!   only.
 //!
 //! The sharding contract, pinned by `tests/shard_parity.rs` and the
 //! property tests: sharding changes *throughput*, never *outcome* — the
@@ -43,14 +43,12 @@
 #![warn(missing_docs)]
 
 pub mod batcher;
-pub mod fleet;
 pub mod pipeline;
 pub mod pool;
 pub mod scheduler;
 pub mod stage;
 
 pub use batcher::AdaptiveBatcher;
-pub use fleet::ShardedFleet;
 pub use pipeline::{
     CoreUtilization, ShardedCameraConfig, ShardedRunReport, ShardedScenarioProgress,
     ShardedVisionPipeline,

@@ -87,7 +87,11 @@ pub fn window_overhead_frames(
 #[derive(Debug, Clone)]
 pub struct ShardedCameraConfig {
     /// Per-shard camera pipeline parameters (policy, training spec, and
-    /// the *fixed* batch size when no SLO is given).
+    /// the *fixed* batch size when no SLO is given). The sharded stack
+    /// refuses `ingest`, `degrade`, an enabled `telemetry`,
+    /// `constrained_platform` and `secure_ram_kib`: it has no ingest hook,
+    /// degradation injector or tracer, and its platform comes from
+    /// [`ShardedCameraConfig::pool`] alone.
     pub camera: CameraPipelineConfig,
     /// The secure-core pool to shard across.
     pub pool: TeePoolConfig,
@@ -248,6 +252,7 @@ impl ShardedVisionPipeline {
         vision: Arc<FrameCnn>,
         vision_int8: Option<Arc<QuantFrameCnn>>,
     ) -> Result<Self> {
+        reject_unsupported(&config.camera)?;
         // Normal world, shared by every core: one fabric, one cloud.
         let fabric = NetworkFabric::new().with_faults(config.camera.faults);
         let cloud = MockCloudService::new(default_psk());
@@ -586,6 +591,28 @@ impl ShardedVisionPipeline {
     }
 }
 
+/// Refuses, by name, the first camera-config field the sharded stack
+/// would otherwise ignore (see [`ShardedCameraConfig::camera`]).
+fn reject_unsupported(camera: &CameraPipelineConfig) -> Result<()> {
+    let set = [
+        ("camera.ingest", camera.ingest.is_some()),
+        ("camera.degrade", camera.degrade.is_some()),
+        ("camera.telemetry", camera.telemetry.enabled),
+        ("camera.constrained_platform", camera.constrained_platform),
+        ("camera.secure_ram_kib", camera.secure_ram_kib.is_some()),
+    ];
+    match set.iter().find(|(_, is_set)| *is_set) {
+        Some((field, _)) => Err(CoreError::Config {
+            reason: format!(
+                "the sharded vision pipeline does not support {field}: it has no \
+                 ingest hook, degradation injector or tracer, and its platform \
+                 comes from ShardedCameraConfig::pool"
+            ),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Cursor over one sharded scenario replay: run-relative marks per core
 /// plus the next event to dispatch — the sharded twin of
 /// `perisec_core::pipeline::ScenarioProgress`.
@@ -680,6 +707,65 @@ mod tests {
             pool: TeePoolConfig::jetson(cores),
             ..ShardedCameraConfig::default()
         }
+    }
+
+    /// Builds a two-shard stack around an untrained classifier after
+    /// `set` edits its camera config, and checks that the build is
+    /// refused by an error naming `field`.
+    fn assert_refused(field: &str, set: impl FnOnce(&mut CameraPipelineConfig)) {
+        let mut config = small_config(2);
+        set(&mut config.camera);
+        let vision = Arc::new(FrameCnn::new(perisec_ml::vision::VisionConfig::smart_home()));
+        let error = ShardedVisionPipeline::with_vision_model(config, vision)
+            .expect_err("an unsupported camera field was accepted")
+            .to_string();
+        assert!(error.contains(field), "{error}");
+    }
+
+    #[test]
+    fn refuses_an_ingest_hook() {
+        #[derive(Debug)]
+        struct NoPlane;
+        impl perisec_relay::attest::SessionIngest for NoPlane {
+            fn handle(&self, _: u64, _: u64, _: &[u8]) -> Vec<u8> {
+                Vec::new()
+            }
+            fn session_report(&self, _: u64) -> perisec_relay::cloud::CloudReport {
+                Default::default()
+            }
+            fn reset_session(&self, _: u64) {}
+        }
+        let hook = perisec_core::IngestHook::new(Arc::new(NoPlane), 0);
+        assert_refused("camera.ingest", |camera| camera.ingest = Some(hook));
+    }
+
+    #[test]
+    fn refuses_a_degrade_spec() {
+        let degrade = perisec_core::pipeline::DegradeSpec {
+            after: SimDuration::ZERO,
+            per_window: SimDuration::from_millis(1),
+        };
+        assert_refused("camera.degrade", |camera| camera.degrade = Some(degrade));
+    }
+
+    #[test]
+    fn refuses_enabled_telemetry() {
+        let metrics = perisec_telemetry::TelemetryConfig::metrics();
+        assert_refused("camera.telemetry", |camera| camera.telemetry = metrics);
+    }
+
+    #[test]
+    fn refuses_the_constrained_platform() {
+        assert_refused("camera.constrained_platform", |camera| {
+            camera.constrained_platform = true
+        });
+    }
+
+    #[test]
+    fn refuses_a_secure_ram_override() {
+        assert_refused("camera.secure_ram_kib", |camera| {
+            camera.secure_ram_kib = Some(4096)
+        });
     }
 
     #[test]

@@ -29,9 +29,9 @@ pub mod cmd {
     pub const SHUTDOWN: u32 = 5;
     /// Batched frame capture: param 0 is an input memref encoding the
     /// window lengths in frames (see
-    /// [`super::camera_pta::encode_frames_request`]); returns the
+    /// [`super::encode_frames_request`]); returns the
     /// per-window pixels and accounting in an output memref (see
-    /// [`super::camera_pta::decode_frame_windows_reply`]) and the
+    /// [`super::decode_frame_windows_reply`]) and the
     /// aggregate `(wire_ns, cpu_ns)` in a value output.
     pub const CAPTURE_FRAME_BATCH: u32 = 6;
 }

@@ -36,9 +36,9 @@ pub mod cmd {
     /// Release all resources.
     pub const SHUTDOWN: u32 = 5;
     /// Batched capture: param 0 is an input memref encoding the window
-    /// lengths (see [`super::pta::encode_windows_request`]); returns the
+    /// lengths (see [`super::encode_windows_request`]); returns the
     /// per-window audio and accounting in an output memref (see
-    /// [`super::pta::decode_windows_reply`]) and the aggregate
+    /// [`super::decode_windows_reply`]) and the aggregate
     /// `(wire_ns, cpu_ns)` in a value output.
     pub const CAPTURE_BATCH: u32 = 6;
 }

@@ -21,8 +21,9 @@
 //!   export.
 //! * [`export`] — chrome-trace (`chrome://tracing` / Perfetto) JSON for
 //!   single-device deep dives and folded-stack flamegraph text.
-//! * [`intern`] — the shared `&'static str` symbol table behind both the
-//!   kernel function tracer's event names and dynamic telemetry labels.
+//! * [`intern`](mod@intern) — the shared `&'static str` symbol table
+//!   behind both the kernel function tracer's event names and dynamic
+//!   telemetry labels.
 //! * [`epoch`] + [`health`] — the **live fleet health plane**: fixed
 //!   virtual-time epoch windows cut from each device's cumulative
 //!   telemetry, per-span [`health::SloSpec`] objectives judged by a

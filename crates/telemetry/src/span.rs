@@ -2,10 +2,10 @@
 //!
 //! A [`Tracer`] is shared (cheaply cloned) by every layer of one device's
 //! stack — pipeline stages, the TEE core's SMC path, the TAs' inference
-//! stages — and timestamps spans off the device's own
-//! [`SimClock`](perisec_tz::time::SimClock). Virtual time is deterministic,
-//! so the resulting trace is too: the same scenario yields the same spans
-//! with the same durations on any host, at any executor worker count.
+//! stages — and timestamps spans off the device's own [`SimClock`].
+//! Virtual time is deterministic, so the resulting trace is too: the
+//! same scenario yields the same spans with the same durations on any
+//! host, at any executor worker count.
 //!
 //! Every span always lands in a bounded per-name [`LogHistogram`] and a
 //! per-name counter. Retaining the individual [`SpanEvent`]s (for

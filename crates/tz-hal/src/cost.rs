@@ -107,8 +107,9 @@ impl CostModel {
         }
     }
 
-    /// Cost model for the quad-core IoT gateway ([`iot_quad_node`]
-    /// spec in the platform module): an Armv8 node several times slower
+    /// Cost model for the quad-core IoT gateway
+    /// ([`PlatformSpec::iot_quad_node`](crate::platform::PlatformSpec::iot_quad_node)
+    /// in the platform module): an Armv8 node several times slower
     /// than the Jetson but far ahead of the microcontroller class. Every
     /// fixed TEE cost sits between the two presets, which is exactly the
     /// regime where sharding TA sessions across secure cores starts to

@@ -337,9 +337,8 @@ struct MeterInner {
 /// Energy accounting for one experiment run.
 ///
 /// Components call [`EnergyMeter::record_busy`] with the duration they were
-/// active; the harness calls [`EnergyMeter::finish`] (or
-/// [`EnergyMeter::report_until`]) to integrate idle draw over the rest of
-/// the observation window.
+/// active; the harness calls [`EnergyMeter::report_until`] to integrate
+/// idle draw over the rest of the observation window.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     model: PowerModel,
