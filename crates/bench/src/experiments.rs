@@ -888,6 +888,22 @@ pub fn run_e14_shard_sweep() -> String {
     out
 }
 
+/// Strong counts of the shared model `Arc`s a resident device stack holds
+/// (training the audio models if they have not been yet).
+fn model_handle_counts(models: &perisec_core::pipeline::SharedModels) -> Vec<usize> {
+    use std::sync::Arc;
+    let audio = models.audio().expect("train speech models");
+    let mut counts = vec![
+        Arc::strong_count(&audio.stt),
+        Arc::strong_count(&audio.classifier),
+    ];
+    counts.extend(audio.classifier_int8.as_ref().map(Arc::strong_count));
+    counts.push(Arc::strong_count(
+        &models.vision_int8().expect("quantize frame classifier"),
+    ));
+    counts
+}
+
 /// E15 — the bounded work-stealing fleet executor: camera fleets of
 /// four-digit device counts on a fixed worker pool, their reports
 /// byte-identical across worker counts, a 10k+ device mega-fleet on 8
@@ -977,6 +993,10 @@ pub fn run_e15_fleet_executor() -> String {
         0xE15,
     );
     let cameras = CameraScenario::fleet_high_fps(camera_devices, 2, 1, 30, 0.4, 0xE15);
+    // Every resident device stack holds a handle on each shared model of
+    // its kind, so the handle counts after the run, against those before
+    // it, show whether the finished devices' stacks were freed.
+    let handles_before = model_handle_counts(&models);
     let fleet = PipelineFleet::with_models(
         FleetConfig {
             devices: audio_devices,
@@ -989,9 +1009,14 @@ pub fn run_e15_fleet_executor() -> String {
             workers: 8,
             ..FleetConfig::of(0)
         },
-        models,
+        models.clone(),
     );
     let (mega, stats) = fleet.run_mixed_stats(&audio, &cameras).expect("mega fleet");
+    let held: usize = model_handle_counts(&models)
+        .iter()
+        .zip(&handles_before)
+        .map(|(after, before)| after.saturating_sub(*before))
+        .sum();
     let _ = writeln!(
         out,
         "| {} | {audio_devices} | {camera_devices} | {} | {} | {} | {} | {} | {:.0} |",
@@ -1010,6 +1035,15 @@ pub fn run_e15_fleet_executor() -> String {
         stats.peak_resident,
         mega.device_count(),
         stats.tasks_stolen(),
+    );
+    let _ = writeln!(
+        out,
+        "\nDevice stacks released after the mega fleet: {}",
+        if held == 0 {
+            "yes".to_owned()
+        } else {
+            format!("NO ({held} model handles still held)")
+        },
     );
 
     // Part 3: the session scheduler's work-stealing pass on a ragged

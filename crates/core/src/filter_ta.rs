@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use perisec_devices::audio::AudioFormat;
 use perisec_devices::codec::AudioEncoding;
 use perisec_ml::classifier::SensitiveClassifier;
 use perisec_ml::int8::QuantSensitiveClassifier;
@@ -37,11 +38,6 @@ pub const FILTER_TA_NAME: &str = "perisec.filter-ta";
 
 /// Command identifiers of the filter TA.
 pub mod cmd {
-    /// Process one capture window: value param `a` = dialog id, `b` =
-    /// number of periods to capture. Returns three value outputs:
-    /// `(capture_wire_ns, capture_cpu_ns)`, `(ml_ns, relay_ns)` and
-    /// `(decision_code, probability_milli)`.
-    pub const PROCESS_WINDOW: u32 = 0;
     /// Replace the privacy policy: value param `a` = mode, `b` =
     /// threshold in thousandths.
     pub const SET_POLICY: u32 = 1;
@@ -57,7 +53,10 @@ pub mod cmd {
     /// `(capture_wire_ns, capture_cpu_ns)` in value slot 2 and
     /// `(ml_ns, relay_ns)` in value slot 3. All permitted utterances of the
     /// batch are relayed in a **single** sealed record, so the whole batch
-    /// costs one send/recv supplicant round trip.
+    /// costs one send/recv supplicant round trip. The request is bounded
+    /// before any capture starts: at most [`super::MAX_BATCH_WINDOWS`]
+    /// windows, each at least one period and no longer than the TA's
+    /// declared data segment can hold.
     pub const PROCESS_BATCH: u32 = 3;
     /// Blocking drain of the relay's unacked buffer. Invoked once a
     /// scenario has stepped to completion, so records an opportunistic
@@ -66,6 +65,12 @@ pub mod cmd {
     /// network stays dead for the whole `hard_rounds` budget.
     pub const FLUSH_RELAY: u32 = 4;
 }
+
+/// The most windows one `PROCESS_BATCH` command may carry, in either
+/// filter TA. The largest batch a pipeline sends is the adaptive batcher's
+/// cap, which is this constant; a longer request from the normal world is
+/// refused before any capture starts.
+pub const MAX_BATCH_WINDOWS: usize = 64;
 
 /// Encodes a batch-process request: per window, the dialog id as a
 /// little-endian `u64` followed by the window length in periods as a
@@ -83,11 +88,20 @@ pub fn encode_batch_request(windows: &[(u64, u32)]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`TeeError::BadParameters`] for empty or ragged buffers.
+/// Returns [`TeeError::BadParameters`] for empty or ragged buffers, and for
+/// requests of more than [`MAX_BATCH_WINDOWS`] windows.
 pub fn decode_batch_request(data: &[u8]) -> TeeResult<Vec<(u64, u32)>> {
     if data.is_empty() || !data.len().is_multiple_of(12) {
         return Err(TeeError::BadParameters {
             reason: "batch request must be a non-empty multiple of 12 bytes".to_owned(),
+        });
+    }
+    if data.len() / 12 > MAX_BATCH_WINDOWS {
+        return Err(TeeError::BadParameters {
+            reason: format!(
+                "batch of {} windows exceeds the cap of {MAX_BATCH_WINDOWS}",
+                data.len() / 12
+            ),
         });
     }
     Ok(data
@@ -99,6 +113,37 @@ pub fn decode_batch_request(data: &[u8]) -> TeeResult<Vec<(u64, u32)>> {
             )
         })
         .collect())
+}
+
+/// Reads the window list of a `PROCESS_BATCH` command from param 0 and
+/// bounds it at the trust boundary: at most [`MAX_BATCH_WINDOWS`] windows
+/// (see [`decode_batch_request`]), each `1..=max_window` `unit`s long.
+/// Both filter TAs call this before they ask their PTA for any capture.
+pub(crate) fn bounded_batch_request(
+    params: &TeeParams,
+    max_window: u32,
+    unit: &str,
+) -> TeeResult<Vec<(u64, u32)>> {
+    let windows =
+        decode_batch_request(params.get(0).as_memref().ok_or(TeeError::BadParameters {
+            reason: "process-batch expects a memref parameter".to_owned(),
+        })?)?;
+    if let Some(&(_, len)) = windows
+        .iter()
+        .find(|&&(_, len)| len == 0 || len > max_window)
+    {
+        return Err(TeeError::BadParameters {
+            reason: format!("batch window of {len} {unit}s is outside 1..={max_window}"),
+        });
+    }
+    Ok(windows)
+}
+
+/// The longest window, in `unit_bytes`-sized units, that a TA with a
+/// declared data segment of `data_kib` KiB can hold.
+pub(crate) fn max_window_units(data_kib: u32, unit_bytes: usize) -> u32 {
+    let units = data_kib as usize * 1024 / unit_bytes.max(1);
+    u32::try_from(units).unwrap_or(u32::MAX)
 }
 
 /// Encodes per-window verdicts: decision code as one byte, a padding byte,
@@ -180,6 +225,9 @@ pub struct FilterTa {
     channel: TaCloudChannel,
     stats: FilterStats,
     encoding: AudioEncoding,
+    /// The longest window, in capture periods, whose encoded audio fits
+    /// the declared data segment.
+    max_window_periods: u32,
 }
 
 impl std::fmt::Debug for FilterTa {
@@ -197,6 +245,10 @@ impl FilterTa {
     /// TA keeps only the *quantized* classifier bytes resident, so its
     /// declared data segment — what registration reserves from the secure
     /// carve-out — shrinks by roughly the compression ratio.
+    ///
+    /// `encoding` and `period_frames` must match the capture format the
+    /// I2S PTA is configured with: the TA decodes the one, and bounds each
+    /// requested window by the other.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         i2s_pta: TaUuid,
@@ -207,14 +259,19 @@ impl FilterTa {
         cloud_host: impl Into<String>,
         psk: [u8; PSK_LEN],
         encoding: AudioEncoding,
+        period_frames: usize,
     ) -> Self {
         let model_bytes = match (&quant, &models.classifier_int8) {
             (QuantMode::Int8, Some(int8)) => int8.memory_bytes(),
             _ => models.classifier.memory_bytes_f32(),
         };
         let model_kib = (model_bytes / 1024).max(1) as u32;
+        let descriptor = TaDescriptor::new(FILTER_TA_NAME, 64, 256 + model_kib);
+        let channels = usize::from(AudioFormat::speech_16khz_mono().channels);
+        let period_bytes = period_frames * channels * encoding.bytes_per_sample();
         FilterTa {
-            descriptor: TaDescriptor::new(FILTER_TA_NAME, 64, 256 + model_kib),
+            max_window_periods: max_window_units(descriptor.data_kib, period_bytes),
+            descriptor,
             i2s_pta,
             models,
             quant,
@@ -268,8 +325,9 @@ impl FilterTa {
     ) -> TeeResult<(Vec<usize>, f32, u64)> {
         let tracer = env.tracer();
         let ml_start = env.platform().clock().now();
-        let format = perisec_devices::audio::AudioFormat::speech_16khz_mono();
-        let audio = self.encoding.decode(encoded_audio, format);
+        let audio = self
+            .encoding
+            .decode(encoded_audio, AudioFormat::speech_16khz_mono());
         let samples_len = audio.samples().len();
         // The STT charge is split by stage so each span covers its own
         // share of the virtual time; the split is unconditional, so the
@@ -376,56 +434,6 @@ impl FilterTa {
         (decision, event)
     }
 
-    /// The per-window path (`cmd::PROCESS_WINDOW`), kept for the original
-    /// parameter contract. Internally it *is* a one-window batch — same
-    /// capture, ML, policy and relay code as `cmd::PROCESS_BATCH` — so the
-    /// two commands cannot drift apart; only the output layout differs.
-    fn process_window(
-        &mut self,
-        env: &mut TaEnv<'_>,
-        dialog_id: u64,
-        periods: u64,
-        params: &mut TeeParams,
-    ) -> TeeResult<()> {
-        let windows = [(dialog_id, periods as u32)];
-        let mut batch = TeeParams::new();
-        self.process_batch(env, &windows, &mut batch)?;
-
-        let verdicts =
-            decode_batch_verdicts(batch.get(1).as_memref().ok_or(TeeError::Communication {
-                reason: "batch path returned no verdicts".to_owned(),
-            })?)?;
-        let (decision, probability_milli) =
-            verdicts.first().copied().ok_or(TeeError::Communication {
-                reason: "batch path returned an empty verdict list".to_owned(),
-            })?;
-        let (wire_ns, capture_cpu_ns) = batch.get(2).as_values().unwrap_or((0, 0));
-        let (ml_ns, relay_ns) = batch.get(3).as_values().unwrap_or((0, 0));
-
-        params.set(
-            1,
-            TeeParam::ValueOutput {
-                a: wire_ns,
-                b: capture_cpu_ns,
-            },
-        );
-        params.set(
-            2,
-            TeeParam::ValueOutput {
-                a: ml_ns,
-                b: relay_ns,
-            },
-        );
-        params.set(
-            3,
-            TeeParam::ValueOutput {
-                a: decision.code(),
-                b: u64::from(probability_milli),
-            },
-        );
-        Ok(())
-    }
-
     /// The transition-amortized batch path (`cmd::PROCESS_BATCH`): pulls
     /// every window of the batch from the secure driver in one PTA call,
     /// runs the ML stage and the policy per window, and relays **all**
@@ -505,31 +513,8 @@ impl TrustedApp for FilterTa {
         params: &mut TeeParams,
     ) -> TeeResult<()> {
         match cmd_id {
-            cmd::PROCESS_WINDOW => {
-                let (dialog_id, periods) =
-                    params.get(0).as_values().ok_or(TeeError::BadParameters {
-                        reason: "process-window expects a value parameter".to_owned(),
-                    })?;
-                if periods == 0 {
-                    return Err(TeeError::BadParameters {
-                        reason: "periods must be at least 1".to_owned(),
-                    });
-                }
-                // A small fixed cost for the TA's own bookkeeping.
-                env.charge_cpu(SimDuration::from_micros(10));
-                self.process_window(env, dialog_id, periods, params)
-            }
             cmd::PROCESS_BATCH => {
-                let windows = decode_batch_request(params.get(0).as_memref().ok_or(
-                    TeeError::BadParameters {
-                        reason: "process-batch expects a memref parameter".to_owned(),
-                    },
-                )?)?;
-                if windows.iter().any(|&(_, periods)| periods == 0) {
-                    return Err(TeeError::BadParameters {
-                        reason: "batch windows must be at least 1 period".to_owned(),
-                    });
-                }
+                let windows = bounded_batch_request(params, self.max_window_periods, "period")?;
                 // The TA's own bookkeeping cost, once per batch.
                 env.charge_cpu(SimDuration::from_micros(10));
                 self.process_batch(env, &windows, params)

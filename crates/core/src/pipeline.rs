@@ -44,7 +44,9 @@ use perisec_workload::vocab::Vocabulary;
 
 use crate::batcher::AdaptiveBatcher;
 use crate::cloud_channel::RelayRetryConfig;
-use crate::filter_ta::{cmd as filter_cmd, default_cloud_host, default_psk, FilterTa};
+use crate::filter_ta::{
+    cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, MAX_BATCH_WINDOWS,
+};
 use crate::ingest::{CloudLedger, IngestHook};
 use crate::policy::PrivacyPolicy;
 use crate::report::{CloudOutcome, PipelineReport, WorkloadSummary};
@@ -94,6 +96,7 @@ pub struct PipelineConfig {
     /// Utterances driven through the stages per batch. `1` reproduces the
     /// paper's per-utterance behaviour; larger batches amortize the TEE
     /// boundary: world switches per utterance drop by roughly this factor.
+    /// The filter TA refuses batches of more than [`MAX_BATCH_WINDOWS`].
     pub batch_windows: usize,
     /// When set, an [`AdaptiveBatcher`] picks each TEE crossing's batch
     /// size from the remaining queue depth against this per-utterance
@@ -202,7 +205,8 @@ pub struct CameraPipelineConfig {
     /// Override the secure carve-out size (KiB), if set.
     pub secure_ram_kib: Option<u64>,
     /// Scene events driven through the stages per batch — the same
-    /// TEE-boundary amortization lever as the audio pipeline's.
+    /// TEE-boundary amortization lever as the audio pipeline's, with the
+    /// same cap of [`MAX_BATCH_WINDOWS`].
     pub batch_windows: usize,
     /// Numeric representation of the in-TA frame classifier (see
     /// [`PipelineConfig::quant_mode`]). Int8 by default.
@@ -765,6 +769,7 @@ impl SecurePipeline {
             default_cloud_host(),
             default_psk(),
             config.encoding,
+            config.period_frames,
         )
         .with_retry(config.retry);
         if config.ingest.is_some() {
@@ -816,7 +821,7 @@ impl SecurePipeline {
         let filter_stage = SecureFilterStage::new(platform.clone(), client.clone(), filter_session);
         let batcher = config
             .latency_slo
-            .map(|slo| AdaptiveBatcher::new(platform.cost(), slo, 64));
+            .map(|slo| AdaptiveBatcher::new(platform.cost(), slo, MAX_BATCH_WINDOWS));
         // Pressure without a batcher has nothing to act on; build the
         // monitor only when both knobs are set.
         let pressure = match (&batcher, config.slo_pressure) {
@@ -1445,6 +1450,7 @@ impl BaselinePipeline {
 mod tests {
     use super::*;
     use crate::policy::FilterMode;
+    use perisec_optee::TeeError;
     use perisec_tz::time::SimDuration;
 
     fn small_config() -> PipelineConfig {
@@ -1531,41 +1537,89 @@ mod tests {
         assert!(report2.cloud.leakage_rate() < report.cloud.leakage_rate());
     }
 
-    #[test]
-    fn process_window_command_still_serves_single_windows() {
-        // The per-window TA command is no longer on the pipelines' path
-        // (they batch), but its parameter contract is public API; drive it
-        // directly through a client session. The playback queue is empty,
-        // so the window is silence: empty transcript, probability zero,
-        // Forward decision, nothing relayed.
-        let pipeline = SecurePipeline::new(small_config()).unwrap();
-        let client = TeeClient::connect(Arc::clone(pipeline.tee_core()));
-        let (session, _) = client
-            .open_session(
-                TaUuid::from_name(crate::filter_ta::FILTER_TA_NAME),
-                TeeParams::new(),
+    /// Sends `PROCESS_BATCH` requests the TA must refuse on `session`:
+    /// a zero-length window, a `u32::MAX` window, and one window more than
+    /// the batch cap.
+    fn assert_unbounded_batches_are_refused(client: &TeeClient, session: &TeeSessionHandle) {
+        let batch = |windows: &[(u64, u32)]| {
+            TeeParams::new().with(
+                0,
+                TeeParam::MemRefInput(crate::filter_ta::encode_batch_request(windows)),
             )
-            .unwrap();
-        let params = TeeParams::new().with(0, TeeParam::ValueInput { a: 42, b: 2 });
+        };
+        let over_long = vec![(7, 1); MAX_BATCH_WINDOWS + 1];
+        for windows in [&[(1, 0)][..], &[(1, 1), (2, u32::MAX)], &over_long] {
+            let refused = client.invoke(session, filter_cmd::PROCESS_BATCH, batch(windows));
+            assert!(
+                matches!(refused, Err(TeeError::BadParameters { .. })),
+                "{} windows, longest {}: {refused:?}",
+                windows.len(),
+                windows.iter().map(|w| w.1).max().unwrap_or(0)
+            );
+        }
+    }
+
+    /// A filter TA's `GET_STATS` counters (same command id in both TAs).
+    fn ta_stats(client: &TeeClient, session: &TeeSessionHandle) -> [(u64, u64); 2] {
         let out = client
-            .invoke(&session, filter_cmd::PROCESS_WINDOW, params)
+            .invoke(session, filter_cmd::GET_STATS, TeeParams::new())
             .unwrap();
-        let (wire_ns, _cpu_ns) = out.get(1).as_values().unwrap();
-        assert_eq!(wire_ns, 2 * 10_000_000, "two 10 ms periods on the wire");
-        let (ml_ns, _relay_ns) = out.get(2).as_values().unwrap();
-        assert!(ml_ns > 0);
-        let (decision_code, probability_milli) = out.get(3).as_values().unwrap();
+        [
+            out.get(0).as_values().unwrap(),
+            out.get(1).as_values().unwrap(),
+        ]
+    }
+
+    #[test]
+    fn audio_ta_refuses_unbounded_batches_and_keeps_serving() {
+        let models = SharedModels::for_config(&small_config()).unwrap();
+        let scenario = Scenario::mixed(6, 0.5, SimDuration::from_secs(1), 87);
+        let config = PipelineConfig {
+            batch_windows: 3,
+            ..small_config()
+        };
+        let mut fresh = SecurePipeline::with_models(config.clone(), &models).unwrap();
+        let mut probed = SecurePipeline::with_models(config, &models).unwrap();
+        assert_unbounded_batches_are_refused(&probed.client, &probed.filter_session);
+        // Nothing was processed for the refused batches.
         assert_eq!(
-            crate::policy::FilterDecision::from_code(decision_code),
-            Some(crate::policy::FilterDecision::Forward)
+            ta_stats(&probed.client, &probed.filter_session),
+            [(0, 0); 2]
         );
-        assert_eq!(probability_milli, 0);
-        assert!(pipeline.cloud().report().events.is_empty());
-        // Zero periods are still rejected at the command boundary.
-        let bad = TeeParams::new().with(0, TeeParam::ValueInput { a: 1, b: 0 });
-        assert!(client
-            .invoke(&session, filter_cmd::PROCESS_WINDOW, bad)
-            .is_err());
+        let a = fresh.run_scenario(&scenario).unwrap();
+        let b = probed.run_scenario(&scenario).unwrap();
+        assert!(!b.cloud.report.events.is_empty());
+        assert_eq!(a.cloud.report.events, b.cloud.report.events);
+        assert_eq!(
+            ta_stats(&fresh.client, &fresh.filter_session),
+            ta_stats(&probed.client, &probed.filter_session)
+        );
+    }
+
+    #[test]
+    fn camera_ta_refuses_unbounded_batches_and_keeps_serving() {
+        use perisec_workload::scenario::CameraScenario;
+        let models = SharedModels::deferred_for_config(&small_config());
+        let scenario = CameraScenario::mixed_scenes(6, 0.5, SimDuration::from_secs(1), 0xCA14);
+        let config = CameraPipelineConfig {
+            batch_windows: 3,
+            ..CameraPipelineConfig::default()
+        };
+        let mut fresh = SecureCameraPipeline::with_models(config.clone(), &models).unwrap();
+        let mut probed = SecureCameraPipeline::with_models(config, &models).unwrap();
+        assert_unbounded_batches_are_refused(&probed.client, &probed.vision_session);
+        assert_eq!(
+            ta_stats(&probed.client, &probed.vision_session),
+            [(0, 0); 2]
+        );
+        let a = fresh.run_scenario(&scenario).unwrap();
+        let b = probed.run_scenario(&scenario).unwrap();
+        assert!(!b.cloud.report.events.is_empty());
+        assert_eq!(a.cloud.report.events, b.cloud.report.events);
+        assert_eq!(
+            ta_stats(&fresh.client, &fresh.vision_session),
+            ta_stats(&probed.client, &probed.vision_session)
+        );
     }
 
     #[test]

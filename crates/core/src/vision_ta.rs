@@ -29,7 +29,7 @@ use perisec_tz::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::cloud_channel::TaCloudChannel;
-use crate::filter_ta::decode_batch_request;
+use crate::filter_ta::{bounded_batch_request, max_window_units};
 use crate::policy::{FilterDecision, PrivacyPolicy};
 
 /// Registered name of the vision TA (its UUID derives from this).
@@ -51,7 +51,10 @@ pub mod cmd {
     /// per-window verdicts in an output memref, the aggregate
     /// `(wire_ns, capture_cpu_ns)` in value slot 2 and `(ml_ns, relay_ns)`
     /// in value slot 3. All permitted windows of the batch are relayed as
-    /// verdict records in a **single** sealed record.
+    /// verdict records in a **single** sealed record. The request is
+    /// bounded before any capture starts: at most
+    /// [`crate::filter_ta::MAX_BATCH_WINDOWS`] windows, each at least one
+    /// frame and no longer than the TA's declared data segment can hold.
     pub const PROCESS_BATCH: u32 = 3;
     /// Blocking drain of the relay's unacked buffer. Invoked once a
     /// scenario has stepped to completion, so records an opportunistic
@@ -91,6 +94,9 @@ pub struct VisionTa {
     policy: PrivacyPolicy,
     channel: TaCloudChannel,
     stats: VisionStats,
+    /// The longest window, in frames, whose pixels fit the declared data
+    /// segment.
+    max_window_frames: u32,
 }
 
 impl std::fmt::Debug for VisionTa {
@@ -120,8 +126,10 @@ impl VisionTa {
             _ => model.memory_bytes_f32(),
         };
         let model_kib = (model_bytes / 1024).max(1) as u32;
+        let descriptor = TaDescriptor::new(VISION_TA_NAME, 48, 128 + model_kib);
         VisionTa {
-            descriptor: TaDescriptor::new(VISION_TA_NAME, 48, 128 + model_kib),
+            max_window_frames: max_window_units(descriptor.data_kib, model.frame_len()),
+            descriptor,
             camera_pta,
             model,
             model_int8,
@@ -284,16 +292,7 @@ impl TrustedApp for VisionTa {
     ) -> TeeResult<()> {
         match cmd_id {
             cmd::PROCESS_BATCH => {
-                let windows = decode_batch_request(params.get(0).as_memref().ok_or(
-                    TeeError::BadParameters {
-                        reason: "process-batch expects a memref parameter".to_owned(),
-                    },
-                )?)?;
-                if windows.iter().any(|&(_, frames)| frames == 0) {
-                    return Err(TeeError::BadParameters {
-                        reason: "batch windows must be at least 1 frame".to_owned(),
-                    });
-                }
+                let windows = bounded_batch_request(params, self.max_window_frames, "frame")?;
                 // The TA's own bookkeeping cost, once per batch.
                 env.charge_cpu(SimDuration::from_micros(10));
                 self.process_batch(env, &windows, params)

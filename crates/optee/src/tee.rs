@@ -10,17 +10,32 @@
 //! core installs itself as the handler of the `STD_CALL_WITH_ARG` SMC and
 //! picks up the client message from a shared mailbox, mirroring OP-TEE's
 //! shared-memory message passing.
+//!
+//! The core owns its [`Platform`], and so the monitor that holds the
+//! handler. The handler therefore points back at the core through a
+//! [`Weak`] reference: a strong one would close a cycle, and no device's
+//! TEE stack (core, TAs, PTAs, drivers, carve-out reservations) would ever
+//! be freed. When the last strong handle to the core drops, the whole
+//! stack drops with it. A raw SMC that reaches the monitor after that gets
+//! [`SMC_RETURN_ENOTAVAIL`] back instead of a dispatch. The core does not
+//! unregister its handler on drop: the monitor keeps one handler per
+//! function id, so a dropped core could remove the handler of a core
+//! booted after it on the same platform.
+//!
+//! Registration reserves each application's declared footprint as a bare
+//! [`SecureReservation`]: the span counts against the carve-out, but the
+//! simulation never touches its bytes, so none are allocated on the host.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
 use perisec_telemetry::Tracer;
 use perisec_tz::monitor::{smc_func, SmcCall, SmcHandler, SmcResult};
 use perisec_tz::platform::Platform;
-use perisec_tz::secure_mem::{SecureBuf, SharedReservation};
+use perisec_tz::secure_mem::{SecureReservation, SharedReservation};
 use perisec_tz::world::World;
 
 use crate::param::TeeParams;
@@ -48,10 +63,14 @@ impl std::fmt::Display for SessionId {
     }
 }
 
+/// The SMC result a dropped core's handler returns, in place of a
+/// dispatch (OP-TEE's `OPTEE_SMC_RETURN_ENOTAVAIL`). A live core returns 0.
+pub const SMC_RETURN_ENOTAVAIL: u64 = 7;
+
 struct TaEntry {
     descriptor: TaDescriptor,
     instance: Mutex<Box<dyn TrustedApp>>,
-    _reserved: Option<SecureBuf>,
+    _reserved: Option<SecureReservation>,
     /// Content-keyed reservation for the TA's model weights, when the TA
     /// was registered through [`TeeCore::register_ta_shared`]: co-resident
     /// TAs on the same carve-out holding the same weights charge them once.
@@ -61,7 +80,7 @@ struct TaEntry {
 struct PtaEntry {
     descriptor: TaDescriptor,
     instance: Mutex<Box<dyn PseudoTa>>,
-    _reserved: SecureBuf,
+    _reserved: SecureReservation,
 }
 
 /// A message submitted by the normal-world client through the mailbox.
@@ -155,7 +174,9 @@ impl std::fmt::Debug for TeeCore {
 
 impl TeeCore {
     /// Boots a TEE core on `platform` with the given supplicant, and
-    /// installs its SMC handler in the secure monitor.
+    /// installs its SMC handler in the secure monitor. The handler holds
+    /// the core weakly (see the module docs), so dropping the returned
+    /// handle and its clones frees the core.
     pub fn boot(platform: Platform, supplicant: Arc<Supplicant>) -> Arc<Self> {
         let storage = SecureStorage::for_platform(&platform);
         let core = Arc::new(TeeCore {
@@ -172,7 +193,7 @@ impl TeeCore {
             tracer: Mutex::new(Tracer::disabled()),
         });
         let handler: Arc<dyn SmcHandler> = Arc::new(TeeSmcHandler {
-            core: Arc::clone(&core),
+            core: Arc::downgrade(&core),
         });
         core.platform
             .monitor()
@@ -271,7 +292,7 @@ impl TeeCore {
         let (reserved, shared) = match shared_model {
             None => (
                 Some(
-                    ram.alloc(descriptor.footprint_bytes())
+                    ram.reserve(descriptor.footprint_bytes())
                         .map_err(TeeError::from)?,
                 ),
                 None,
@@ -279,7 +300,7 @@ impl TeeCore {
             Some((key, model_bytes)) => {
                 let private = descriptor.footprint_bytes() - model_bytes;
                 let reserved = if private > 0 {
-                    Some(ram.alloc(private).map_err(TeeError::from)?)
+                    Some(ram.reserve(private).map_err(TeeError::from)?)
                 } else {
                     None
                 };
@@ -318,7 +339,7 @@ impl TeeCore {
         let reserved = self
             .platform
             .secure_ram()
-            .alloc(descriptor.footprint_bytes())
+            .reserve(descriptor.footprint_bytes())
             .map_err(TeeError::from)?;
         self.ptas.write().insert(
             uuid,
@@ -606,13 +627,18 @@ impl TeeCore {
 }
 
 struct TeeSmcHandler {
-    core: Arc<TeeCore>,
+    core: Weak<TeeCore>,
 }
 
 impl SmcHandler for TeeSmcHandler {
     fn handle(&self, _call: &SmcCall) -> SmcResult {
-        self.core.process_mailbox();
-        SmcResult::value(0)
+        match self.core.upgrade() {
+            Some(core) => {
+                core.process_mailbox();
+                SmcResult::value(0)
+            }
+            None => SmcResult::value(SMC_RETURN_ENOTAVAIL),
+        }
     }
 }
 
@@ -860,6 +886,28 @@ mod tests {
         assert!(delta.bytes_to_normal >= 256);
         // The RPC switched out of and back into the current world.
         assert_eq!(core.platform().monitor().current_world(), World::Normal);
+    }
+
+    #[test]
+    fn a_dropped_core_frees_its_stack_and_refuses_raw_smcs() {
+        let platform = Platform::jetson_agx_xavier();
+        let ram = platform.secure_ram().clone();
+        let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
+        core.register_ta(Box::new(EchoTa::new())).unwrap();
+        core.register_pta(Box::new(CounterPta::new())).unwrap();
+        assert!(ram.bytes_in_use() > 0);
+        let weak = Arc::downgrade(&core);
+        drop(core);
+        assert!(weak.upgrade().is_none(), "the monitor kept the core alive");
+        assert_eq!(ram.bytes_in_use(), 0);
+        // The handler outlives the core in the monitor; an SMC that still
+        // reaches it gets an error result, not a panic.
+        let result = platform
+            .monitor()
+            .smc(SmcCall::new(smc_func::STD_CALL_WITH_ARG))
+            .unwrap();
+        assert_eq!(result.regs[0], SMC_RETURN_ENOTAVAIL);
+        assert_eq!(platform.monitor().current_world(), World::Normal);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use perisec_core::filter_ta::{default_cloud_host, default_psk};
+use perisec_core::filter_ta::{default_cloud_host, default_psk, MAX_BATCH_WINDOWS};
 use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
 use perisec_core::policy::PrivacyPolicy;
 use perisec_core::report::{CloudOutcome, PipelineReport, WorkloadSummary};
@@ -319,7 +319,7 @@ impl ShardedVisionPipeline {
 
         let batcher = config
             .latency_slo
-            .map(|slo| AdaptiveBatcher::new(&config.pool.cost, slo, 64));
+            .map(|slo| AdaptiveBatcher::new(&config.pool.cost, slo, MAX_BATCH_WINDOWS));
         // The pressure spec is inert without a batcher to steer.
         let pressure = match (&batcher, config.slo_pressure) {
             (Some(_), Some(spec)) => Some(PressureMonitor::for_spec(spec)),

@@ -54,7 +54,7 @@ pub use error::TzError;
 pub use monitor::{SecureMonitor, SmcCall, SmcResult};
 pub use platform::{Platform, PlatformSpec};
 pub use power::{Component, EnergyMeter, PowerModel};
-pub use secure_mem::{SecureBuf, SecureRam};
+pub use secure_mem::{SecureBuf, SecureRam, SecureReservation};
 pub use stats::TzStats;
 pub use time::{SimClock, SimDuration, SimInstant};
 pub use tzasc::{MemoryRegion, SecurityAttr, Tzasc};

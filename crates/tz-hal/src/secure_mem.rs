@@ -6,10 +6,19 @@
 //! TrustZone provide relatively small memory resources for applications"*.
 //!
 //! [`SecureRam`] models that carve-out as a first-fit free-list allocator.
-//! Allocations return a [`SecureBuf`] — an owned byte buffer tagged with its
-//! simulated physical address — and are automatically returned to the pool
-//! when the buffer is dropped. Exhaustion is a first-class, observable
-//! failure so experiments can report when a model or driver no longer fits.
+//! Every allocation is a [`SecureReservation`]: a span of the carve-out
+//! (offset plus simulated physical address) that is returned to the pool
+//! when it drops. A reservation holds no bytes. Most of the carve-out is
+//! only *accounted*: a TA's or PTA's declared footprint and the shared
+//! model weights ([`SecureRam::reserve_shared`]) must fit, but the
+//! simulation never reads or writes them, so they are bare reservations
+//! ([`SecureRam::reserve`]) and cost no host memory. Memory that does hold
+//! data — driver I/O buffers, a TA's `secure_alloc` — is a [`SecureBuf`]:
+//! a reservation plus its zeroed host bytes ([`SecureRam::alloc`]). Both
+//! paths charge the pool identically, so offsets, addresses, usage, the
+//! allocation count and the high-water mark do not depend on which one a
+//! caller takes. Exhaustion is a first-class, observable failure so
+//! experiments can report when a model or driver no longer fits.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -122,7 +131,7 @@ struct SharedRegistry {
 
 struct SharedEntry {
     key: u64,
-    buf: SecureBuf,
+    reservation: SecureReservation,
 }
 
 impl fmt::Debug for SecureRam {
@@ -181,10 +190,10 @@ impl SecureRam {
     pub fn reserve_shared(&self, key: u64, size: usize) -> Result<SharedReservation> {
         let mut shared = self.shared.lock();
         if let Some(entry) = shared.entries.get(&key).and_then(Weak::upgrade) {
-            if entry.buf.len() != size {
+            if entry.reservation.len() != size {
                 return Err(TzError::SharedReservationMismatch {
                     key,
-                    existing: entry.buf.len(),
+                    existing: entry.reservation.len(),
                     requested: size,
                 });
             }
@@ -192,8 +201,8 @@ impl SecureRam {
             shared.dedup_hits += 1;
             return Ok(SharedReservation { entry });
         }
-        let buf = self.alloc(size)?;
-        let entry = Arc::new(SharedEntry { key, buf });
+        let reservation = self.reserve(size)?;
+        let entry = Arc::new(SharedEntry { key, reservation });
         shared.entries.retain(|_, e| e.strong_count() > 0);
         shared.entries.insert(key, Arc::downgrade(&entry));
         Ok(SharedReservation { entry })
@@ -221,13 +230,16 @@ impl SecureRam {
             .count()
     }
 
-    /// Allocates a zeroed secure buffer of `size` bytes.
+    /// Reserves `size` bytes of the carve-out without backing them with
+    /// host memory: the span counts against the pool until the returned
+    /// [`SecureReservation`] drops, but holds no data. Use it for memory
+    /// the simulation only accounts for, such as a declared footprint.
     ///
     /// # Errors
     ///
     /// Returns [`TzError::SecureRamExhausted`] if no free block is large
     /// enough (either genuinely out of memory, or fragmented).
-    pub fn alloc(&self, size: usize) -> Result<SecureBuf> {
+    pub fn reserve(&self, size: usize) -> Result<SecureReservation> {
         let mut inner = self.inner.lock();
         match inner.alloc(size) {
             Some(offset) => {
@@ -235,10 +247,10 @@ impl SecureRam {
                 let in_use = inner.in_use as u64;
                 drop(inner);
                 self.stats.record_secure_ram_usage(in_use);
-                Ok(SecureBuf {
+                Ok(SecureReservation {
                     addr,
                     offset,
-                    data: vec![0u8; size],
+                    len: size,
                     pool: Arc::downgrade(&self.inner),
                 })
             }
@@ -251,6 +263,20 @@ impl SecureRam {
                 })
             }
         }
+    }
+
+    /// Allocates a zeroed secure buffer of `size` bytes: a
+    /// [`SecureRam::reserve`] reservation plus its host bytes.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SecureRam::reserve`].
+    pub fn alloc(&self, size: usize) -> Result<SecureBuf> {
+        let reservation = self.reserve(size)?;
+        Ok(SecureBuf {
+            data: vec![0u8; size],
+            reservation,
+        })
     }
 
     /// Total pool capacity in bytes.
@@ -290,7 +316,55 @@ impl SecureRam {
     }
 }
 
-/// An owned buffer allocated from secure RAM.
+/// A span of the secure carve-out, held for accounting only.
+///
+/// The span counts against the pool from [`SecureRam::reserve`] until the
+/// reservation drops. It has an offset and a simulated physical address
+/// but no bytes, and deliberately no data accessors: code that needs to
+/// read or write secure memory must allocate a [`SecureBuf`].
+pub struct SecureReservation {
+    addr: u64,
+    offset: usize,
+    len: usize,
+    pool: Weak<Mutex<SecureRamInner>>,
+}
+
+impl SecureReservation {
+    /// Simulated physical address of the first byte.
+    pub fn addr(&self) -> u64 {
+        self.addr
+    }
+
+    /// Reserved length in bytes (before alignment rounding).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the reservation is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl fmt::Debug for SecureReservation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SecureReservation")
+            .field("addr", &format_args!("{:#x}", self.addr))
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+impl Drop for SecureReservation {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.upgrade() {
+            pool.lock().free(self.offset, self.len);
+        }
+    }
+}
+
+/// An owned buffer allocated from secure RAM: a [`SecureReservation`] plus
+/// the bytes it holds.
 ///
 /// The buffer's bytes live on the host heap (this is a simulation), but the
 /// allocation is accounted against the secure carve-out and freed back to it
@@ -299,16 +373,14 @@ impl SecureRam {
 /// [`crate::tzasc::Tzasc::check_access`] from the normal world faults —
 /// exactly the protection the paper relies on.
 pub struct SecureBuf {
-    addr: u64,
-    offset: usize,
+    reservation: SecureReservation,
     data: Vec<u8>,
-    pool: std::sync::Weak<Mutex<SecureRamInner>>,
 }
 
 impl SecureBuf {
     /// Simulated physical address of the first byte.
     pub fn addr(&self) -> u64 {
-        self.addr
+        self.reservation.addr()
     }
 
     /// Buffer length in bytes.
@@ -346,17 +418,9 @@ impl SecureBuf {
 impl fmt::Debug for SecureBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SecureBuf")
-            .field("addr", &format_args!("{:#x}", self.addr))
+            .field("addr", &format_args!("{:#x}", self.addr()))
             .field("len", &self.data.len())
             .finish()
-    }
-}
-
-impl Drop for SecureBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.upgrade() {
-            pool.lock().free(self.offset, self.data.len());
-        }
     }
 }
 
@@ -390,17 +454,17 @@ impl SharedReservation {
 
     /// Simulated physical address of the shared allocation.
     pub fn addr(&self) -> u64 {
-        self.entry.buf.addr()
+        self.entry.reservation.addr()
     }
 
     /// Size of the shared allocation in bytes.
     pub fn len(&self) -> usize {
-        self.entry.buf.len()
+        self.entry.reservation.len()
     }
 
     /// Whether the reservation is empty.
     pub fn is_empty(&self) -> bool {
-        self.entry.buf.is_empty()
+        self.entry.reservation.is_empty()
     }
 
     /// Number of live handles onto this allocation (co-resident users).
@@ -413,8 +477,11 @@ impl fmt::Debug for SharedReservation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedReservation")
             .field("key", &format_args!("{:#x}", self.entry.key))
-            .field("addr", &format_args!("{:#x}", self.entry.buf.addr()))
-            .field("len", &self.entry.buf.len())
+            .field(
+                "addr",
+                &format_args!("{:#x}", self.entry.reservation.addr()),
+            )
+            .field("len", &self.entry.reservation.len())
             .field("handles", &Arc::strong_count(&self.entry))
             .finish()
     }
@@ -482,6 +549,35 @@ mod tests {
         assert_eq!(written, 4);
         assert_eq!(&buf.as_slice()[60..64], &[1, 2, 3, 4]);
         assert_eq!(buf.write_at(64, &[9]), 0);
+    }
+
+    #[test]
+    fn reservations_account_exactly_like_buffers() {
+        // The same allocation sequence through `reserve` and `alloc` lands
+        // on the same offsets and leaves the same counters behind.
+        let sizes = [1000, 64, 4096, 1];
+        let (stats_r, stats_b) = (TzStats::new(), TzStats::new());
+        let by_reserve = SecureRam::new(0xF000_0000, 16 * 1024, stats_r.clone());
+        let by_alloc = SecureRam::new(0xF000_0000, 16 * 1024, stats_b.clone());
+        let reservations: Vec<_> = sizes
+            .iter()
+            .map(|&n| by_reserve.reserve(n).unwrap())
+            .collect();
+        let buffers: Vec<_> = sizes.iter().map(|&n| by_alloc.alloc(n).unwrap()).collect();
+        for (r, b) in reservations.iter().zip(&buffers) {
+            assert_eq!(r.addr(), b.addr());
+            assert_eq!(r.len(), b.len());
+        }
+        assert_eq!(by_reserve.bytes_in_use(), by_alloc.bytes_in_use());
+        assert_eq!(by_reserve.allocation_count(), by_alloc.allocation_count());
+        drop(reservations);
+        drop(buffers);
+        assert_eq!(by_reserve.bytes_in_use(), 0);
+        assert_eq!(by_alloc.bytes_in_use(), 0);
+        assert_eq!(
+            stats_r.snapshot().secure_ram_peak_bytes,
+            stats_b.snapshot().secure_ram_peak_bytes
+        );
     }
 
     #[test]
