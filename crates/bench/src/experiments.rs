@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use perisec_core::pipeline::{train_models, BaselinePipeline, PipelineConfig, SecurePipeline};
+use perisec_core::pipeline::{BaselinePipeline, PipelineConfig, SecurePipeline, SharedModels};
 use perisec_core::policy::{FilterMode, PrivacyPolicy};
 use perisec_devices::codec::AudioEncoding;
 use perisec_devices::mic::Microphone;
@@ -540,7 +540,7 @@ pub fn run_e10_footprint() -> String {
     }
     // Model footprints per architecture.
     for arch in Architecture::ALL {
-        let classifier = train_models(arch, 40, 0xE10)
+        let classifier = SharedModels::train(arch, 40, 0xE10)
             .expect("train")
             .audio()
             .expect("audio models")
@@ -564,7 +564,7 @@ pub fn run_e11_batch_sweep() -> String {
         "| batch | SMCs/utt | world switches/utt | supplicant RPCs/utt | leaked sensitive |\n\
          |---|---|---|---|---|\n",
     );
-    let models = train_models(Architecture::Cnn, 60, 0xE11).expect("train");
+    let models = SharedModels::train(Architecture::Cnn, 60, 0xE11).expect("train");
     let scenario = Scenario::mixed(16, 0.25, SimDuration::from_secs(2), 0xE11);
     let utterances = scenario.len() as f64;
     for batch in [1usize, 2, 4, 8, 16] {
@@ -600,7 +600,7 @@ pub fn run_e12_fleet() -> String {
         "| devices | utterances | leaked | switches/utt | mean latency | host time |\n\
          |---|---|---|---|---|---|\n",
     );
-    let models = train_models(Architecture::Cnn, 60, 0xE12).expect("train");
+    let models = SharedModels::train(Architecture::Cnn, 60, 0xE12).expect("train");
     for devices in [2usize, 4, 8] {
         let fleet = PipelineFleet::with_models(
             FleetConfig {
@@ -649,7 +649,7 @@ pub fn run_e13_vision() -> String {
         "| batch | SMCs/event | world switches/event | sensitive scenes | leaked | non-sensitive delivered | payload bytes at cloud |\n\
          |---|---|---|---|---|---|---|\n",
     );
-    let models = train_models(Architecture::Cnn, 60, 0xE13).expect("train");
+    let models = SharedModels::train(Architecture::Cnn, 60, 0xE13).expect("train");
     let scenario = CameraScenario::mixed_scenes(16, 0.4, SimDuration::from_secs(2), 0xE13);
     let events = scenario.len() as f64;
     let neutral = scenario.len() - scenario.sensitive_count();

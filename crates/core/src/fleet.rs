@@ -11,10 +11,12 @@
 //! Devices execute on the bounded work-stealing [`FleetExecutor`]:
 //! [`FleetConfig::workers`] OS threads step resumable device tasks at
 //! TEE-crossing granularity, so a 10k-device fleet holds `workers`
-//! pipeline stacks in memory instead of 10k. Audio and camera devices
-//! run as one generic task over the pipelines' shared
-//! begin/step/finish seam, and every run entry point goes through one
-//! body: validate, queue, execute, then fold the observation sinks.
+//! pipeline stacks in memory instead of 10k. Every device is a
+//! [`SecureDevice`], audio or camera by its [`SensorPath`], and runs as
+//! one generic task over the device's begin/step/finish seam; the fleet
+//! sets each device's planes through [`SensorPath::planes`]. Every run
+//! entry point goes through one body: validate, queue, execute, then fold
+//! the observation sinks.
 //!
 //! Fleets may be single-modality ([`PipelineFleet::run`]) or mixed
 //! ([`PipelineFleet::run_mixed`]): audio devices and camera devices run
@@ -34,10 +36,10 @@ use parking_lot::Mutex;
 use perisec_relay::attest::SessionIngest;
 use perisec_relay::netsim::FaultSpec;
 use perisec_telemetry::{
-    DeviceHealthMonitor, DeviceTelemetry, FleetHealth, FleetHealthReport, FleetTelemetry,
-    HealthConfig, HealthSink, TelemetryConfig, Tracer,
+    DeviceHealthMonitor, FleetHealth, FleetHealthReport, FleetTelemetry, HealthConfig, HealthSink,
+    TelemetryConfig,
 };
-use perisec_tz::time::{SimDuration, SimInstant};
+use perisec_tz::time::SimDuration;
 use perisec_workload::scenario::{CameraScenario, Scenario};
 
 use serde::{Deserialize, Serialize};
@@ -47,8 +49,8 @@ use crate::executor::{
 };
 use crate::ingest::IngestHook;
 use crate::pipeline::{
-    CameraPipelineConfig, PipelineConfig, ScenarioProgress, SecureCameraPipeline, SecurePipeline,
-    SharedModels,
+    AudioPath, CameraPath, CameraPipelineConfig, PipelineConfig, ScenarioProgress, SecureDevice,
+    SensorPath, SharedModels,
 };
 use crate::report::{LatencyPercentiles, PipelineReport};
 use crate::{CoreError, Result};
@@ -490,119 +492,39 @@ impl FleetReport {
 /// worker-count-invariant.
 type TelemetrySink = Arc<Mutex<FleetTelemetry>>;
 
-/// The per-device fleet planes a pipeline config carries: its telemetry
-/// switchboard, its link's fault spec and its ingest-plane session.
-type PlaneFields<'a> = (
-    &'a mut TelemetryConfig,
-    &'a mut Option<FaultSpec>,
-    &'a mut Option<IngestHook>,
-);
-
-/// What a fleet device runs over: the resumable scenario replay of a
-/// single-session pipeline, plus the virtual clock and tracer the
-/// observation planes read. [`SecurePipeline`] and
-/// [`SecureCameraPipeline`] implement it by delegating to their own
-/// methods.
-trait FleetPipeline: Sized + 'static {
-    type Config: Clone + Send + 'static;
-    type Scenario: Clone + Send + Sync + 'static;
-    const MODALITY: Modality;
-
-    /// Builds the device stack and begins its scenario replay.
-    fn build(config: Self::Config, models: &SharedModels) -> Result<(Self, ScenarioProgress)>;
-    fn planes(config: &mut Self::Config) -> PlaneFields<'_>;
-    fn scenario_name(scenario: &Self::Scenario) -> &str;
-    fn step(&mut self, scenario: &Self::Scenario, progress: &mut ScenarioProgress) -> Result<bool>;
-    fn finish(&mut self, scenario: &Self::Scenario, progress: ScenarioProgress) -> PipelineReport;
-    fn now(&self) -> SimInstant;
-    fn tracer(&self) -> &Tracer;
-    fn take_telemetry(&self) -> DeviceTelemetry;
-}
-
-macro_rules! fleet_pipeline {
-    ($pipeline:ident, $config:ident, $scenario:ident, $modality:expr) => {
-        impl FleetPipeline for $pipeline {
-            type Config = $config;
-            type Scenario = $scenario;
-            const MODALITY: Modality = $modality;
-
-            fn build(config: $config, models: &SharedModels) -> Result<(Self, ScenarioProgress)> {
-                let mut pipeline = $pipeline::with_models(config, models)?;
-                let progress = pipeline.begin_scenario();
-                Ok((pipeline, progress))
-            }
-            fn planes(config: &mut $config) -> PlaneFields<'_> {
-                (
-                    &mut config.telemetry,
-                    &mut config.faults,
-                    &mut config.ingest,
-                )
-            }
-            fn scenario_name(scenario: &$scenario) -> &str {
-                &scenario.name
-            }
-            fn step(
-                &mut self,
-                scenario: &$scenario,
-                progress: &mut ScenarioProgress,
-            ) -> Result<bool> {
-                self.step_scenario(scenario, progress)
-            }
-            fn finish(
-                &mut self,
-                scenario: &$scenario,
-                progress: ScenarioProgress,
-            ) -> PipelineReport {
-                self.finish_scenario(scenario, progress)
-            }
-            fn now(&self) -> SimInstant {
-                self.platform().clock().now()
-            }
-            fn tracer(&self) -> &Tracer {
-                $pipeline::tracer(self)
-            }
-            fn take_telemetry(&self) -> DeviceTelemetry {
-                $pipeline::take_telemetry(self)
-            }
-        }
-    };
-}
-
-fleet_pipeline!(SecurePipeline, PipelineConfig, Scenario, Modality::Audio);
-fleet_pipeline!(
-    SecureCameraPipeline,
-    CameraPipelineConfig,
-    CameraScenario,
-    Modality::Camera
-);
-
 /// The resumable device state machine, for either device kind: one built
-/// pipeline plus a scenario cursor; each step is one TEE crossing.
-struct FleetDeviceTask<P: FleetPipeline> {
+/// device plus a scenario cursor; each step is one TEE crossing.
+struct FleetDeviceTask<S: SensorPath> {
     device: usize,
-    scenario: Arc<P::Scenario>,
-    pipeline: P,
+    scenario: Arc<S::Scenario>,
+    pipeline: SecureDevice<S>,
     progress: Option<ScenarioProgress>,
     telemetry: Option<TelemetrySink>,
     health: Option<DeviceHealthMonitor>,
 }
 
-impl<P: FleetPipeline> DeviceTask for FleetDeviceTask<P> {
+impl<S: SensorPath> DeviceTask for FleetDeviceTask<S> {
     fn step(&mut self) -> Result<StepOutcome> {
         let mut progress = self.progress.take().expect("task stepped after completion");
-        if self.pipeline.step(&self.scenario, &mut progress)? {
+        if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
             if let Some(monitor) = &mut self.health {
-                monitor.advance(self.pipeline.now(), self.pipeline.tracer());
+                monitor.advance(
+                    self.pipeline.platform().clock().now(),
+                    self.pipeline.tracer(),
+                );
             }
             self.progress = Some(progress);
             return Ok(StepOutcome::Yielded);
         }
-        let report = self.pipeline.finish(&self.scenario, progress);
+        let report = self.pipeline.finish_scenario(&self.scenario, progress);
         // The monitor must finish *before* the telemetry absorb:
         // `take_telemetry` drains the tracer, and an epoch cut over a
         // drained tracer would read every running total as zero.
         if let Some(monitor) = self.health.take() {
-            monitor.finish(self.pipeline.now(), self.pipeline.tracer());
+            monitor.finish(
+                self.pipeline.platform().clock().now(),
+                self.pipeline.tracer(),
+            );
         }
         if let Some(sink) = &self.telemetry {
             sink.lock()
@@ -610,8 +532,8 @@ impl<P: FleetPipeline> DeviceTask for FleetDeviceTask<P> {
         }
         Ok(StepOutcome::Complete(Box::new(DeviceReport {
             device: self.device,
-            modality: P::MODALITY,
-            scenario: P::scenario_name(&self.scenario).to_owned(),
+            modality: S::MODALITY,
+            scenario: S::scenario_name(&self.scenario).to_owned(),
             report,
         })))
     }
@@ -838,14 +760,14 @@ impl PipelineFleet {
         }
         let (audio_devices, total) = (self.config.devices, self.config.total_devices());
         let mut tasks = Vec::with_capacity(total);
-        self.queue::<SecurePipeline>(
+        self.queue::<AudioPath>(
             &mut tasks,
             0..audio_devices,
             audio,
             &self.config.pipeline,
             &sinks,
         );
-        self.queue::<SecureCameraPipeline>(
+        self.queue::<CameraPath>(
             &mut tasks,
             audio_devices..total,
             cameras,
@@ -913,18 +835,18 @@ impl PipelineFleet {
     /// device, and scenarios are shared by `Arc`: a 10k-device fleet
     /// cycling over a few scenarios must not hold 10k copies of their
     /// event lists in its run queues.
-    fn queue<P: FleetPipeline>(
+    fn queue<S: SensorPath>(
         &self,
         tasks: &mut Vec<QueuedDevice>,
         devices: Range<usize>,
-        scenarios: &[P::Scenario],
-        base: &P::Config,
+        scenarios: &[S::Scenario],
+        base: &S::Config,
         sinks: &Sinks,
     ) {
-        let scenarios: Vec<Arc<P::Scenario>> = scenarios.iter().cloned().map(Arc::new).collect();
+        let scenarios: Vec<Arc<S::Scenario>> = scenarios.iter().cloned().map(Arc::new).collect();
         for (i, device) in devices.enumerate() {
             let mut config = base.clone();
-            let (telemetry, faults, ingest) = P::planes(&mut config);
+            let (telemetry, faults, ingest) = S::planes(&mut config);
             *telemetry = self.device_telemetry(*telemetry, device);
             if let Some(spec) = self.config.faults {
                 *faults = Some(spec.for_device(device as u64));
@@ -936,7 +858,8 @@ impl PipelineFleet {
             let models = self.models.clone();
             let (telemetry, health) = (sinks.telemetry.clone(), sinks.monitor(device));
             tasks.push(QueuedDevice::new(device, move || {
-                let (pipeline, progress) = P::build(config, &models)?;
+                let mut pipeline = SecureDevice::<S>::with_models(config, &models)?;
+                let progress = pipeline.begin_scenario();
                 Ok(Box::new(FleetDeviceTask {
                     device,
                     scenario,

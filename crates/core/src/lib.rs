@@ -14,10 +14,13 @@
 //!   TLS-like channel through the TEE supplicant;
 //! * [`stage`] — the staged architecture: capture → filter → relay behind
 //!   the [`stage::PipelineStage`] trait, with batch-aware TEE crossings;
-//! * [`pipeline`] — [`pipeline::SecurePipeline`] (the proposed design) and
-//!   [`pipeline::BaselinePipeline`] (driver in the untrusted kernel, no
-//!   filtering), both runnable against `perisec-workload` scenarios and
-//!   both assembled from the stages;
+//! * [`pipeline`] — [`pipeline::SecureDevice`], the proposed design for
+//!   any sensor a [`pipeline::SensorPath`] describes, with
+//!   [`pipeline::SecurePipeline`] (speech) and
+//!   [`pipeline::SecureCameraPipeline`] (frames) as its two
+//!   instantiations, and [`pipeline::BaselinePipeline`] (driver in the
+//!   untrusted kernel, no filtering); all run `perisec-workload`
+//!   scenarios and are assembled from the stages;
 //! * [`vision_ta`] — [`vision_ta::VisionTa`], the camera modality's filter
 //!   TA: pulls frames from the camera PTA, classifies them with the in-TA
 //!   frame CNN, and relays only sealed verdict records — never pixels;
@@ -62,8 +65,8 @@ pub use filter_ta::{FilterStats, FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
-    BaselinePipeline, CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecurePipeline,
-    SharedModels,
+    BaselinePipeline, CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecureDevice,
+    SecurePipeline, SensorPath, SharedModels,
 };
 pub use policy::{FilterDecision, FilterMode, PrivacyPolicy};
 pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};

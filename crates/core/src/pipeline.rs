@@ -1,11 +1,21 @@
 //! The end-to-end pipelines: the paper's secure design and its baseline.
 //!
-//! Both pipelines are assembled from the staged architecture in
+//! The paper applies one pattern to every peripheral: the driver runs in
+//! the TEE, a filter TA classifies what it captures, and only permitted
+//! results reach the cloud. [`SecureDevice`] is that pattern, written
+//! once. A [`SensorPath`] supplies what differs between sensors: the
+//! config and scenario types, the capture stage, and the PTA and filter
+//! TA installed in the TEE core. [`SecurePipeline`] (speech,
+//! [`AudioPath`]) and [`SecureCameraPipeline`] (frames, [`CameraPath`])
+//! are the two instantiations; [`BaselinePipeline`] is the paper's
+//! untrusted baseline.
+//!
+//! Every pipeline is assembled from the staged architecture in
 //! [`crate::stage`]: a capture stage, a filter stage and a relay stage
 //! chained behind the [`crate::stage::PipelineStage`] trait. Scenario
 //! events are driven through the stages in batches of
-//! [`PipelineConfig::batch_windows`] utterances; for the secure pipeline
-//! every batch crosses the TEE boundary exactly once (one SMC, one
+//! [`PipelineConfig::batch_windows`] events; for a secure device every
+//! batch crosses the TEE boundary exactly once (one SMC, one
 //! world-switch round trip, one batched relay record), which is the
 //! transition-amortization lever the related work identifies as the key to
 //! production throughput on TrustZone-class hardware.
@@ -36,9 +46,9 @@ use perisec_secure_driver::pta::I2sPta;
 use perisec_telemetry::{DeviceTelemetry, PressureMonitor, SloSpec, TelemetryConfig, Tracer};
 use perisec_tz::platform::Platform;
 use perisec_tz::stats::TzStatsSnapshot;
-use perisec_tz::time::{SimClock, SimDuration, SimInstant};
+use perisec_tz::time::{SimDuration, SimInstant};
 use perisec_workload::corpus::CorpusGenerator;
-use perisec_workload::scenario::{CameraScenario, Scenario};
+use perisec_workload::scenario::{CameraScenario, CameraScenarioEvent, Scenario, ScenarioEvent};
 use perisec_workload::synth::SpeechSynthesizer;
 use perisec_workload::vocab::Vocabulary;
 
@@ -47,13 +57,14 @@ use crate::cloud_channel::RelayRetryConfig;
 use crate::filter_ta::{
     cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, MAX_BATCH_WINDOWS,
 };
+use crate::fleet::Modality;
 use crate::ingest::{CloudLedger, IngestHook};
 use crate::policy::PrivacyPolicy;
 use crate::report::{CloudOutcome, PipelineReport, WorkloadSummary};
 use crate::source::{SharedPlayback, SharedSceneQueue};
 use crate::stage::{
-    CloudRelayStage, KernelCaptureStage, PassthroughFilterStage, PipelineStage, SecureCaptureStage,
-    SecureFilterStage, SecureFrameCaptureStage, SecureRelayStage,
+    CloudRelayStage, KernelCaptureStage, PassthroughFilterStage, PipelineStage, PreparedBatch,
+    SecureCaptureStage, SecureFilterStage, SecureFrameCaptureStage, SecureRelayStage,
 };
 use crate::vision_ta::VisionTa;
 use crate::{CoreError, Result};
@@ -180,16 +191,6 @@ fn build_platform(constrained: bool, secure_ram_kib: Option<u64>) -> Platform {
     builder.build()
 }
 
-impl PipelineConfig {
-    fn build_platform(&self) -> Platform {
-        build_platform(self.constrained_platform, self.secure_ram_kib)
-    }
-
-    fn effective_batch(&self) -> usize {
-        self.batch_windows.max(1)
-    }
-}
-
 /// Configuration of the secure camera pipeline — the vision modality's
 /// counterpart of [`PipelineConfig`].
 #[derive(Debug, Clone)]
@@ -239,16 +240,6 @@ impl Default for CameraPipelineConfig {
             retry: RelayRetryConfig::default(),
             ingest: None,
         }
-    }
-}
-
-impl CameraPipelineConfig {
-    fn build_platform(&self) -> Platform {
-        build_platform(self.constrained_platform, self.secure_ram_kib)
-    }
-
-    fn effective_batch(&self) -> usize {
-        self.batch_windows.max(1)
     }
 }
 
@@ -507,21 +498,6 @@ impl SharedModels {
     }
 }
 
-/// Trains the in-TA models on the synthetic corpus. Exposed so examples,
-/// benches and fleets can train once and reuse the models across pipeline
-/// instances.
-///
-/// # Errors
-///
-/// Propagates ML training failures.
-pub fn train_models(
-    architecture: Architecture,
-    train_utterances: usize,
-    corpus_seed: u64,
-) -> Result<SharedModels> {
-    SharedModels::train(architecture, train_utterances, corpus_seed)
-}
-
 /// Cursor over one scenario replay: which event the stages have consumed
 /// up to, plus the stats baseline the final report diffs against. This is
 /// the resumable seam the fleet executor's `DeviceTask` state machine is
@@ -541,211 +517,140 @@ impl ScenarioProgress {
     }
 }
 
-/// Starts a staged scenario run: resets the cloud ledger and snapshots
-/// the TEE counters the final report diffs against.
-fn begin_secure_stages(platform: &Platform, ledger: &CloudLedger) -> ScenarioProgress {
-    ledger.reset();
-    ScenarioProgress {
-        stats_before: platform.stats().snapshot(),
-        next_event: 0,
-        relay_backlog: false,
-    }
+/// The knobs a [`SecureDevice`] reads off its kind's config: the platform
+/// it simulates, how it sizes TEE crossings, and any injected
+/// degradation. Only [`PipelineConfig`] sets the adaptive batcher's SLOs;
+/// a camera config leaves them `None`.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceKnobs {
+    /// Use the constrained IoT platform instead of the Jetson-class one.
+    pub constrained_platform: bool,
+    /// Override the secure carve-out size (KiB), if set.
+    pub secure_ram_kib: Option<u64>,
+    /// Events per TEE crossing when no latency SLO drives the batcher.
+    pub batch_windows: usize,
+    /// See [`PipelineConfig::latency_slo`].
+    pub latency_slo: Option<SimDuration>,
+    /// See [`PipelineConfig::slo_pressure`].
+    pub slo_pressure: Option<SloSpec>,
+    /// See [`DegradeSpec`].
+    pub degrade: Option<DegradeSpec>,
 }
 
-/// Drives **one** batch through a secure capture → filter → relay stage
-/// chain — one TEE crossing — and advances the cursor. Shared by the
-/// audio and camera pipelines so their accounting can never drift apart.
-/// Returns whether events remain after this step.
-#[allow(clippy::too_many_arguments)]
-fn step_secure_stages<E, C>(
-    events: &[E],
-    fixed_batch: usize,
-    batcher: Option<&mut AdaptiveBatcher>,
-    pressure: Option<&mut PressureMonitor>,
-    degrade: Option<DegradeSpec>,
-    clock: &SimClock,
-    progress: &mut ScenarioProgress,
-    capture: &mut C,
-    filter: &mut SecureFilterStage,
-    relay: &mut SecureRelayStage,
-    tracer: &Tracer,
-) -> Result<bool>
-where
-    E: Clone,
-    C: PipelineStage<Input = Vec<E>, Output = crate::stage::PreparedBatch>,
-{
-    if progress.next_event >= events.len() {
-        return Ok(false);
-    }
-    let depth = events.len() - progress.next_event;
-    let batch = match &batcher {
-        Some(batcher) => batcher.pick_batch(depth),
-        None => fixed_batch.max(1),
-    }
-    .min(depth);
-    let chunk = events[progress.next_event..progress.next_event + batch].to_vec();
-    tracer.count("pipeline.windows", batch as u64);
-    // Each stage runs under a span named after it; the filter stage's span
-    // encloses the whole TEE crossing (smc.call, TA inference, tee.rpc),
-    // so a chrome-trace dump shows the full nesting.
-    let prepared = {
-        let _span = tracer.span(capture.name());
-        capture.process(chunk)?
-    };
-    let filter_start = clock.now();
-    let filtered = {
-        let _span = tracer.span(filter.name());
-        let filtered = filter.process(prepared)?;
-        // Injected degradation lands inside the filter span, so the
-        // slowdown shows exactly where the health plane's SLO watches.
-        if let Some(spec) = degrade {
-            if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
-                clock.advance(spec.per_window * batch as u64);
-            }
-        }
-        filtered
-    };
-    if let Some(batcher) = batcher {
-        if !filtered.per_utterance.is_empty() {
-            let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
-                / filtered.per_utterance.len() as u64;
-            batcher.observe(mean);
-        }
-        // The pressure monitor judges the per-window share of the whole
-        // crossing (TA service *and* any degradation), then its verdict
-        // clips the next pick — the observability→control loop.
-        if let Some(pressure) = pressure {
-            let per_window = clock.now().duration_since(filter_start) / batch as u64;
-            pressure.observe(per_window);
-            batcher.set_pressure(pressure.advance(clock.now()));
-        }
-        // Relay backlog overrides any SLO verdict: the TA's bounded
-        // unacked buffer is backing up, so fall to single-window probes
-        // until the network drains it.
-        if filtered.backlog > 0 {
-            batcher.set_pressure(perisec_telemetry::HealthState::Critical);
-        }
-    }
-    progress.relay_backlog = filtered.backlog > 0;
-    {
-        let _span = tracer.span(relay.name());
-        relay.process(filtered)?;
-    }
-    progress.next_event += batch;
-    Ok(progress.next_event < events.len())
-}
+/// The per-device fleet planes a config carries: its telemetry
+/// switchboard, its link's fault spec and its ingest-plane session.
+pub type PlaneFields<'a> = (
+    &'a mut TelemetryConfig,
+    &'a mut Option<FaultSpec>,
+    &'a mut Option<IngestHook>,
+);
 
-/// Assembles the run report once every batch has been stepped.
-#[allow(clippy::too_many_arguments)]
-fn finish_secure_stages(
-    pipeline_name: &str,
-    platform: &Platform,
-    ledger: &CloudLedger,
-    fabric: &NetworkFabric,
-    relay: &mut SecureRelayStage,
-    progress: ScenarioProgress,
-    workload: WorkloadSummary,
-    sensitive_ids: Vec<u64>,
-) -> PipelineReport {
-    let latency = relay.take_breakdown();
-    let stats_after = platform.stats().snapshot();
-    PipelineReport {
-        pipeline: pipeline_name.to_owned(),
-        workload,
-        latency,
-        cloud: CloudOutcome {
-            report: ledger.report(),
-            sensitive_ids,
-        },
-        tz: stats_after.delta_since(&progress.stats_before),
-        energy: platform.energy_report(),
-        virtual_time: platform.clock().now().duration_since(SimInstant::EPOCH),
-        bytes_to_cloud: fabric.stats().bytes_sent,
-    }
-}
+/// What one kind of [`SecureDevice`] adds to the shared stack: a sensor,
+/// the PTA that drives it, the filter TA that classifies what it
+/// captures, and the config and scenario types that describe them. The
+/// platform, the normal world, the TEE core, batching, relay and report
+/// belong to the device and are the same for every kind.
+pub trait SensorPath: Sized + 'static {
+    /// The device kind's configuration.
+    type Config: Clone + Send + 'static;
+    /// One event of a scenario.
+    type Event: Clone;
+    /// The scenario a device of this kind replays.
+    type Scenario: Clone + Send + Sync + 'static;
+    /// The normal-world stage that queues each event on the sensor's
+    /// input and describes its capture windows.
+    type Capture: PipelineStage<Input = Vec<Self::Event>, Output = PreparedBatch>;
 
-/// The paper's proposed design: secure driver in the TEE, PTA bridge,
-/// in-TA ML filter, relay through the supplicant to the cloud — assembled
-/// as capture → filter → relay stages.
-pub struct SecurePipeline {
-    config: PipelineConfig,
-    platform: Platform,
-    client: TeeClient,
-    filter_session: TeeSessionHandle,
-    cloud: Arc<MockCloudService>,
-    ledger: CloudLedger,
-    fabric: NetworkFabric,
-    core: Arc<TeeCore>,
-    i2s_pta: TaUuid,
-    capture: SecureCaptureStage,
-    filter: SecureFilterStage,
-    relay: SecureRelayStage,
-    batcher: Option<AdaptiveBatcher>,
-    pressure: Option<PressureMonitor>,
-    tracer: Tracer,
-}
+    /// [`PipelineReport::pipeline`] of this kind's reports.
+    const PIPELINE: &'static str;
+    /// The kind's fleet modality.
+    const MODALITY: Modality;
+    /// The filter TA the normal world opens its session on.
+    const TA_NAME: &'static str;
 
-impl std::fmt::Debug for SecurePipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SecurePipeline")
-            .field("architecture", &self.config.architecture)
-            .field("policy", &self.config.policy)
-            .field("batch_windows", &self.config.batch_windows)
-            .finish()
-    }
-}
+    /// The shared knobs of `config`.
+    fn knobs(config: &Self::Config) -> DeviceKnobs;
 
-impl SecurePipeline {
-    /// Builds the full secure stack, training a fresh model set.
+    /// The plane fields of `config`, which a fleet overwrites for each
+    /// device it queues.
+    fn planes(config: &mut Self::Config) -> PlaneFields<'_>;
+
+    /// Registers the sensor's PTA and the filter TA on `core`, configures
+    /// and starts the PTA, and returns the capture stage that feeds it.
     ///
     /// # Errors
     ///
     /// Fails if the models cannot be trained or a TEE component cannot be
     /// registered (e.g. the secure carve-out is too small for the model).
-    pub fn new(config: PipelineConfig) -> Result<Self> {
-        let models = SharedModels::for_config(&config)?;
-        SecurePipeline::with_models(config, &models)
+    fn install(
+        config: &Self::Config,
+        models: &SharedModels,
+        core: &TeeCore,
+    ) -> Result<Self::Capture>;
+
+    /// The scenario's name.
+    fn scenario_name(scenario: &Self::Scenario) -> &str;
+
+    /// The scenario's events, in order.
+    fn events(scenario: &Self::Scenario) -> &[Self::Event];
+
+    /// The ids of the scenario's ground-truth sensitive events.
+    fn sensitive_ids(scenario: &Self::Scenario) -> Vec<u64>;
+}
+
+/// The speech [`SensorPath`]: an I2S microphone behind the secure
+/// driver's PTA, and the filter TA's keyword STT and text classifier.
+pub enum AudioPath {}
+
+/// The image [`SensorPath`]: a camera behind the camera PTA, and the
+/// vision TA's frame classifier, which relays verdicts and never pixels.
+pub enum CameraPath {}
+
+/// The paper's proposed design for speech: secure I2S driver in the TEE,
+/// PTA bridge, in-TA STT and classifier, relay through the supplicant to
+/// the cloud.
+pub type SecurePipeline = SecureDevice<AudioPath>;
+
+/// The secure camera pipeline: secure camera driver in the TEE, camera
+/// PTA bridge, in-TA frame classification, verdict-only relay.
+pub type SecureCameraPipeline = SecureDevice<CameraPath>;
+
+impl SensorPath for AudioPath {
+    type Config = PipelineConfig;
+    type Event = ScenarioEvent;
+    type Scenario = Scenario;
+    type Capture = SecureCaptureStage;
+
+    const PIPELINE: &'static str = "secure";
+    const MODALITY: Modality = Modality::Audio;
+    const TA_NAME: &'static str = crate::filter_ta::FILTER_TA_NAME;
+
+    fn knobs(config: &PipelineConfig) -> DeviceKnobs {
+        DeviceKnobs {
+            constrained_platform: config.constrained_platform,
+            secure_ram_kib: config.secure_ram_kib,
+            batch_windows: config.batch_windows,
+            latency_slo: config.latency_slo,
+            slo_pressure: config.slo_pressure,
+            degrade: config.degrade,
+        }
     }
 
-    /// Builds the full secure stack around an existing trained model set —
-    /// the fleet path: the models are shared by reference, not retrained.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a TEE component cannot be registered (e.g. the secure
-    /// carve-out is too small for the model).
-    pub fn with_models(config: PipelineConfig, models: &SharedModels) -> Result<Self> {
+    fn planes(config: &mut PipelineConfig) -> PlaneFields<'_> {
+        (
+            &mut config.telemetry,
+            &mut config.faults,
+            &mut config.ingest,
+        )
+    }
+
+    fn install(
+        config: &PipelineConfig,
+        models: &SharedModels,
+        core: &TeeCore,
+    ) -> Result<SecureCaptureStage> {
         let audio = models.audio()?;
-        let platform = config.build_platform();
-
-        // Normal world: supplicant + network fabric + cloud endpoint. A
-        // config routed through a sharded ingest plane registers the
-        // plane's session endpoint under the cloud hostname instead of a
-        // local mock cloud, so the TA dials the same host either way.
-        let fabric = NetworkFabric::new().with_faults(config.faults);
-        let cloud = MockCloudService::new(default_psk());
-        let ledger = match &config.ingest {
-            Some(hook) => {
-                fabric.register_service(
-                    MockCloudService::HOST,
-                    hook.endpoint(platform.clock().clone()),
-                );
-                CloudLedger::Plane(hook.clone())
-            }
-            None => {
-                fabric.register_service(MockCloudService::HOST, cloud.clone());
-                CloudLedger::Direct(Arc::clone(&cloud))
-            }
-        };
-        let supplicant = Arc::new(Supplicant::new());
-        supplicant.set_net_backend(Arc::new(fabric.clone()));
-
-        // Secure world: TEE core, secure driver PTA, filter TA.
-        let core = TeeCore::boot(platform.clone(), supplicant);
-        // One tracer over the device's virtual clock, shared by the
-        // pipeline stages (below) and the TEE core / TAs (via set_tracer).
-        let tracer = Tracer::new(platform.clock().clone(), &config.telemetry);
-        core.set_tracer(tracer.clone());
+        let platform = core.platform();
         let playback = SharedPlayback::new();
         let mic = Microphone::speech_mic("secure-i2s-mic", playback.source())
             .map_err(perisec_kernel::KernelError::from)?;
@@ -775,14 +680,11 @@ impl SecurePipeline {
         if config.ingest.is_some() {
             // Plane-routed relay: the TA attests its own measurement
             // before the shard will accept records.
-            filter = filter.with_ingest(perisec_relay::measurement_of(
-                crate::filter_ta::FILTER_TA_NAME,
-            ));
+            filter = filter.with_ingest(perisec_relay::measurement_of(Self::TA_NAME));
         }
         core.register_ta(Box::new(filter))
             .map_err(CoreError::from)?;
 
-        // Configure and start the secure driver through its PTA.
         let encoding_code = match config.encoding {
             AudioEncoding::PcmLe16 => 0,
             AudioEncoding::MuLaw => 1,
@@ -802,45 +704,248 @@ impl SecurePipeline {
             &mut TeeParams::new(),
         )
         .map_err(CoreError::from)?;
-
-        // Normal world client session to the filter TA.
-        let client = TeeClient::connect(Arc::clone(&core));
-        let (filter_session, _) = client
-            .open_session(
-                TaUuid::from_name(crate::filter_ta::FILTER_TA_NAME),
-                TeeParams::new(),
-            )
-            .map_err(CoreError::from)?;
-
-        let capture = SecureCaptureStage::new(
+        Ok(SecureCaptureStage::new(
             platform.clone(),
             playback,
             audio.synth.clone(),
             config.period_frames,
-        );
-        let filter_stage = SecureFilterStage::new(platform.clone(), client.clone(), filter_session);
-        let batcher = config
+        ))
+    }
+
+    fn scenario_name(scenario: &Scenario) -> &str {
+        &scenario.name
+    }
+
+    fn events(scenario: &Scenario) -> &[ScenarioEvent] {
+        &scenario.events
+    }
+
+    fn sensitive_ids(scenario: &Scenario) -> Vec<u64> {
+        scenario.sensitive_ids()
+    }
+}
+
+impl SensorPath for CameraPath {
+    type Config = CameraPipelineConfig;
+    type Event = CameraScenarioEvent;
+    type Scenario = CameraScenario;
+    type Capture = SecureFrameCaptureStage;
+
+    const PIPELINE: &'static str = "secure-camera";
+    const MODALITY: Modality = Modality::Camera;
+    const TA_NAME: &'static str = crate::vision_ta::VISION_TA_NAME;
+
+    fn knobs(config: &CameraPipelineConfig) -> DeviceKnobs {
+        DeviceKnobs {
+            constrained_platform: config.constrained_platform,
+            secure_ram_kib: config.secure_ram_kib,
+            batch_windows: config.batch_windows,
+            latency_slo: None,
+            slo_pressure: None,
+            degrade: config.degrade,
+        }
+    }
+
+    fn planes(config: &mut CameraPipelineConfig) -> PlaneFields<'_> {
+        (
+            &mut config.telemetry,
+            &mut config.faults,
+            &mut config.ingest,
+        )
+    }
+
+    fn install(
+        config: &CameraPipelineConfig,
+        models: &SharedModels,
+        core: &TeeCore,
+    ) -> Result<SecureFrameCaptureStage> {
+        let vision = models.vision()?;
+        // Every camera reuses the model set's cached int8 form — the
+        // "quantize once" half of train-once-quantize-once.
+        let vision_int8 = match config.quant_mode {
+            QuantMode::Int8 => Some(models.vision_int8()?),
+            QuantMode::F32 => None,
+        };
+        let platform = core.platform();
+        let scenes = SharedSceneQueue::new();
+        let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
+            .map_err(perisec_kernel::KernelError::from)?;
+        let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
+        let camera_pta = core
+            .register_pta(Box::new(CameraPta::new(camera_driver)))
+            .map_err(CoreError::from)?;
+        let mut vision_ta = VisionTa::new(
+            camera_pta,
+            vision,
+            vision_int8,
+            config.quant_mode,
+            config.policy,
+            default_cloud_host(),
+            default_psk(),
+        )
+        .with_retry(config.retry);
+        if config.ingest.is_some() {
+            vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(Self::TA_NAME));
+        }
+        core.register_ta(Box::new(vision_ta))
+            .map_err(CoreError::from)?;
+
+        for cmd in [
+            perisec_secure_driver::camera_pta::cmd::CONFIGURE,
+            perisec_secure_driver::camera_pta::cmd::START,
+        ] {
+            core.invoke_pta(camera_pta, cmd, &mut TeeParams::new())
+                .map_err(CoreError::from)?;
+        }
+        Ok(SecureFrameCaptureStage::new(platform.clone(), scenes))
+    }
+
+    fn scenario_name(scenario: &CameraScenario) -> &str {
+        &scenario.name
+    }
+
+    fn events(scenario: &CameraScenario) -> &[CameraScenarioEvent] {
+        &scenario.events
+    }
+
+    fn sensitive_ids(scenario: &CameraScenario) -> Vec<u64> {
+        scenario.sensitive_ids()
+    }
+}
+
+/// One secure device: its own simulated platform, normal world (network
+/// fabric, supplicant, cloud endpoint) and TEE core, with the sensor path
+/// `S` installed in it, driven as capture → filter → relay stages.
+///
+/// Every batch of events crosses the TEE boundary once: one SMC, one
+/// world-switch round trip and one batched relay record.
+pub struct SecureDevice<S: SensorPath> {
+    knobs: DeviceKnobs,
+    platform: Platform,
+    client: TeeClient,
+    session: TeeSessionHandle,
+    ledger: CloudLedger,
+    fabric: NetworkFabric,
+    core: Arc<TeeCore>,
+    capture: S::Capture,
+    filter: SecureFilterStage,
+    relay: SecureRelayStage,
+    batcher: Option<AdaptiveBatcher>,
+    pressure: Option<PressureMonitor>,
+    tracer: Tracer,
+}
+
+impl<S: SensorPath> std::fmt::Debug for SecureDevice<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SecureDevice")
+            .field("pipeline", &S::PIPELINE)
+            .field("knobs", &self.knobs)
+            .finish()
+    }
+}
+
+impl SecurePipeline {
+    /// Builds the full secure stack, training a fresh model set.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the models cannot be trained or a TEE component cannot be
+    /// registered (e.g. the secure carve-out is too small for the model).
+    pub fn new(config: PipelineConfig) -> Result<Self> {
+        let models = SharedModels::for_config(&config)?;
+        SecureDevice::with_models(config, &models)
+    }
+}
+
+impl SecureCameraPipeline {
+    /// Builds the full secure camera stack around a frame classifier
+    /// trained on the config's `train_frames` and `corpus_seed`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the frame classifier cannot be trained or a TEE component
+    /// cannot be registered.
+    pub fn new(config: CameraPipelineConfig) -> Result<Self> {
+        let models = SharedModels::deferred_for_config(&PipelineConfig::default())
+            .with_vision_spec(config.train_frames, config.corpus_seed);
+        SecureDevice::with_models(config, &models)
+    }
+}
+
+impl<S: SensorPath> SecureDevice<S> {
+    /// Builds the device stack around an existing model set — the fleet
+    /// path: the models are shared by reference, not retrained. A camera's
+    /// frame classifier trains inside the model set on first camera use,
+    /// with the **model set's** vision spec (see
+    /// [`SharedModels::with_vision_spec`]); a camera config's
+    /// `train_frames` / `corpus_seed` only govern
+    /// [`SecureCameraPipeline::new`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the models cannot be trained or a TEE component cannot be
+    /// registered (e.g. the secure carve-out is too small for the model).
+    pub fn with_models(mut config: S::Config, models: &SharedModels) -> Result<Self> {
+        let knobs = S::knobs(&config);
+        let platform = build_platform(knobs.constrained_platform, knobs.secure_ram_kib);
+        let (telemetry, faults, ingest) = S::planes(&mut config);
+
+        // Normal world: supplicant + network fabric + cloud endpoint. A
+        // config routed through a sharded ingest plane registers the
+        // plane's session endpoint under the cloud hostname instead of a
+        // local mock cloud, so the TA dials the same host either way.
+        let fabric = NetworkFabric::new().with_faults(*faults);
+        let ledger = match ingest {
+            Some(hook) => {
+                fabric.register_service(
+                    MockCloudService::HOST,
+                    hook.endpoint(platform.clock().clone()),
+                );
+                CloudLedger::Plane(hook.clone())
+            }
+            None => {
+                let cloud = MockCloudService::new(default_psk());
+                fabric.register_service(MockCloudService::HOST, cloud.clone());
+                CloudLedger::Direct(cloud)
+            }
+        };
+        let supplicant = Arc::new(Supplicant::new());
+        supplicant.set_net_backend(Arc::new(fabric.clone()));
+
+        // Secure world: the TEE core, then the sensor's PTA and filter TA.
+        // One tracer over the device's virtual clock is shared by the
+        // stages (below) and the TEE core / TAs (via set_tracer).
+        let core = TeeCore::boot(platform.clone(), supplicant);
+        let tracer = Tracer::new(platform.clock().clone(), telemetry);
+        core.set_tracer(tracer.clone());
+        let capture = S::install(&config, models, &core)?;
+
+        // Normal world client session to the filter TA.
+        let client = TeeClient::connect(Arc::clone(&core));
+        let (session, _) = client
+            .open_session(TaUuid::from_name(S::TA_NAME), TeeParams::new())
+            .map_err(CoreError::from)?;
+        let filter = SecureFilterStage::new(platform.clone(), client.clone(), session);
+        let batcher = knobs
             .latency_slo
             .map(|slo| AdaptiveBatcher::new(platform.cost(), slo, MAX_BATCH_WINDOWS));
         // Pressure without a batcher has nothing to act on; build the
         // monitor only when both knobs are set.
-        let pressure = match (&batcher, config.slo_pressure) {
+        let pressure = match (&batcher, knobs.slo_pressure) {
             (Some(_), Some(spec)) => Some(PressureMonitor::for_spec(spec)),
             _ => None,
         };
 
-        Ok(SecurePipeline {
-            config,
+        Ok(SecureDevice {
+            knobs,
             platform,
             client,
-            filter_session,
-            cloud,
+            session,
             ledger,
             fabric,
             core,
-            i2s_pta,
             capture,
-            filter: filter_stage,
+            filter,
             relay: SecureRelayStage::new(),
             batcher,
             pressure,
@@ -849,7 +954,7 @@ impl SecurePipeline {
     }
 
     /// The device's telemetry tracer — disabled (recording nothing)
-    /// unless the config's [`PipelineConfig::telemetry`] enabled it.
+    /// unless the config's `telemetry` enabled it.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -866,27 +971,9 @@ impl SecurePipeline {
         &self.platform
     }
 
-    /// The mock cloud (for inspecting what it received). Empty when the
-    /// config routes through an ingest plane — the plane's session
-    /// ledger receives the records instead, and the scenario report's
-    /// cloud outcome reads from whichever of the two is live.
-    pub fn cloud(&self) -> &Arc<MockCloudService> {
-        &self.cloud
-    }
-
     /// The TEE core (for footprint reports).
     pub fn tee_core(&self) -> &Arc<TeeCore> {
         &self.core
-    }
-
-    /// The UUID of the secure-driver PTA.
-    pub fn i2s_pta(&self) -> TaUuid {
-        self.i2s_pta
-    }
-
-    /// The configured batch size.
-    pub fn batch_windows(&self) -> usize {
-        self.config.effective_batch()
     }
 
     /// The pressure monitor's current verdict, when the config wired one
@@ -909,17 +996,23 @@ impl SecurePipeline {
                 b: threshold,
             },
         );
+        // Both filter TAs take the same command id.
         self.client
-            .invoke(&self.filter_session, filter_cmd::SET_POLICY, params)
+            .invoke(&self.session, filter_cmd::SET_POLICY, params)
             .map_err(CoreError::from)?;
-        self.config.policy = policy;
         Ok(())
     }
 
     /// Starts a resumable scenario replay (see
-    /// [`SecurePipeline::step_scenario`]).
+    /// [`SecureDevice::step_scenario`]): resets the cloud ledger and
+    /// snapshots the TEE counters the final report diffs against.
     pub fn begin_scenario(&mut self) -> ScenarioProgress {
-        begin_secure_stages(&self.platform, &self.ledger)
+        self.ledger.reset();
+        ScenarioProgress {
+            stats_before: self.platform.stats().snapshot(),
+            next_event: 0,
+            relay_backlog: false,
+        }
     }
 
     /// Drives **one** batch — one TEE crossing — of the scenario through
@@ -936,22 +1029,70 @@ impl SecurePipeline {
     /// Propagates TEE and relay failures.
     pub fn step_scenario(
         &mut self,
-        scenario: &Scenario,
+        scenario: &S::Scenario,
         progress: &mut ScenarioProgress,
     ) -> Result<bool> {
-        let more = step_secure_stages(
-            &scenario.events,
-            self.config.effective_batch(),
-            self.batcher.as_mut(),
-            self.pressure.as_mut(),
-            self.config.degrade,
-            self.platform.clock(),
-            progress,
-            &mut self.capture,
-            &mut self.filter,
-            &mut self.relay,
-            &self.tracer,
-        )?;
+        let events = S::events(scenario);
+        if progress.next_event >= events.len() {
+            return Ok(false);
+        }
+        let depth = events.len() - progress.next_event;
+        let batch = match &self.batcher {
+            Some(batcher) => batcher.pick_batch(depth),
+            None => self.knobs.batch_windows.max(1),
+        }
+        .min(depth);
+        let chunk = events[progress.next_event..progress.next_event + batch].to_vec();
+        let clock = self.platform.clock();
+        self.tracer.count("pipeline.windows", batch as u64);
+        // Each stage runs under a span named after it; the filter stage's
+        // span encloses the whole TEE crossing (smc.call, TA inference,
+        // tee.rpc), so a chrome-trace dump shows the full nesting.
+        let prepared = {
+            let _span = self.tracer.span(self.capture.name());
+            self.capture.process(chunk)?
+        };
+        let filter_start = clock.now();
+        let filtered = {
+            let _span = self.tracer.span(self.filter.name());
+            let filtered = self.filter.process(prepared)?;
+            // Injected degradation lands inside the filter span, so the
+            // slowdown shows exactly where the health plane's SLO watches.
+            if let Some(spec) = self.knobs.degrade {
+                if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
+                    clock.advance(spec.per_window * batch as u64);
+                }
+            }
+            filtered
+        };
+        if let Some(batcher) = &mut self.batcher {
+            if !filtered.per_utterance.is_empty() {
+                let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
+                    / filtered.per_utterance.len() as u64;
+                batcher.observe(mean);
+            }
+            // The pressure monitor judges the per-window share of the whole
+            // crossing (TA service *and* any degradation), then its verdict
+            // clips the next pick — the observability→control loop.
+            if let Some(pressure) = &mut self.pressure {
+                let per_window = clock.now().duration_since(filter_start) / batch as u64;
+                pressure.observe(per_window);
+                batcher.set_pressure(pressure.advance(clock.now()));
+            }
+            // Relay backlog overrides any SLO verdict: the TA's bounded
+            // unacked buffer is backing up, so fall to single-window probes
+            // until the network drains it.
+            if filtered.backlog > 0 {
+                batcher.set_pressure(perisec_telemetry::HealthState::Critical);
+            }
+        }
+        progress.relay_backlog = filtered.backlog > 0;
+        {
+            let _span = self.tracer.span(self.relay.name());
+            self.relay.process(filtered)?;
+        }
+        progress.next_event += batch;
+        let more = progress.next_event < events.len();
         if !more && progress.relay_backlog {
             // The scenario ended with unacked records still buffered in
             // the TA: a blocking drain retires them, so the report never
@@ -963,25 +1104,37 @@ impl SecurePipeline {
         Ok(more)
     }
 
-    /// Assembles the report of a stepped-to-completion scenario replay.
+    /// Assembles the report of a stepped-to-completion scenario replay. A
+    /// camera's report counts scene events as the workload's
+    /// "utterances".
     pub fn finish_scenario(
         &mut self,
-        scenario: &Scenario,
+        scenario: &S::Scenario,
         progress: ScenarioProgress,
     ) -> PipelineReport {
-        finish_secure_stages(
-            "secure",
-            &self.platform,
-            &self.ledger,
-            &self.fabric,
-            &mut self.relay,
-            progress,
-            WorkloadSummary {
-                utterances: scenario.len(),
-                sensitive_utterances: scenario.sensitive_count(),
+        let sensitive_ids = S::sensitive_ids(scenario);
+        let latency = self.relay.take_breakdown();
+        let stats_after = self.platform.stats().snapshot();
+        PipelineReport {
+            pipeline: S::PIPELINE.to_owned(),
+            workload: WorkloadSummary {
+                utterances: S::events(scenario).len(),
+                sensitive_utterances: sensitive_ids.len(),
             },
-            scenario.sensitive_ids(),
-        )
+            latency,
+            cloud: CloudOutcome {
+                report: self.ledger.report(),
+                sensitive_ids,
+            },
+            tz: stats_after.delta_since(&progress.stats_before),
+            energy: self.platform.energy_report(),
+            virtual_time: self
+                .platform
+                .clock()
+                .now()
+                .duration_since(SimInstant::EPOCH),
+            bytes_to_cloud: self.fabric.stats().bytes_sent,
+        }
     }
 
     /// Replays a scenario end to end — batch by batch through the
@@ -990,335 +1143,7 @@ impl SecurePipeline {
     /// # Errors
     ///
     /// Propagates TEE and relay failures.
-    pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<PipelineReport> {
-        let mut progress = self.begin_scenario();
-        while self.step_scenario(scenario, &mut progress)? {}
-        Ok(self.finish_scenario(scenario, progress))
-    }
-}
-
-/// The secure *camera* pipeline: secure camera driver in the TEE, camera
-/// PTA bridge, in-TA frame classification, verdict-only relay — the
-/// vision modality assembled from the very same
-/// capture → filter → relay stages as the audio pipeline.
-pub struct SecureCameraPipeline {
-    config: CameraPipelineConfig,
-    platform: Platform,
-    client: TeeClient,
-    vision_session: TeeSessionHandle,
-    cloud: Arc<MockCloudService>,
-    ledger: CloudLedger,
-    fabric: NetworkFabric,
-    core: Arc<TeeCore>,
-    camera_pta: TaUuid,
-    capture: SecureFrameCaptureStage,
-    filter: SecureFilterStage,
-    relay: SecureRelayStage,
-    tracer: Tracer,
-}
-
-impl std::fmt::Debug for SecureCameraPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SecureCameraPipeline")
-            .field("policy", &self.config.policy)
-            .field("batch_windows", &self.config.batch_windows)
-            .finish()
-    }
-}
-
-impl SecureCameraPipeline {
-    /// Builds the full secure camera stack, training a fresh model set.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the frame classifier cannot be trained or a TEE component
-    /// cannot be registered.
-    pub fn new(config: CameraPipelineConfig) -> Result<Self> {
-        let vision = Arc::new(train_frame_cnn(config.train_frames, config.corpus_seed)?);
-        SecureCameraPipeline::with_vision_model(config, vision)
-    }
-
-    /// The int8 deployment form a config asks for: quantized once from
-    /// the trained f32 classifier in int8 mode, absent in f32 mode.
-    fn quantize_for(
-        config: &CameraPipelineConfig,
-        vision: &Arc<FrameCnn>,
-    ) -> Option<Arc<QuantFrameCnn>> {
-        match config.quant_mode {
-            QuantMode::Int8 => QuantFrameCnn::from_trained(vision).map(Arc::new),
-            QuantMode::F32 => None,
-        }
-    }
-
-    /// Builds the camera stack around a shared model set — the mixed-fleet
-    /// path: audio and camera devices hand out `Arc`s of one
-    /// [`SharedModels`]. The frame classifier trains lazily inside the
-    /// model set on first camera use, with the **model set's** vision
-    /// spec (see [`SharedModels::with_vision_spec`]); this config's
-    /// `train_frames` / `corpus_seed` only govern self-trained pipelines
-    /// ([`SecureCameraPipeline::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the frame classifier cannot be trained or a TEE component
-    /// cannot be registered (e.g. the secure carve-out is too small for
-    /// the model).
-    pub fn with_models(config: CameraPipelineConfig, models: &SharedModels) -> Result<Self> {
-        let vision = models.vision()?;
-        // The fleet path reuses the model set's cached int8 form — the
-        // "quantize once" half of train-once-quantize-once.
-        let int8 = match config.quant_mode {
-            QuantMode::Int8 => Some(models.vision_int8()?),
-            QuantMode::F32 => None,
-        };
-        SecureCameraPipeline::build(config, vision, int8)
-    }
-
-    /// Builds the camera stack around an existing trained frame
-    /// classifier (quantizing it on the spot when the config asks for
-    /// int8 mode — self-trained pipelines have no shared cache).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a TEE component cannot be registered.
-    pub fn with_vision_model(config: CameraPipelineConfig, vision: Arc<FrameCnn>) -> Result<Self> {
-        let int8 = SecureCameraPipeline::quantize_for(&config, &vision);
-        SecureCameraPipeline::build(config, vision, int8)
-    }
-
-    fn build(
-        config: CameraPipelineConfig,
-        vision: Arc<FrameCnn>,
-        vision_int8: Option<Arc<QuantFrameCnn>>,
-    ) -> Result<Self> {
-        let platform = config.build_platform();
-
-        // Normal world: supplicant + network fabric + cloud endpoint —
-        // plane-routed exactly as in [`SecurePipeline::with_models`].
-        let fabric = NetworkFabric::new().with_faults(config.faults);
-        let cloud = MockCloudService::new(default_psk());
-        let ledger = match &config.ingest {
-            Some(hook) => {
-                fabric.register_service(
-                    MockCloudService::HOST,
-                    hook.endpoint(platform.clock().clone()),
-                );
-                CloudLedger::Plane(hook.clone())
-            }
-            None => {
-                fabric.register_service(MockCloudService::HOST, cloud.clone());
-                CloudLedger::Direct(Arc::clone(&cloud))
-            }
-        };
-        let supplicant = Arc::new(Supplicant::new());
-        supplicant.set_net_backend(Arc::new(fabric.clone()));
-
-        // Secure world: TEE core, secure camera driver PTA, vision TA.
-        let core = TeeCore::boot(platform.clone(), supplicant);
-        let tracer = Tracer::new(platform.clock().clone(), &config.telemetry);
-        core.set_tracer(tracer.clone());
-        let scenes = SharedSceneQueue::new();
-        let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
-            .map_err(perisec_kernel::KernelError::from)?;
-        let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
-        let camera_pta = core
-            .register_pta(Box::new(CameraPta::new(camera_driver)))
-            .map_err(CoreError::from)?;
-        let mut vision_ta = VisionTa::new(
-            camera_pta,
-            vision,
-            vision_int8,
-            config.quant_mode,
-            config.policy,
-            default_cloud_host(),
-            default_psk(),
-        )
-        .with_retry(config.retry);
-        if config.ingest.is_some() {
-            vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(
-                crate::vision_ta::VISION_TA_NAME,
-            ));
-        }
-        core.register_ta(Box::new(vision_ta))
-            .map_err(CoreError::from)?;
-
-        // Configure and start the secure camera driver through its PTA.
-        core.invoke_pta(
-            camera_pta,
-            perisec_secure_driver::camera_pta::cmd::CONFIGURE,
-            &mut TeeParams::new(),
-        )
-        .map_err(CoreError::from)?;
-        core.invoke_pta(
-            camera_pta,
-            perisec_secure_driver::camera_pta::cmd::START,
-            &mut TeeParams::new(),
-        )
-        .map_err(CoreError::from)?;
-
-        // Normal world client session to the vision TA.
-        let client = TeeClient::connect(Arc::clone(&core));
-        let (vision_session, _) = client
-            .open_session(
-                TaUuid::from_name(crate::vision_ta::VISION_TA_NAME),
-                TeeParams::new(),
-            )
-            .map_err(CoreError::from)?;
-
-        let capture = SecureFrameCaptureStage::new(platform.clone(), scenes);
-        let filter = SecureFilterStage::new(platform.clone(), client.clone(), vision_session);
-
-        Ok(SecureCameraPipeline {
-            config,
-            platform,
-            client,
-            vision_session,
-            cloud,
-            ledger,
-            fabric,
-            core,
-            camera_pta,
-            capture,
-            filter,
-            relay: SecureRelayStage::new(),
-            tracer,
-        })
-    }
-
-    /// The device's telemetry tracer (see [`SecurePipeline::tracer`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Drains the telemetry accumulated so far (see
-    /// [`SecurePipeline::take_telemetry`]).
-    pub fn take_telemetry(&self) -> DeviceTelemetry {
-        self.tracer.take()
-    }
-
-    /// The simulated platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The mock cloud (for inspecting what it received).
-    pub fn cloud(&self) -> &Arc<MockCloudService> {
-        &self.cloud
-    }
-
-    /// The TEE core (for footprint reports).
-    pub fn tee_core(&self) -> &Arc<TeeCore> {
-        &self.core
-    }
-
-    /// The UUID of the camera PTA.
-    pub fn camera_pta(&self) -> TaUuid {
-        self.camera_pta
-    }
-
-    /// The configured batch size.
-    pub fn batch_windows(&self) -> usize {
-        self.config.effective_batch()
-    }
-
-    /// Installs a new privacy policy in the vision TA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE invocation failures.
-    pub fn set_policy(&mut self, policy: PrivacyPolicy) -> Result<()> {
-        let (mode, threshold) = policy.to_values();
-        let params = TeeParams::new().with(
-            0,
-            TeeParam::ValueInput {
-                a: mode,
-                b: threshold,
-            },
-        );
-        self.client
-            .invoke(
-                &self.vision_session,
-                crate::vision_ta::cmd::SET_POLICY,
-                params,
-            )
-            .map_err(CoreError::from)?;
-        self.config.policy = policy;
-        Ok(())
-    }
-
-    /// Starts a resumable scenario replay (see
-    /// [`SecureCameraPipeline::step_scenario`]).
-    pub fn begin_scenario(&mut self) -> ScenarioProgress {
-        begin_secure_stages(&self.platform, &self.ledger)
-    }
-
-    /// Drives **one** batch — one TEE crossing — of the camera scenario
-    /// through the capture → filter → relay stages and advances the
-    /// cursor. Returns whether events remain. The fleet executor's yield
-    /// point for camera devices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE and relay failures.
-    pub fn step_scenario(
-        &mut self,
-        scenario: &CameraScenario,
-        progress: &mut ScenarioProgress,
-    ) -> Result<bool> {
-        let more = step_secure_stages(
-            &scenario.events,
-            self.config.effective_batch(),
-            None,
-            None,
-            self.config.degrade,
-            self.platform.clock(),
-            progress,
-            &mut self.capture,
-            &mut self.filter,
-            &mut self.relay,
-            &self.tracer,
-        )?;
-        if !more && progress.relay_backlog {
-            // The scenario ended with unacked records still buffered in
-            // the TA: a blocking drain retires them, so the report never
-            // misses a verdict the network delayed. Skipped on a clean
-            // finish — the healthy path pays no extra TEE crossing.
-            self.filter.drain_relay()?;
-            progress.relay_backlog = false;
-        }
-        Ok(more)
-    }
-
-    /// Assembles the report of a stepped-to-completion scenario replay.
-    /// The report counts scene events as the workload's "utterances".
-    pub fn finish_scenario(
-        &mut self,
-        scenario: &CameraScenario,
-        progress: ScenarioProgress,
-    ) -> PipelineReport {
-        finish_secure_stages(
-            "secure-camera",
-            &self.platform,
-            &self.ledger,
-            &self.fabric,
-            &mut self.relay,
-            progress,
-            WorkloadSummary {
-                utterances: scenario.len(),
-                sensitive_utterances: scenario.sensitive_count(),
-            },
-            scenario.sensitive_ids(),
-        )
-    }
-
-    /// Replays a camera scenario end to end — batch by batch through the
-    /// capture → filter → relay stages — and reports on it. The report
-    /// counts scene events as the workload's "utterances".
-    ///
-    /// # Errors
-    ///
-    /// Propagates TEE and relay failures.
-    pub fn run_scenario(&mut self, scenario: &CameraScenario) -> Result<PipelineReport> {
+    pub fn run_scenario(&mut self, scenario: &S::Scenario) -> Result<PipelineReport> {
         let mut progress = self.begin_scenario();
         while self.step_scenario(scenario, &mut progress)? {}
         Ok(self.finish_scenario(scenario, progress))
@@ -1353,7 +1178,7 @@ impl BaselinePipeline {
     ///
     /// Propagates kernel-substrate failures.
     pub fn new(config: PipelineConfig) -> Result<Self> {
-        let platform = config.build_platform();
+        let platform = build_platform(config.constrained_platform, config.secure_ram_kib);
         let fabric = NetworkFabric::new().with_faults(config.faults);
         let cloud = MockCloudService::new(default_psk());
         fabric.register_service(MockCloudService::HOST, cloud.clone());
@@ -1401,11 +1226,6 @@ impl BaselinePipeline {
         &self.platform
     }
 
-    /// The mock cloud.
-    pub fn cloud(&self) -> &Arc<MockCloudService> {
-        &self.cloud
-    }
-
     /// Replays a scenario: every utterance is captured by the in-kernel
     /// driver and forwarded to the cloud without any filtering.
     ///
@@ -1415,7 +1235,7 @@ impl BaselinePipeline {
     pub fn run_scenario(&mut self, scenario: &Scenario) -> Result<PipelineReport> {
         self.cloud.reset();
         let stats_before = self.platform.stats().snapshot();
-        let batch = self.config.effective_batch();
+        let batch = self.config.batch_windows.max(1);
         for chunk in scenario.events.chunks(batch) {
             let captured = self.capture.process(chunk.to_vec())?;
             let passed = self.filter.process(captured)?;
@@ -1580,19 +1400,16 @@ mod tests {
         };
         let mut fresh = SecurePipeline::with_models(config.clone(), &models).unwrap();
         let mut probed = SecurePipeline::with_models(config, &models).unwrap();
-        assert_unbounded_batches_are_refused(&probed.client, &probed.filter_session);
+        assert_unbounded_batches_are_refused(&probed.client, &probed.session);
         // Nothing was processed for the refused batches.
-        assert_eq!(
-            ta_stats(&probed.client, &probed.filter_session),
-            [(0, 0); 2]
-        );
+        assert_eq!(ta_stats(&probed.client, &probed.session), [(0, 0); 2]);
         let a = fresh.run_scenario(&scenario).unwrap();
         let b = probed.run_scenario(&scenario).unwrap();
         assert!(!b.cloud.report.events.is_empty());
         assert_eq!(a.cloud.report.events, b.cloud.report.events);
         assert_eq!(
-            ta_stats(&fresh.client, &fresh.filter_session),
-            ta_stats(&probed.client, &probed.filter_session)
+            ta_stats(&fresh.client, &fresh.session),
+            ta_stats(&probed.client, &probed.session)
         );
     }
 
@@ -1607,18 +1424,15 @@ mod tests {
         };
         let mut fresh = SecureCameraPipeline::with_models(config.clone(), &models).unwrap();
         let mut probed = SecureCameraPipeline::with_models(config, &models).unwrap();
-        assert_unbounded_batches_are_refused(&probed.client, &probed.vision_session);
-        assert_eq!(
-            ta_stats(&probed.client, &probed.vision_session),
-            [(0, 0); 2]
-        );
+        assert_unbounded_batches_are_refused(&probed.client, &probed.session);
+        assert_eq!(ta_stats(&probed.client, &probed.session), [(0, 0); 2]);
         let a = fresh.run_scenario(&scenario).unwrap();
         let b = probed.run_scenario(&scenario).unwrap();
         assert!(!b.cloud.report.events.is_empty());
         assert_eq!(a.cloud.report.events, b.cloud.report.events);
         assert_eq!(
-            ta_stats(&fresh.client, &fresh.vision_session),
-            ta_stats(&probed.client, &probed.vision_session)
+            ta_stats(&fresh.client, &fresh.session),
+            ta_stats(&probed.client, &probed.session)
         );
     }
 

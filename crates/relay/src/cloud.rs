@@ -92,6 +92,11 @@ struct ConnectionState {
 
 /// The mock cloud service. Register it on a [`crate::NetworkFabric`] under
 /// the cloud hostname.
+///
+/// Before the handshake it accepts plaintext events (the baseline's
+/// unprotected relay). After it, only explicit-sequence records
+/// ([`crate::SecureChannelClient::seal_at`]) carry events; any other
+/// record is rejected and counted.
 pub struct MockCloudService {
     psk: [u8; PSK_LEN],
     connections: Mutex<std::collections::HashMap<u64, ConnectionState>>,
@@ -329,25 +334,11 @@ impl NetworkService for MockCloudService {
         if peek_record_type(request) == Some(EXPLICIT_RECORD) {
             return self.ingest_explicit(state, request);
         }
-        // Established channel, legacy implicit record: open it, decode
-        // the event, reply with a protected acknowledgement.
-        match state.channel.open(request) {
-            Ok(plaintext) => match AvsEvent::decode(&plaintext) {
-                Ok(event) => {
-                    self.record_event(&event, true);
-                    let ack = Self::ack_for(&event).encode();
-                    state.channel.seal(&ack).unwrap_or_default()
-                }
-                Err(_) => {
-                    self.report.lock().rejected_records += 1;
-                    Vec::new()
-                }
-            },
-            Err(_) => {
-                self.report.lock().rejected_records += 1;
-                Vec::new()
-            }
-        }
+        // Established channel, anything but an explicit-sequence record:
+        // every sender seals with `seal_at`, so a legacy implicit record
+        // is a protocol error, exactly as at an ingest shard.
+        self.report.lock().rejected_records += 1;
+        Vec::new()
     }
 }
 
@@ -380,10 +371,12 @@ mod tests {
             text: "play music".to_owned(),
         };
         transport
-            .send(&client.seal(&event.encode()).unwrap())
+            .send(&client.seal_at(0, &event.encode()).unwrap())
             .unwrap();
         let reply = transport.recv(4096).unwrap();
-        let directive = AvsDirective::decode(&client.open(&reply).unwrap()).unwrap();
+        let (seq, ack) = client.open_explicit(&reply).unwrap();
+        assert_eq!(seq, 0);
+        let directive = AvsDirective::decode(&ack).unwrap();
         assert_eq!(directive, AvsDirective::Ack { dialog_id: 5 });
 
         let report = cloud.report();
@@ -459,10 +452,12 @@ mod tests {
             },
         ]);
         transport
-            .send(&client.seal(&batch.encode()).unwrap())
+            .send(&client.seal_at(0, &batch.encode()).unwrap())
             .unwrap();
         let reply = transport.recv(4096).unwrap();
-        let directive = AvsDirective::decode(&client.open(&reply).unwrap()).unwrap();
+        let (seq, ack) = client.open_explicit(&reply).unwrap();
+        assert_eq!(seq, 0);
+        let directive = AvsDirective::decode(&ack).unwrap();
         assert_eq!(
             directive,
             AvsDirective::BatchAck {
@@ -603,6 +598,22 @@ mod tests {
         let len = record.len();
         record[len - 3] ^= 0x10;
         transport.send(&record).unwrap();
+        assert!(transport.recv(4096).unwrap().is_empty());
+        assert_eq!(cloud.report().rejected_records, 1);
+        assert!(cloud.report().events.is_empty());
+    }
+
+    #[test]
+    fn implicit_records_are_rejected_on_an_established_channel() {
+        let (fabric, cloud) = fabric_with_cloud();
+        let (transport, mut client) = established_client(&fabric, 21);
+        let event = AvsEvent::TextMessage {
+            dialog_id: 3,
+            text: "implicit".into(),
+        };
+        transport
+            .send(&client.seal(&event.encode()).unwrap())
+            .unwrap();
         assert!(transport.recv(4096).unwrap().is_empty());
         assert_eq!(cloud.report().rejected_records, 1);
         assert!(cloud.report().events.is_empty());

@@ -1,0 +1,163 @@
+//! Golden digest of the secure devices' outputs, audio and camera.
+//!
+//! The byte-identity suites compare runs of one build against each
+//! other: workers 1 vs 8, plane vs direct, chaos vs clean. None of them
+//! notices a change that moves every run the same way. This test hashes
+//! what the devices report and compares it against a constant recorded
+//! before the two secure pipeline types were merged into one generic
+//! device, so any refactor of the device stack must leave these bytes
+//! unchanged:
+//!
+//! * the `to_json` report and the cloud decisions of a direct-path mixed
+//!   fleet: 3 audio devices with an adaptive batcher, SLO pressure and
+//!   injected degradation, and 3 cameras with injected degradation;
+//! * the same two outputs for that fleet routed through a crashing
+//!   4-shard ingest plane over a lossy link;
+//! * the reports of one self-trained audio pipeline and one
+//!   self-trained camera pipeline.
+//!
+//! A mismatch means a device computes something different — never noise.
+
+use std::sync::Arc;
+
+use perisec::core::fleet::{FleetConfig, FleetReport, PipelineFleet};
+use perisec::core::pipeline::{
+    CameraPipelineConfig, DegradeSpec, PipelineConfig, SecureCameraPipeline, SecurePipeline,
+};
+use perisec::core::{FILTER_TA_NAME, VISION_TA_NAME};
+use perisec::ingest::{IngestPlane, IngestPlaneConfig, ShardFaultSpec};
+use perisec::relay::measurement_of;
+use perisec::relay::netsim::FaultSpec;
+use perisec::telemetry::SloSpec;
+use perisec::tz::time::SimDuration;
+use perisec::workload::scenario::{CameraScenario, Scenario};
+
+const SEED: u64 = 0x60_1DE2;
+const AUDIO: usize = 3;
+const CAMERAS: usize = 3;
+const EVENTS: usize = 12;
+
+/// FNV-1a over length-prefixed byte strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, data: &[u8]) {
+        for byte in (data.len() as u64).to_le_bytes().iter().chain(data) {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn fleet(&mut self, report: &FleetReport) {
+        self.bytes(report.to_json().as_bytes());
+        self.bytes(report.cloud_decisions_json().as_bytes());
+    }
+}
+
+/// Digest recorded before the merge; see the module docs.
+const GOLDEN_DIGEST: u64 = 0x5a39_ea88_8636_f91c;
+
+fn degrade() -> Option<DegradeSpec> {
+    Some(DegradeSpec {
+        after: SimDuration::from_secs(2),
+        per_window: SimDuration::from_millis(30),
+    })
+}
+
+fn audio_config() -> PipelineConfig {
+    PipelineConfig {
+        train_utterances: 40,
+        batch_windows: 2,
+        ..PipelineConfig::default()
+    }
+}
+
+fn camera_config() -> CameraPipelineConfig {
+    CameraPipelineConfig {
+        train_frames: 60,
+        batch_windows: 2,
+        ..CameraPipelineConfig::default()
+    }
+}
+
+fn fleet_config() -> FleetConfig {
+    FleetConfig {
+        devices: AUDIO,
+        pipeline: PipelineConfig {
+            latency_slo: Some(SimDuration::from_millis(60)),
+            slo_pressure: Some(SloSpec::p95("service", SimDuration::from_millis(20))),
+            degrade: degrade(),
+            ..audio_config()
+        },
+        camera_devices: CAMERAS,
+        camera_pipeline: CameraPipelineConfig {
+            degrade: degrade(),
+            ..camera_config()
+        },
+        workers: 2,
+        ..FleetConfig::of(0)
+    }
+}
+
+#[test]
+fn secure_devices_match_the_golden_digest() {
+    let spacing = SimDuration::from_secs(1);
+    let audio = Scenario::fleet(AUDIO, EVENTS, 0.5, spacing, SEED);
+    let cameras = CameraScenario::fleet_cameras(CAMERAS, EVENTS, 0.4, spacing, SEED);
+    let mut digest = Fnv::new();
+
+    let fleet = PipelineFleet::new(fleet_config()).expect("models train");
+    let direct = fleet.run_mixed(&audio, &cameras);
+    digest.fleet(&direct.expect("direct fleet runs"));
+
+    let plane = IngestPlane::new(
+        IngestPlaneConfig::new(4, AUDIO + CAMERAS)
+            .accepting(vec![
+                measurement_of(FILTER_TA_NAME),
+                measurement_of(VISION_TA_NAME),
+            ])
+            .with_faults(ShardFaultSpec::single(SEED, 2_500_000_000, 400_000_000)),
+    );
+    let routed = PipelineFleet::with_models(
+        FleetConfig {
+            faults: Some(FaultSpec {
+                drop_permille: 100,
+                duplicate_permille: 150,
+                ..FaultSpec::none(SEED)
+            }),
+            ingest: Some(Arc::clone(&plane) as _),
+            ..fleet_config()
+        },
+        fleet.models().clone(),
+    );
+    let routed = routed.run_mixed(&audio, &cameras);
+    digest.fleet(&routed.expect("plane fleet runs"));
+    assert!(
+        plane.counters().stale_epoch_rejects > 0,
+        "the crash windows fenced nothing"
+    );
+
+    let scenario = Scenario::mixed(EVENTS, 0.5, spacing, SEED);
+    let report = SecurePipeline::new(audio_config())
+        .expect("audio pipeline builds")
+        .run_scenario(&scenario)
+        .expect("audio scenario runs");
+    digest.bytes(report.to_json().as_bytes());
+
+    let scenario = CameraScenario::mixed_scenes(EVENTS, 0.5, spacing, SEED);
+    let report = SecureCameraPipeline::new(camera_config())
+        .expect("camera pipeline builds")
+        .run_scenario(&scenario)
+        .expect("camera scenario runs");
+    digest.bytes(report.to_json().as_bytes());
+
+    assert_eq!(
+        digest.0, GOLDEN_DIGEST,
+        "secure device digest changed: {:#018x}",
+        digest.0
+    );
+}
