@@ -16,19 +16,33 @@
 //! * the reports of one self-trained audio pipeline and one
 //!   self-trained camera pipeline.
 //!
+//! A second digest pins the camera sharded across a pool of secure
+//! cores, recorded before that device became an instantiation of the
+//! same generic device: each run's report, per-core figures, carve-out
+//! footprint and stolen windows, over E14's shard sweep, E15's greedy
+//! and work-stealing placements, an SLO-pressured batcher, an f32 run
+//! without model dedup, and a lossy link with a policy change between
+//! two runs on one device.
+//!
 //! A mismatch means a device computes something different — never noise.
 
 use std::sync::Arc;
 
 use perisec::core::fleet::{FleetConfig, FleetReport, PipelineFleet};
+use perisec::core::pipeline::SharedModels;
 use perisec::core::pipeline::{
     CameraPipelineConfig, DegradeSpec, PipelineConfig, SecureCameraPipeline, SecurePipeline,
 };
+use perisec::core::policy::PrivacyPolicy;
 use perisec::core::{FILTER_TA_NAME, VISION_TA_NAME};
 use perisec::ingest::{IngestPlane, IngestPlaneConfig, ShardFaultSpec};
+use perisec::ml::classifier::Architecture;
+use perisec::ml::quant::QuantMode;
 use perisec::relay::measurement_of;
 use perisec::relay::netsim::FaultSpec;
-use perisec::telemetry::SloSpec;
+use perisec::sched::pipeline::{ShardedCameraConfig, ShardedRunReport, ShardedVisionPipeline};
+use perisec::sched::pool::TeePoolConfig;
+use perisec::telemetry::{HealthState, SloSpec};
 use perisec::tz::time::SimDuration;
 use perisec::workload::scenario::{CameraScenario, Scenario};
 
@@ -56,10 +70,21 @@ impl Fnv {
         self.bytes(report.to_json().as_bytes());
         self.bytes(report.cloud_decisions_json().as_bytes());
     }
+
+    fn sharded(&mut self, run: &ShardedRunReport) {
+        self.bytes(run.report.to_json().as_bytes());
+        self.bytes(format!("{:?}", run.per_core).as_bytes());
+        self.bytes(format!("{:?}", run.secure_ram).as_bytes());
+        self.bytes(&run.stolen_windows.to_le_bytes());
+    }
 }
 
 /// Digest recorded before the merge; see the module docs.
 const GOLDEN_DIGEST: u64 = 0x5a39_ea88_8636_f91c;
+
+/// Digest of the sharded camera runs, recorded before the sharded camera
+/// became a generic device; see the module docs.
+const SHARDED_GOLDEN_DIGEST: u64 = 0xaf81_ad05_99ad_52de;
 
 fn degrade() -> Option<DegradeSpec> {
     Some(DegradeSpec {
@@ -158,6 +183,120 @@ fn secure_devices_match_the_golden_digest() {
     assert_eq!(
         digest.0, GOLDEN_DIGEST,
         "secure device digest changed: {:#018x}",
+        digest.0
+    );
+}
+
+/// A sharded camera on `cores` quad-node cores at `batch_windows` events
+/// per crossing.
+fn sharded_config(cores: usize, batch_windows: usize) -> ShardedCameraConfig {
+    ShardedCameraConfig {
+        camera: CameraPipelineConfig {
+            batch_windows,
+            ..CameraPipelineConfig::default()
+        },
+        pool: TeePoolConfig::iot_quad_node(cores),
+        ..ShardedCameraConfig::default()
+    }
+}
+
+#[test]
+fn sharded_camera_matches_the_golden_digest() {
+    let models = SharedModels::deferred(Architecture::Cnn, 16, 0xE14).with_vision_spec(120, 0xE14);
+    let stream = CameraScenario::high_fps(48, 4, 12_000, 0.4, 0xE14);
+    let run = |config: ShardedCameraConfig, models: &SharedModels, scenario: &CameraScenario| {
+        ShardedVisionPipeline::with_models(config, models)
+            .expect("sharded camera builds")
+            .run_scenario(scenario)
+            .expect("sharded scenario runs")
+    };
+    let mut digest = Fnv::new();
+
+    // E14's shard sweep.
+    for cores in [1usize, 2, 4] {
+        digest.sharded(&run(sharded_config(cores, 4), &models, &stream));
+    }
+
+    // E15's placement table: greedy, then work stealing, on a ragged mix.
+    let placement_models =
+        SharedModels::deferred(Architecture::Cnn, 16, 0x57EA).with_vision_spec(120, 0x57EA);
+    let ragged = CameraScenario::ragged_high_fps(64, 4, 20, 96_000, 0.4, 0xBEEF);
+    for work_stealing in [false, true] {
+        let placed = run(
+            ShardedCameraConfig {
+                work_stealing,
+                ..sharded_config(2, 8)
+            },
+            &placement_models,
+            &ragged,
+        );
+        assert_eq!(placed.stolen_windows > 0, work_stealing, "steal pass");
+        digest.sharded(&placed);
+    }
+
+    // An adaptive batcher under SLO pressure.
+    let mut pressured = ShardedVisionPipeline::with_models(
+        ShardedCameraConfig {
+            latency_slo: Some(SimDuration::from_millis(2)),
+            slo_pressure: Some(SloSpec::p95("shard.filter", SimDuration::from_micros(50))),
+            ..sharded_config(2, 4)
+        },
+        &models,
+    )
+    .expect("pressured camera builds");
+    digest.sharded(&pressured.run_scenario(&stream).expect("pressured run"));
+    assert_ne!(
+        pressured.pressure_state(),
+        Some(HealthState::Healthy),
+        "the pressure monitor never left Healthy"
+    );
+
+    // Per-session weights in f32.
+    digest.sharded(&run(
+        ShardedCameraConfig {
+            camera: CameraPipelineConfig {
+                quant_mode: QuantMode::F32,
+                batch_windows: 4,
+                ..CameraPipelineConfig::default()
+            },
+            dedup_models: false,
+            ..sharded_config(4, 4)
+        },
+        &models,
+        &stream,
+    ));
+
+    // A lossy, duplicating link, then a policy change on the same device.
+    let mut lossy = ShardedVisionPipeline::with_models(
+        ShardedCameraConfig {
+            camera: CameraPipelineConfig {
+                faults: Some(FaultSpec {
+                    drop_permille: 200,
+                    duplicate_permille: 150,
+                    ..FaultSpec::none(0xE14)
+                }),
+                batch_windows: 4,
+                ..CameraPipelineConfig::default()
+            },
+            ..sharded_config(2, 4)
+        },
+        &models,
+    )
+    .expect("lossy camera builds");
+    let first = lossy.run_scenario(&stream).expect("lossy run");
+    assert!(
+        first.report.cloud.report.redelivered_records > 0,
+        "the lossy link redelivered nothing"
+    );
+    digest.sharded(&first);
+    lossy
+        .set_policy(PrivacyPolicy::allow_all())
+        .expect("policy installs");
+    digest.sharded(&lossy.run_scenario(&stream).expect("permissive run"));
+
+    assert_eq!(
+        digest.0, SHARDED_GOLDEN_DIGEST,
+        "sharded camera digest changed: {:#018x}",
         digest.0
     );
 }

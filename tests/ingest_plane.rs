@@ -361,6 +361,21 @@ fn fault_free_reference(ta: [u8; MEASUREMENT_LEN], records: u64) -> Vec<Received
 }
 
 #[test]
+fn sessions_are_placed_round_robin() {
+    // Sessions past the configured count take the same rule.
+    for shards in 1..=8usize {
+        let plane = IngestPlane::new(IngestPlaneConfig::new(shards, 2 * shards + 1));
+        for session in 0..(3 * shards + 2) as u64 {
+            assert_eq!(
+                plane.shard_of(session),
+                session as usize % shards,
+                "session {session} of a {shards}-shard plane"
+            );
+        }
+    }
+}
+
+#[test]
 fn throughput_scales_with_shard_count() {
     let ta = measurement_of("scale-ta");
     const SESSIONS: u64 = 8;
