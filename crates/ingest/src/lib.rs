@@ -12,10 +12,9 @@
 //!   state machine: volatile channel/stash tier rebuilt from an
 //!   append-only journal on every crash, commit logic shared
 //!   byte-for-byte with the direct `MockCloudService`;
-//! * [`plane`] — [`IngestPlane`]: deterministic session→shard placement
-//!   via the scheduler's least-loaded seam, plus per-shard telemetry
-//!   folds, health reports and the modeled-throughput figure E21 gates
-//!   on.
+//! * [`plane`] — [`IngestPlane`]: round-robin session→shard placement
+//!   (`session % shards`), plus per-shard telemetry folds, health
+//!   reports and the modeled-throughput figure E21 gates on.
 //!
 //! The trust story, per the edge-to-cloud confidential-computing
 //! literature: a session may only deposit records after attesting its

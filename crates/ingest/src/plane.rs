@@ -7,7 +7,6 @@ use perisec_relay::attest::SessionIngest;
 use perisec_relay::attest::MEASUREMENT_LEN;
 use perisec_relay::cloud::CloudReport;
 use perisec_relay::tls::PSK_LEN;
-use perisec_sched::scheduler::SessionScheduler;
 use perisec_telemetry::{
     Alert, AlertKind, FleetHealth, FleetHealthReport, FleetTelemetry, HealthConfig, HealthMachine,
     HealthState,
@@ -22,8 +21,7 @@ use crate::shard::{IngestShard, ShardConfig, ShardCounters};
 pub struct IngestPlaneConfig {
     /// Number of shards (at least one).
     pub shards: usize,
-    /// Number of sessions the plane will serve; placement is computed
-    /// up front so it is a pure function of this config.
+    /// Number of sessions the plane will serve.
     pub sessions: usize,
     /// The device-provisioned PSK.
     pub psk: [u8; PSK_LEN],
@@ -80,14 +78,11 @@ impl IngestPlaneConfig {
 }
 
 /// The sharded attested ingest plane. Sessions are placed onto shards
-/// deterministically at construction (the scheduler's least-loaded
-/// placement, which is exact round-robin for uniform sessions), so any
-/// observer — any worker count, any replay — agrees which shard owns
-/// which session, and a shard's crash schedule affects exactly the
-/// sessions placed on it.
+/// round robin (`session % shards`), so any observer — any worker count,
+/// any replay — agrees which shard owns which session, and a shard's
+/// crash schedule affects exactly the sessions placed on it.
 pub struct IngestPlane {
     config: IngestPlaneConfig,
-    placement: Vec<usize>,
     shards: Vec<IngestShard>,
 }
 
@@ -95,7 +90,7 @@ impl std::fmt::Debug for IngestPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestPlane")
             .field("shards", &self.shards.len())
-            .field("sessions", &self.placement.len())
+            .field("sessions", &self.config.sessions)
             .finish()
     }
 }
@@ -113,8 +108,6 @@ impl IngestPlane {
             config.sessions > 0,
             "ingest plane needs at least one session"
         );
-        let mut scheduler = SessionScheduler::new(config.shards);
-        let placement = scheduler.assign(&vec![1; config.sessions]);
         let shards = (0..config.shards)
             .map(|shard| {
                 IngestShard::new(ShardConfig {
@@ -127,19 +120,12 @@ impl IngestPlane {
                 })
             })
             .collect();
-        Arc::new(IngestPlane {
-            config,
-            placement,
-            shards,
-        })
+        Arc::new(IngestPlane { config, shards })
     }
 
     /// The shard a session is placed on.
     pub fn shard_of(&self, session: u64) -> usize {
-        self.placement
-            .get(session as usize)
-            .copied()
-            .unwrap_or(session as usize % self.shards.len())
+        session as usize % self.shards.len()
     }
 
     /// Number of shards.
