@@ -380,20 +380,6 @@ impl SecureI2sDriver {
         Ok((captures, total))
     }
 
-    /// Captures at least `duration` of audio (rounded up to whole periods).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SecureI2sDriver::capture_periods`].
-    pub fn capture_duration(
-        &mut self,
-        duration: SimDuration,
-    ) -> TeeResult<(Vec<u8>, SecureCaptureReport)> {
-        let frames = self.format().frames_in(duration);
-        let periods = frames.div_ceil(self.period_frames);
-        self.capture_periods(periods.max(1))
-    }
-
     /// Releases the secure I/O buffers and powers the microphone down.
     pub fn shutdown(&mut self) {
         self.stop();

@@ -6,7 +6,7 @@
 //! code like device driver software." (§II)
 //!
 //! [`I2sPta`] is that intermediary: it owns the [`SecureI2sDriver`] and
-//! exposes configure / start / capture / stop / stats commands to userland
+//! exposes configure / start / batched capture / stop / stats commands to userland
 //! TAs (the filter TA in `perisec-core`) and, for management purposes, to
 //! the normal-world client.
 
@@ -25,9 +25,6 @@ pub mod cmd {
     pub const CONFIGURE: u32 = 0;
     /// Start the capture stream.
     pub const START: u32 = 1;
-    /// Capture: value param `a` = number of periods; returns the encoded
-    /// audio in an output memref and `(wire_ns, cpu_ns)` in a value output.
-    pub const CAPTURE: u32 = 2;
     /// Stop the capture stream.
     pub const STOP: u32 = 3;
     /// Query cumulative statistics: returns `(frames, bytes)` and
@@ -185,21 +182,6 @@ impl PseudoTa for I2sPta {
                 self.driver.configure(period_frames as usize, encoding)
             }
             cmd::START => self.driver.start(),
-            cmd::CAPTURE => {
-                let (periods, _) = params.get(0).as_values().ok_or(TeeError::BadParameters {
-                    reason: "capture expects a value parameter".to_owned(),
-                })?;
-                let (encoded, report) = self.driver.capture_periods(periods as usize)?;
-                params.set(1, TeeParam::MemRefOutput(encoded));
-                params.set(
-                    2,
-                    TeeParam::ValueOutput {
-                        a: report.wire_time.as_nanos(),
-                        b: report.cpu_time.as_nanos(),
-                    },
-                );
-                Ok(())
-            }
             cmd::CAPTURE_BATCH => {
                 let windows = decode_windows_request(params.get(0).as_memref().ok_or(
                     TeeError::BadParameters {
@@ -285,10 +267,12 @@ mod tests {
         core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
             .unwrap();
 
-        let mut p = TeeParams::new().with(0, TeeParam::ValueInput { a: 5, b: 0 });
-        core.invoke_pta(uuid, cmd::CAPTURE, &mut p).unwrap();
-        let audio = p.get(1).as_memref().unwrap();
-        assert_eq!(audio.len(), 5 * 160 * 2);
+        // A one-window batch of 5 periods.
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(encode_windows_request(&[5])));
+        core.invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut p).unwrap();
+        let replies = decode_windows_reply(p.get(1).as_memref().unwrap()).unwrap();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].encoded.len(), 5 * 160 * 2);
         let (wire_ns, cpu_ns) = p.get(2).as_values().unwrap();
         assert_eq!(wire_ns, 50_000_000);
         assert!(cpu_ns > 0);
@@ -314,8 +298,8 @@ mod tests {
         let mut p = TeeParams::new().with(0, TeeParam::ValueInput { a: 160, b: 9 });
         assert!(core.invoke_pta(uuid, cmd::CONFIGURE, &mut p).is_err());
         // Capture before start.
-        let mut p = TeeParams::new().with(0, TeeParam::ValueInput { a: 1, b: 0 });
-        assert!(core.invoke_pta(uuid, cmd::CAPTURE, &mut p).is_err());
+        let mut p = TeeParams::new().with(0, TeeParam::MemRefInput(encode_windows_request(&[1])));
+        assert!(core.invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut p).is_err());
     }
 
     #[test]
