@@ -1,17 +1,15 @@
 //! Criterion bench behind experiment E14: host-time cost of driving a
 //! high-fps camera scenario through the sharded pipeline as the shard
-//! count grows, and of the scheduler's placement + merge primitives.
+//! count grows, and of the scheduler's placement primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
-use perisec_core::policy::FilterDecision;
-use perisec_core::stage::WindowVerdict;
+use perisec_core::pipeline::{
+    CameraPipelineConfig, ShardedCameraConfig, ShardedVisionPipeline, SharedModels,
+};
+use perisec_core::pool::TeePoolConfig;
+use perisec_core::scheduler::SessionScheduler;
 use perisec_ml::classifier::Architecture;
-use perisec_sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-use perisec_sched::pool::TeePoolConfig;
-use perisec_sched::scheduler::SessionScheduler;
-use perisec_sched::stage::merge_verdicts;
 use perisec_workload::scenario::CameraScenario;
 
 fn bench_sharded_run(c: &mut Criterion) {
@@ -47,20 +45,6 @@ fn bench_scheduler_primitives(c: &mut Criterion) {
             let mut scheduler = SessionScheduler::new(8);
             scheduler.assign(&weights)
         });
-    });
-    group.bench_function("merge_1k_verdicts", |b| {
-        let verdicts: Vec<WindowVerdict> = (0..1_000u64)
-            .map(|i| WindowVerdict {
-                dialog_id: i % 256,
-                decision: if i % 3 == 0 {
-                    FilterDecision::Drop
-                } else {
-                    FilterDecision::Forward
-                },
-                probability_milli: (i % 1000) as u16,
-            })
-            .collect();
-        b.iter(|| merge_verdicts(verdicts.clone()));
     });
     group.finish();
 }

@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use perisec_core::fleet::{FleetConfig, PipelineFleet};
 use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
+use perisec_core::scheduler::SessionScheduler;
 use perisec_ml::classifier::Architecture;
-use perisec_sched::scheduler::SessionScheduler;
 use perisec_tz::time::SimDuration;
 use perisec_workload::scenario::CameraScenario;
 

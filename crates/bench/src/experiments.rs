@@ -747,8 +747,8 @@ pub fn run_e13_vision() -> String {
 /// lower secure-RAM residency than without dedup.
 pub fn run_e14_shard_sweep() -> String {
     use perisec_core::pipeline::{CameraPipelineConfig, SecureCameraPipeline, SharedModels};
-    use perisec_sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-    use perisec_sched::pool::TeePoolConfig;
+    use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
+    use perisec_core::pool::TeePoolConfig;
     use perisec_workload::scenario::CameraScenario;
 
     let mut out = String::from(
@@ -912,8 +912,8 @@ fn model_handle_counts(models: &perisec_core::pipeline::SharedModels) -> Vec<usi
 pub fn run_e15_fleet_executor() -> String {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
-    use perisec_sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-    use perisec_sched::pool::TeePoolConfig;
+    use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
+    use perisec_core::pool::TeePoolConfig;
     use perisec_workload::scenario::CameraScenario;
 
     let mut out = String::from("## E15 — bounded work-stealing fleet executor\n\n");
@@ -1101,11 +1101,11 @@ pub fn run_e15_fleet_executor() -> String {
 pub fn run_e16_int8_inference() -> (String, String) {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SecurePipeline, SharedModels};
+    use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
+    use perisec_core::pool::TeePoolConfig;
     use perisec_devices::camera::{CameraSensor, SceneKind};
     use perisec_ml::plan::FeaturePlan;
     use perisec_ml::quant::QuantMode;
-    use perisec_sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-    use perisec_sched::pool::TeePoolConfig;
     use perisec_workload::scenario::CameraScenario;
     use std::time::Instant;
 

@@ -22,8 +22,9 @@
 //! ([`PipelineFleet::run_mixed`]): audio devices and camera devices run
 //! side by side off the same shared model set, since [`SharedModels`]
 //! carries both the speech models and the frame classifier. A camera
-//! sharded across several secure cores is not a fleet device kind; it
-//! runs through the scheduler crate's `ShardedVisionPipeline`.
+//! sharded across several secure cores
+//! ([`crate::pipeline::ShardedVisionPipeline`]) is a `SecureDevice` too,
+//! but [`FleetConfig`] has no field to queue one.
 //!
 //! Per-device [`PipelineReport`]s are merged into a [`FleetReport`] with
 //! fleet-wide privacy, latency and transition aggregates.
@@ -498,20 +499,17 @@ struct FleetDeviceTask<S: SensorPath> {
     device: usize,
     scenario: Arc<S::Scenario>,
     pipeline: SecureDevice<S>,
-    progress: Option<ScenarioProgress>,
+    progress: Option<ScenarioProgress<S>>,
     telemetry: Option<TelemetrySink>,
     health: Option<DeviceHealthMonitor>,
 }
 
-impl<S: SensorPath> DeviceTask for FleetDeviceTask<S> {
+impl<S: SensorPath<Report = PipelineReport>> DeviceTask for FleetDeviceTask<S> {
     fn step(&mut self) -> Result<StepOutcome> {
         let mut progress = self.progress.take().expect("task stepped after completion");
         if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
             if let Some(monitor) = &mut self.health {
-                monitor.advance(
-                    self.pipeline.platform().clock().now(),
-                    self.pipeline.tracer(),
-                );
+                monitor.advance(self.pipeline.now(), self.pipeline.tracer());
             }
             self.progress = Some(progress);
             return Ok(StepOutcome::Yielded);
@@ -521,10 +519,7 @@ impl<S: SensorPath> DeviceTask for FleetDeviceTask<S> {
         // `take_telemetry` drains the tracer, and an epoch cut over a
         // drained tracer would read every running total as zero.
         if let Some(monitor) = self.health.take() {
-            monitor.finish(
-                self.pipeline.platform().clock().now(),
-                self.pipeline.tracer(),
-            );
+            monitor.finish(self.pipeline.now(), self.pipeline.tracer());
         }
         if let Some(sink) = &self.telemetry {
             sink.lock()
@@ -835,7 +830,7 @@ impl PipelineFleet {
     /// device, and scenarios are shared by `Arc`: a 10k-device fleet
     /// cycling over a few scenarios must not hold 10k copies of their
     /// event lists in its run queues.
-    fn queue<S: SensorPath>(
+    fn queue<S: SensorPath<Report = PipelineReport>>(
         &self,
         tasks: &mut Vec<QueuedDevice>,
         devices: Range<usize>,

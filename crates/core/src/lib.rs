@@ -16,11 +16,19 @@
 //!   the [`stage::PipelineStage`] trait, with batch-aware TEE crossings;
 //! * [`pipeline`] — [`pipeline::SecureDevice`], the proposed design for
 //!   any sensor a [`pipeline::SensorPath`] describes, with
-//!   [`pipeline::SecurePipeline`] (speech) and
-//!   [`pipeline::SecureCameraPipeline`] (frames) as its two
-//!   instantiations, and [`pipeline::BaselinePipeline`] (driver in the
-//!   untrusted kernel, no filtering); all run `perisec-workload`
-//!   scenarios and are assembled from the stages;
+//!   [`pipeline::SecurePipeline`] (speech),
+//!   [`pipeline::SecureCameraPipeline`] (frames) and
+//!   [`pipeline::ShardedVisionPipeline`] (frames fanned out across a pool
+//!   of secure cores) as its three instantiations, and
+//!   [`pipeline::BaselinePipeline`] (driver in the untrusted kernel, no
+//!   filtering); all run `perisec-workload` scenarios and are assembled
+//!   from the stages;
+//! * [`pool`] — [`pool::TeePool`]: N secure cores, each its own platform
+//!   and TEE core, all charging allocations against one shared TZDRAM
+//!   carve-out;
+//! * [`scheduler`] — [`scheduler::SessionScheduler`]: deterministic
+//!   least-loaded placement of a device's events onto its lanes, with an
+//!   opt-in work-stealing pass;
 //! * [`vision_ta`] — [`vision_ta::VisionTa`], the camera modality's filter
 //!   TA: pulls frames from the camera PTA, classifies them with the in-TA
 //!   frame CNN, and relays only sealed verdict records — never pixels;
@@ -50,7 +58,9 @@ pub mod fleet;
 pub mod ingest;
 pub mod pipeline;
 pub mod policy;
+pub mod pool;
 pub mod report;
+pub mod scheduler;
 pub mod source;
 pub mod stage;
 pub mod vision_ta;
@@ -65,11 +75,14 @@ pub use filter_ta::{FilterStats, FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
-    BaselinePipeline, CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecureDevice,
-    SecurePipeline, SensorPath, SharedModels,
+    BaselinePipeline, CameraPipelineConfig, CoreUtilization, PipelineConfig, SecureCameraPipeline,
+    SecureDevice, SecurePipeline, SensorPath, ShardedCameraConfig, ShardedRunReport,
+    ShardedVisionPipeline, SharedModels,
 };
 pub use policy::{FilterDecision, FilterMode, PrivacyPolicy};
+pub use pool::{TeeCoreHandle, TeePool, TeePoolConfig};
 pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};
+pub use scheduler::{SessionLoad, SessionScheduler, WindowSteal};
 pub use source::{SharedPlayback, SharedSceneQueue};
 pub use stage::{FilteredBatch, PipelineStage, PreparedBatch, WindowSpec, WindowVerdict};
 pub use vision_ta::{VisionStats, VisionTa, VISION_TA_NAME};

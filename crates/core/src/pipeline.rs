@@ -4,18 +4,23 @@
 //! the TEE, a filter TA classifies what it captures, and only permitted
 //! results reach the cloud. [`SecureDevice`] is that pattern, written
 //! once. A [`SensorPath`] supplies what differs between sensors: the
-//! config and scenario types, the capture stage, and the PTA and filter
-//! TA installed in the TEE core. [`SecurePipeline`] (speech,
-//! [`AudioPath`]) and [`SecureCameraPipeline`] (frames, [`CameraPath`])
-//! are the two instantiations; [`BaselinePipeline`] is the paper's
-//! untrusted baseline.
+//! config and scenario types, the secure cores the device boots, the PTA
+//! and filter TA installed on each, and the report a run produces.
+//! [`SecurePipeline`] (speech, [`AudioPath`]) and [`SecureCameraPipeline`]
+//! (frames, [`CameraPath`]) run on one secure core;
+//! [`ShardedVisionPipeline`] ([`ShardedCameraPath`]) fans one camera out
+//! across a [`TeePool`] of cores, the scale-out half of the paper's §V
+//! mitigations. [`BaselinePipeline`] is the paper's untrusted baseline.
 //!
 //! Every pipeline is assembled from the staged architecture in
 //! [`crate::stage`]: a capture stage, a filter stage and a relay stage
 //! chained behind the [`crate::stage::PipelineStage`] trait. Scenario
 //! events are driven through the stages in batches of
-//! [`PipelineConfig::batch_windows`] events; for a secure device every
-//! batch crosses the TEE boundary exactly once (one SMC, one
+//! [`PipelineConfig::batch_windows`] events. A secure device has one
+//! *lane* per secure core — the core, a session on its filter TA, and
+//! that core's capture and filter stages — and a [`SessionScheduler`]
+//! places each batch's events on the lanes. Every lane that receives a
+//! share crosses the TEE boundary exactly once per batch (one SMC, one
 //! world-switch round trip, one batched relay record), which is the
 //! transition-amortization lever the related work identifies as the key to
 //! production throughput on TrustZone-class hardware.
@@ -43,14 +48,18 @@ use perisec_secure_driver::camera::SecureCameraDriver;
 use perisec_secure_driver::camera_pta::CameraPta;
 use perisec_secure_driver::driver::SecureI2sDriver;
 use perisec_secure_driver::pta::I2sPta;
+use perisec_tcb::memory::SecureRamFootprint;
 use perisec_telemetry::{DeviceTelemetry, PressureMonitor, SloSpec, TelemetryConfig, Tracer};
 use perisec_tz::platform::Platform;
+use perisec_tz::power::{Component, ComponentEnergy, EnergyReport};
 use perisec_tz::stats::TzStatsSnapshot;
 use perisec_tz::time::{SimDuration, SimInstant};
 use perisec_workload::corpus::CorpusGenerator;
 use perisec_workload::scenario::{CameraScenario, CameraScenarioEvent, Scenario, ScenarioEvent};
 use perisec_workload::synth::SpeechSynthesizer;
 use perisec_workload::vocab::Vocabulary;
+
+use serde::{Deserialize, Serialize};
 
 use crate::batcher::AdaptiveBatcher;
 use crate::cloud_channel::RelayRetryConfig;
@@ -60,11 +69,14 @@ use crate::filter_ta::{
 use crate::fleet::Modality;
 use crate::ingest::{CloudLedger, IngestHook};
 use crate::policy::PrivacyPolicy;
-use crate::report::{CloudOutcome, PipelineReport, WorkloadSummary};
+use crate::pool::{TeePool, TeePoolConfig};
+use crate::report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};
+use crate::scheduler::SessionScheduler;
 use crate::source::{SharedPlayback, SharedSceneQueue};
 use crate::stage::{
-    CloudRelayStage, KernelCaptureStage, PassthroughFilterStage, PipelineStage, PreparedBatch,
-    SecureCaptureStage, SecureFilterStage, SecureFrameCaptureStage, SecureRelayStage,
+    CloudRelayStage, FilteredBatch, KernelCaptureStage, PassthroughFilterStage, PipelineStage,
+    PreparedBatch, SecureCaptureStage, SecureFilterStage, SecureFrameCaptureStage,
+    SecureRelayStage,
 };
 use crate::vision_ta::VisionTa;
 use crate::{CoreError, Result};
@@ -499,34 +511,38 @@ impl SharedModels {
 }
 
 /// Cursor over one scenario replay: which event the stages have consumed
-/// up to, plus the stats baseline the final report diffs against. This is
-/// the resumable seam the fleet executor's `DeviceTask` state machine is
+/// up to, plus the marks the final report counts from. This is the
+/// resumable seam the fleet executor's `DeviceTask` state machine is
 /// built on — a device run is `begin`, then `step` once per TEE crossing
 /// (the natural yield point), then `finish`.
-#[derive(Debug)]
-pub struct ScenarioProgress {
-    stats_before: TzStatsSnapshot,
+pub struct ScenarioProgress<S: SensorPath> {
+    marks: S::Marks,
     next_event: usize,
     relay_backlog: bool,
 }
 
-impl ScenarioProgress {
+impl<S: SensorPath> std::fmt::Debug for ScenarioProgress<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScenarioProgress")
+            .field("next_event", &self.next_event)
+            .field("relay_backlog", &self.relay_backlog)
+            .finish()
+    }
+}
+
+impl<S: SensorPath> ScenarioProgress<S> {
     /// Index of the first event the next step will consume.
     pub fn next_event(&self) -> usize {
         self.next_event
     }
 }
 
-/// The knobs a [`SecureDevice`] reads off its kind's config: the platform
-/// it simulates, how it sizes TEE crossings, and any injected
-/// degradation. Only [`PipelineConfig`] sets the adaptive batcher's SLOs;
-/// a camera config leaves them `None`.
+/// The knobs a [`SecureDevice`] reads off its kind's config: how it sizes
+/// TEE crossings, how it places them on its lanes, and any injected
+/// degradation. A camera config leaves the adaptive batcher's SLOs
+/// `None`, and only a sharded camera steals work.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceKnobs {
-    /// Use the constrained IoT platform instead of the Jetson-class one.
-    pub constrained_platform: bool,
-    /// Override the secure carve-out size (KiB), if set.
-    pub secure_ram_kib: Option<u64>,
     /// Events per TEE crossing when no latency SLO drives the batcher.
     pub batch_windows: usize,
     /// See [`PipelineConfig::latency_slo`].
@@ -535,6 +551,8 @@ pub struct DeviceKnobs {
     pub slo_pressure: Option<SloSpec>,
     /// See [`DegradeSpec`].
     pub degrade: Option<DegradeSpec>,
+    /// See [`ShardedCameraConfig::work_stealing`].
+    pub work_stealing: bool,
 }
 
 /// The per-device fleet planes a config carries: its telemetry
@@ -545,11 +563,12 @@ pub type PlaneFields<'a> = (
     &'a mut Option<IngestHook>,
 );
 
-/// What one kind of [`SecureDevice`] adds to the shared stack: a sensor,
-/// the PTA that drives it, the filter TA that classifies what it
-/// captures, and the config and scenario types that describe them. The
-/// platform, the normal world, the TEE core, batching, relay and report
-/// belong to the device and are the same for every kind.
+/// What one kind of [`SecureDevice`] adds to the shared stack: the secure
+/// cores it boots, a sensor, the PTA that drives it, the filter TA that
+/// classifies what it captures, the config and scenario types that
+/// describe them, and the report a run produces. The normal world, the
+/// lanes, placement, batching and relay belong to the device and are the
+/// same for every kind.
 pub trait SensorPath: Sized + 'static {
     /// The device kind's configuration.
     type Config: Clone + Send + 'static;
@@ -557,15 +576,23 @@ pub trait SensorPath: Sized + 'static {
     type Event: Clone;
     /// The scenario a device of this kind replays.
     type Scenario: Clone + Send + Sync + 'static;
-    /// The normal-world stage that queues each event on the sensor's
+    /// The normal-world stage that queues each event on a lane's sensor
     /// input and describes its capture windows.
     type Capture: PipelineStage<Input = Vec<Self::Event>, Output = PreparedBatch>;
+    /// What a device keeps of its boot besides its lanes: nothing for a
+    /// one-lane kind, the [`TeePool`] for a sharded one.
+    type Pool;
+    /// What [`SecureDevice::begin_scenario`] records for the report to
+    /// count from.
+    type Marks;
+    /// What a run of this kind reports.
+    type Report;
 
     /// [`PipelineReport::pipeline`] of this kind's reports.
     const PIPELINE: &'static str;
     /// The kind's fleet modality.
     const MODALITY: Modality;
-    /// The filter TA the normal world opens its session on.
+    /// The filter TA the normal world opens its sessions on.
     const TA_NAME: &'static str;
 
     /// The shared knobs of `config`.
@@ -574,6 +601,19 @@ pub trait SensorPath: Sized + 'static {
     /// The plane fields of `config`, which a fleet overwrites for each
     /// device it queues.
     fn planes(config: &mut Self::Config) -> PlaneFields<'_>;
+
+    /// Boots the kind's secure cores, one lane each, in core order, every
+    /// core with a supplicant from `supplicant`; returns them with what
+    /// the device keeps of the boot. A kind refuses here, before any
+    /// model trains, every config field it would otherwise ignore.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a refused config field or a pool the SoC cannot host.
+    fn boot(
+        config: &Self::Config,
+        supplicant: impl FnMut() -> Arc<Supplicant>,
+    ) -> Result<(Self::Pool, Vec<Arc<TeeCore>>)>;
 
     /// Registers the sensor's PTA and the filter TA on `core`, configures
     /// and starts the PTA, and returns the capture stage that feeds it.
@@ -587,6 +627,36 @@ pub trait SensorPath: Sized + 'static {
         models: &SharedModels,
         core: &TeeCore,
     ) -> Result<Self::Capture>;
+
+    /// The weight the lane scheduler gives `event`. The default weighs
+    /// every event alike; a one-lane device places everything on its one
+    /// lane whatever the weights.
+    fn weight(_event: &Self::Event) -> u64 {
+        1
+    }
+
+    /// The fixed cost the steal pass adds to every event's weight (see
+    /// [`window_overhead_frames`]); read only when the knobs turn
+    /// `work_stealing` on.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the models cannot be trained.
+    fn window_overhead(_config: &Self::Config, _models: &SharedModels) -> Result<u64> {
+        Ok(0)
+    }
+
+    /// Records where a run starts.
+    fn mark(device: &SecureDevice<Self>) -> Self::Marks;
+
+    /// Assembles the report of a run that started at `marks`, with the
+    /// relay stage's latency breakdown.
+    fn report(
+        device: &SecureDevice<Self>,
+        scenario: &Self::Scenario,
+        marks: Self::Marks,
+        latency: LatencyBreakdown,
+    ) -> Self::Report;
 
     /// The scenario's name.
     fn scenario_name(scenario: &Self::Scenario) -> &str;
@@ -606,6 +676,10 @@ pub enum AudioPath {}
 /// vision TA's frame classifier, which relays verdicts and never pixels.
 pub enum CameraPath {}
 
+/// The camera [`SensorPath`] sharded across a [`TeePool`]: one lane per
+/// secure core, each with its own camera PTA and vision-TA session.
+pub enum ShardedCameraPath {}
+
 /// The paper's proposed design for speech: secure I2S driver in the TEE,
 /// PTA bridge, in-TA STT and classifier, relay through the supplicant to
 /// the cloud.
@@ -615,11 +689,51 @@ pub type SecurePipeline = SecureDevice<AudioPath>;
 /// PTA bridge, in-TA frame classification, verdict-only relay.
 pub type SecureCameraPipeline = SecureDevice<CameraPath>;
 
+/// The secure camera pipeline fanned out across a pool of secure cores.
+pub type ShardedVisionPipeline = SecureDevice<ShardedCameraPath>;
+
+/// Boots a one-lane device: one TEE core on a platform with its own
+/// secure carve-out, whose high-water mark lands in that platform's own
+/// counters.
+fn boot_one_core(
+    constrained: bool,
+    secure_ram_kib: Option<u64>,
+    mut supplicant: impl FnMut() -> Arc<Supplicant>,
+) -> Result<((), Vec<Arc<TeeCore>>)> {
+    let platform = build_platform(constrained, secure_ram_kib);
+    Ok(((), vec![TeeCore::boot(platform, supplicant())]))
+}
+
+/// A one-lane device's report: its TEE counters count from
+/// `begin_scenario`, its clock, energy and cloud bytes from boot.
+fn one_lane_report<S: SensorPath>(
+    device: &SecureDevice<S>,
+    scenario: &S::Scenario,
+    stats_before: TzStatsSnapshot,
+    latency: LatencyBreakdown,
+) -> PipelineReport {
+    let platform = device.platform();
+    let (workload, cloud) = device.outcome(scenario);
+    PipelineReport {
+        pipeline: S::PIPELINE.to_owned(),
+        workload,
+        latency,
+        cloud,
+        tz: platform.stats().snapshot().delta_since(&stats_before),
+        energy: platform.energy_report(),
+        virtual_time: platform.clock().now().duration_since(SimInstant::EPOCH),
+        bytes_to_cloud: device.fabric.stats().bytes_sent,
+    }
+}
+
 impl SensorPath for AudioPath {
     type Config = PipelineConfig;
     type Event = ScenarioEvent;
     type Scenario = Scenario;
     type Capture = SecureCaptureStage;
+    type Pool = ();
+    type Marks = TzStatsSnapshot;
+    type Report = PipelineReport;
 
     const PIPELINE: &'static str = "secure";
     const MODALITY: Modality = Modality::Audio;
@@ -627,12 +741,11 @@ impl SensorPath for AudioPath {
 
     fn knobs(config: &PipelineConfig) -> DeviceKnobs {
         DeviceKnobs {
-            constrained_platform: config.constrained_platform,
-            secure_ram_kib: config.secure_ram_kib,
             batch_windows: config.batch_windows,
             latency_slo: config.latency_slo,
             slo_pressure: config.slo_pressure,
             degrade: config.degrade,
+            work_stealing: false,
         }
     }
 
@@ -641,6 +754,17 @@ impl SensorPath for AudioPath {
             &mut config.telemetry,
             &mut config.faults,
             &mut config.ingest,
+        )
+    }
+
+    fn boot(
+        config: &PipelineConfig,
+        supplicant: impl FnMut() -> Arc<Supplicant>,
+    ) -> Result<((), Vec<Arc<TeeCore>>)> {
+        boot_one_core(
+            config.constrained_platform,
+            config.secure_ram_kib,
+            supplicant,
         )
     }
 
@@ -712,6 +836,19 @@ impl SensorPath for AudioPath {
         ))
     }
 
+    fn mark(device: &SecurePipeline) -> TzStatsSnapshot {
+        device.platform().stats().snapshot()
+    }
+
+    fn report(
+        device: &SecurePipeline,
+        scenario: &Scenario,
+        stats_before: TzStatsSnapshot,
+        latency: LatencyBreakdown,
+    ) -> PipelineReport {
+        one_lane_report(device, scenario, stats_before, latency)
+    }
+
     fn scenario_name(scenario: &Scenario) -> &str {
         &scenario.name
     }
@@ -725,11 +862,79 @@ impl SensorPath for AudioPath {
     }
 }
 
+/// Installs a camera's PTA and vision TA on `core` and returns the
+/// capture stage that feeds it. With `shared_weights` the TA's weights
+/// are charged to the carve-out once per content key
+/// ([`TeeCore::register_ta_shared`]), so co-resident sessions on one
+/// shared carve-out pay for one copy.
+fn install_camera(
+    config: &CameraPipelineConfig,
+    models: &SharedModels,
+    core: &TeeCore,
+    shared_weights: bool,
+) -> Result<SecureFrameCaptureStage> {
+    let vision = models.vision()?;
+    // Every camera reuses the model set's cached int8 form — the
+    // "quantize once" half of train-once-quantize-once.
+    let vision_int8 = match config.quant_mode {
+        QuantMode::Int8 => Some(models.vision_int8()?),
+        QuantMode::F32 => None,
+    };
+    // The weights' content key: sessions holding the same `Arc` share one
+    // allocation. In int8 mode the *quantized* bytes are what the sessions
+    // keep resident, so they are what a shared reservation charges.
+    let shared = shared_weights.then(|| match &vision_int8 {
+        Some(int8) => (Arc::as_ptr(int8) as u64, int8.memory_bytes()),
+        None => (Arc::as_ptr(&vision) as u64, vision.memory_bytes_f32()),
+    });
+    let platform = core.platform();
+    let scenes = SharedSceneQueue::new();
+    let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
+        .map_err(perisec_kernel::KernelError::from)?;
+    let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
+    let camera_pta = core
+        .register_pta(Box::new(CameraPta::new(camera_driver)))
+        .map_err(CoreError::from)?;
+    let mut vision_ta = VisionTa::new(
+        camera_pta,
+        vision,
+        vision_int8,
+        config.quant_mode,
+        config.policy,
+        default_cloud_host(),
+        default_psk(),
+    )
+    .with_retry(config.retry);
+    if config.ingest.is_some() {
+        vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(
+            crate::vision_ta::VISION_TA_NAME,
+        ));
+    }
+    let vision_ta = Box::new(vision_ta);
+    match shared {
+        Some((key, bytes)) => core.register_ta_shared(vision_ta, key, bytes),
+        None => core.register_ta(vision_ta),
+    }
+    .map_err(CoreError::from)?;
+
+    for cmd in [
+        perisec_secure_driver::camera_pta::cmd::CONFIGURE,
+        perisec_secure_driver::camera_pta::cmd::START,
+    ] {
+        core.invoke_pta(camera_pta, cmd, &mut TeeParams::new())
+            .map_err(CoreError::from)?;
+    }
+    Ok(SecureFrameCaptureStage::new(platform.clone(), scenes))
+}
+
 impl SensorPath for CameraPath {
     type Config = CameraPipelineConfig;
     type Event = CameraScenarioEvent;
     type Scenario = CameraScenario;
     type Capture = SecureFrameCaptureStage;
+    type Pool = ();
+    type Marks = TzStatsSnapshot;
+    type Report = PipelineReport;
 
     const PIPELINE: &'static str = "secure-camera";
     const MODALITY: Modality = Modality::Camera;
@@ -737,12 +942,11 @@ impl SensorPath for CameraPath {
 
     fn knobs(config: &CameraPipelineConfig) -> DeviceKnobs {
         DeviceKnobs {
-            constrained_platform: config.constrained_platform,
-            secure_ram_kib: config.secure_ram_kib,
             batch_windows: config.batch_windows,
             latency_slo: None,
             slo_pressure: None,
             degrade: config.degrade,
+            work_stealing: false,
         }
     }
 
@@ -754,50 +958,36 @@ impl SensorPath for CameraPath {
         )
     }
 
+    fn boot(
+        config: &CameraPipelineConfig,
+        supplicant: impl FnMut() -> Arc<Supplicant>,
+    ) -> Result<((), Vec<Arc<TeeCore>>)> {
+        boot_one_core(
+            config.constrained_platform,
+            config.secure_ram_kib,
+            supplicant,
+        )
+    }
+
     fn install(
         config: &CameraPipelineConfig,
         models: &SharedModels,
         core: &TeeCore,
     ) -> Result<SecureFrameCaptureStage> {
-        let vision = models.vision()?;
-        // Every camera reuses the model set's cached int8 form — the
-        // "quantize once" half of train-once-quantize-once.
-        let vision_int8 = match config.quant_mode {
-            QuantMode::Int8 => Some(models.vision_int8()?),
-            QuantMode::F32 => None,
-        };
-        let platform = core.platform();
-        let scenes = SharedSceneQueue::new();
-        let sensor = CameraSensor::smart_home("secure-camera", 0x5EC2)
-            .map_err(perisec_kernel::KernelError::from)?;
-        let camera_driver = SecureCameraDriver::new(platform.clone(), sensor, scenes.source());
-        let camera_pta = core
-            .register_pta(Box::new(CameraPta::new(camera_driver)))
-            .map_err(CoreError::from)?;
-        let mut vision_ta = VisionTa::new(
-            camera_pta,
-            vision,
-            vision_int8,
-            config.quant_mode,
-            config.policy,
-            default_cloud_host(),
-            default_psk(),
-        )
-        .with_retry(config.retry);
-        if config.ingest.is_some() {
-            vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(Self::TA_NAME));
-        }
-        core.register_ta(Box::new(vision_ta))
-            .map_err(CoreError::from)?;
+        install_camera(config, models, core, false)
+    }
 
-        for cmd in [
-            perisec_secure_driver::camera_pta::cmd::CONFIGURE,
-            perisec_secure_driver::camera_pta::cmd::START,
-        ] {
-            core.invoke_pta(camera_pta, cmd, &mut TeeParams::new())
-                .map_err(CoreError::from)?;
-        }
-        Ok(SecureFrameCaptureStage::new(platform.clone(), scenes))
+    fn mark(device: &SecureCameraPipeline) -> TzStatsSnapshot {
+        device.platform().stats().snapshot()
+    }
+
+    fn report(
+        device: &SecureCameraPipeline,
+        scenario: &CameraScenario,
+        stats_before: TzStatsSnapshot,
+        latency: LatencyBreakdown,
+    ) -> PipelineReport {
+        one_lane_report(device, scenario, stats_before, latency)
     }
 
     fn scenario_name(scenario: &CameraScenario) -> &str {
@@ -813,22 +1003,375 @@ impl SensorPath for CameraPath {
     }
 }
 
-/// One secure device: its own simulated platform, normal world (network
-/// fabric, supplicant, cloud endpoint) and TEE core, with the sensor path
-/// `S` installed in it, driven as capture → filter → relay stages.
-///
-/// Every batch of events crosses the TEE boundary once: one SMC, one
-/// world-switch round trip and one batched relay record.
-pub struct SecureDevice<S: SensorPath> {
-    knobs: DeviceKnobs,
-    platform: Platform,
+/// The per-window fixed cost — the window's amortized share of one TEE
+/// crossing plus dispatch — expressed in frame-equivalents of
+/// secure-world inference time. This is the weight correction the steal
+/// pass applies so that very small window shares stop looking free: when
+/// windows shrink towards a single frame (or the model towards a few
+/// MACs), the crossing share dwarfs the inference and a frames-only
+/// weight misjudges every steal. The crossing is paid once per batch of
+/// `batch_windows` windows, so each window carries `crossing / batch`; a
+/// pure function of the cost model, the classifier's MAC count and the
+/// batch size.
+pub fn window_overhead_frames(
+    cost: &perisec_tz::cost::CostModel,
+    frame_flops: u64,
+    batch_windows: usize,
+) -> u64 {
+    let crossing = AdaptiveBatcher::crossing_overhead(cost).as_nanos() as f64;
+    let per_window = crossing / batch_windows.max(1) as f64;
+    let frame_ns =
+        cost.compute_per_flop.as_nanos() as f64 * cost.secure_compute_penalty * frame_flops as f64;
+    if frame_ns <= 0.0 {
+        return 0;
+    }
+    (per_window / frame_ns).round() as u64
+}
+
+/// Configuration of a camera sharded across a pool of secure cores.
+#[derive(Debug, Clone)]
+pub struct ShardedCameraConfig {
+    /// Per-shard camera pipeline parameters (policy, training spec, and
+    /// the *fixed* batch size when no SLO is given). A sharded camera
+    /// refuses `ingest`, `degrade`, an enabled `telemetry`,
+    /// `constrained_platform` and `secure_ram_kib`: its lanes share no
+    /// ingest session, degradation schedule or tracer clock, and its
+    /// platform comes from [`ShardedCameraConfig::pool`] alone.
+    pub camera: CameraPipelineConfig,
+    /// The secure-core pool to shard across.
+    pub pool: TeePoolConfig,
+    /// Charge the shared frame-classifier weights to the carve-out once
+    /// (`true`) or once per co-resident session (`false`, the ablation
+    /// E14 measures against).
+    pub dedup_models: bool,
+    /// When set, an [`AdaptiveBatcher`] picks each crossing's batch size
+    /// from queue depth against this per-window latency SLO instead of
+    /// using the fixed `camera.batch_windows`.
+    pub latency_slo: Option<SimDuration>,
+    /// Close the observability loop on the sharded batcher too: when set
+    /// (and `latency_slo` is — the spec is inert without a batcher), a
+    /// [`PressureMonitor`] watches each crossing's per-window share of
+    /// the *whole* fanned filter step and feeds its
+    /// Healthy/Degraded/Critical verdict into the batcher, which clips
+    /// its curve under pressure. This catches cost the batcher's own
+    /// EWMA over TA-internal times misses (relay stalls, steal-pass
+    /// imbalance across cores).
+    pub slo_pressure: Option<SloSpec>,
+    /// Let an idle session steal queued windows from a backlogged sibling
+    /// (the scheduler's deterministic rebalance pass — see
+    /// [`crate::scheduler::SessionScheduler::assign_with_stealing`]).
+    /// Off by default: placement then matches the historical greedy
+    /// scheduler exactly.
+    pub work_stealing: bool,
+}
+
+impl Default for ShardedCameraConfig {
+    fn default() -> Self {
+        ShardedCameraConfig {
+            camera: CameraPipelineConfig::default(),
+            pool: TeePoolConfig::default(),
+            dedup_models: true,
+            latency_slo: None,
+            slo_pressure: None,
+            work_stealing: false,
+        }
+    }
+}
+
+/// Per-core accounting of one sharded run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CoreUtilization {
+    /// Core index within the pool.
+    pub core: usize,
+    /// Virtual time the core spent on the run (run-relative; setup is
+    /// excluded).
+    pub virtual_time: SimDuration,
+    /// World switches the core performed during the run.
+    pub world_switches: u64,
+    /// SMCs the core served during the run.
+    pub smc_calls: u64,
+    /// Secure-world CPU busy time the run charged to the core.
+    pub secure_busy: SimDuration,
+    /// Secure busy time over the core's run time (0 when idle).
+    pub utilization: f64,
+}
+
+/// The report of one sharded run: the familiar [`PipelineReport`] (with
+/// pool-aggregated TEE counters; virtual time, energy and cloud bytes
+/// are all **run-relative** — setup and earlier runs on the same
+/// pipeline are excluded) plus the scheduler-specific extras E14 prints.
+#[derive(Debug, Clone)]
+pub struct ShardedRunReport {
+    /// The merged pipeline report.
+    pub report: PipelineReport,
+    /// Per-core utilization, in core order.
+    pub per_core: Vec<CoreUtilization>,
+    /// The shared carve-out at the end of the run, dedup counters
+    /// included.
+    pub secure_ram: SecureRamFootprint,
+    /// Windows moved by the scheduler's steal pass during the run (zero
+    /// unless [`ShardedCameraConfig::work_stealing`] is on).
+    pub stolen_windows: u64,
+}
+
+impl ShardedRunReport {
+    /// Whether the device kept up with the stream: its slowest core
+    /// finished within `deadline` of virtual time. Callers derive the
+    /// deadline from the scenario (duration plus one event period of
+    /// grace) — the frame budget of E14.
+    pub fn kept_up(&self, deadline: SimDuration) -> bool {
+        self.report.virtual_time <= deadline
+    }
+}
+
+/// Where a sharded run starts: every core's counters, clock and energy
+/// meter, and the device's cloud bytes and stolen windows so far. A
+/// sharded report counts everything from here, so neither setup nor an
+/// earlier run on the same device blurs the frame-budget question.
+#[derive(Debug)]
+pub struct ShardedRunStart {
+    stats: Vec<TzStatsSnapshot>,
+    clocks: Vec<(SimInstant, EnergyReport)>,
+    bytes_sent: u64,
+    stolen_windows: u64,
+}
+
+impl SensorPath for ShardedCameraPath {
+    type Config = ShardedCameraConfig;
+    type Event = CameraScenarioEvent;
+    type Scenario = CameraScenario;
+    type Capture = SecureFrameCaptureStage;
+    type Pool = TeePool;
+    type Marks = ShardedRunStart;
+    type Report = ShardedRunReport;
+
+    const PIPELINE: &'static str = "secure-camera-sharded";
+    const MODALITY: Modality = Modality::Camera;
+    const TA_NAME: &'static str = crate::vision_ta::VISION_TA_NAME;
+
+    fn knobs(config: &ShardedCameraConfig) -> DeviceKnobs {
+        DeviceKnobs {
+            batch_windows: config.camera.batch_windows,
+            latency_slo: config.latency_slo,
+            slo_pressure: config.slo_pressure,
+            degrade: config.camera.degrade,
+            work_stealing: config.work_stealing,
+        }
+    }
+
+    fn planes(config: &mut ShardedCameraConfig) -> PlaneFields<'_> {
+        CameraPath::planes(&mut config.camera)
+    }
+
+    fn boot(
+        config: &ShardedCameraConfig,
+        mut supplicant: impl FnMut() -> Arc<Supplicant>,
+    ) -> Result<(TeePool, Vec<Arc<TeeCore>>)> {
+        let camera = &config.camera;
+        let refused = [
+            ("camera.ingest", camera.ingest.is_some()),
+            ("camera.degrade", camera.degrade.is_some()),
+            ("camera.telemetry", camera.telemetry.enabled),
+            ("camera.constrained_platform", camera.constrained_platform),
+            ("camera.secure_ram_kib", camera.secure_ram_kib.is_some()),
+        ];
+        if let Some((field, _)) = refused.iter().find(|(_, set)| *set) {
+            return Err(CoreError::Config {
+                reason: format!(
+                    "a sharded camera does not support {field}: its lanes share no \
+                     ingest session, degradation schedule or tracer clock, and its \
+                     platform comes from ShardedCameraConfig::pool"
+                ),
+            });
+        }
+        let pool = TeePool::boot(&config.pool, |_| supplicant())?;
+        let cores = pool.cores().iter().map(|c| Arc::clone(c.core())).collect();
+        Ok((pool, cores))
+    }
+
+    fn install(
+        config: &ShardedCameraConfig,
+        models: &SharedModels,
+        core: &TeeCore,
+    ) -> Result<SecureFrameCaptureStage> {
+        install_camera(&config.camera, models, core, config.dedup_models)
+    }
+
+    fn weight(event: &CameraScenarioEvent) -> u64 {
+        event.frames.max(1) as u64
+    }
+
+    fn window_overhead(config: &ShardedCameraConfig, models: &SharedModels) -> Result<u64> {
+        Ok(window_overhead_frames(
+            &config.pool.cost,
+            models.vision()?.flops_per_inference(),
+            config.camera.batch_windows,
+        ))
+    }
+
+    fn mark(device: &ShardedVisionPipeline) -> ShardedRunStart {
+        ShardedRunStart {
+            stats: device.pool.snapshots(),
+            clocks: device
+                .pool
+                .cores()
+                .iter()
+                .map(|c| (c.platform().clock().now(), c.platform().energy_report()))
+                .collect(),
+            bytes_sent: device.fabric.stats().bytes_sent,
+            stolen_windows: device.stolen_windows,
+        }
+    }
+
+    fn report(
+        device: &ShardedVisionPipeline,
+        scenario: &CameraScenario,
+        start: ShardedRunStart,
+        latency: LatencyBreakdown,
+    ) -> ShardedRunReport {
+        let pool = &device.pool;
+        let tz = pool.aggregate_delta(&start.stats);
+        let mut per_core = Vec::with_capacity(pool.len());
+        let mut energies = Vec::with_capacity(pool.len());
+        let mut run_clock = SimDuration::ZERO;
+        for (core, (handle, earlier)) in pool.cores().iter().zip(&start.stats).enumerate() {
+            let platform = handle.platform();
+            let counters = platform.stats().snapshot().delta_since(earlier);
+            let (started, energy_before) = &start.clocks[core];
+            let energy = diff_energy(&platform.energy_report(), energy_before);
+            let elapsed = platform.clock().elapsed_since(*started);
+            run_clock = run_clock.max(elapsed);
+            let secure_busy = energy
+                .per_component
+                .get(&Component::CpuSecureWorld)
+                .map(|c| c.busy)
+                .unwrap_or(SimDuration::ZERO);
+            let utilization = if elapsed.is_zero() {
+                0.0
+            } else {
+                secure_busy.as_secs_f64() / elapsed.as_secs_f64()
+            };
+            per_core.push(CoreUtilization {
+                core,
+                virtual_time: elapsed,
+                world_switches: counters.world_switches,
+                smc_calls: counters.smc_calls,
+                secure_busy,
+                utilization,
+            });
+            energies.push(energy);
+        }
+        let (workload, cloud) = device.outcome(scenario);
+        ShardedRunReport {
+            report: PipelineReport {
+                pipeline: Self::PIPELINE.to_owned(),
+                workload,
+                latency,
+                cloud,
+                tz,
+                energy: merge_energy(energies),
+                // Cores run concurrently: the run took as long as its
+                // slowest core.
+                virtual_time: run_clock,
+                bytes_to_cloud: device.fabric.stats().bytes_sent - start.bytes_sent,
+            },
+            per_core,
+            secure_ram: SecureRamFootprint::measure(pool.secure_ram()),
+            stolen_windows: device.stolen_windows - start.stolen_windows,
+        }
+    }
+
+    fn scenario_name(scenario: &CameraScenario) -> &str {
+        &scenario.name
+    }
+
+    fn events(scenario: &CameraScenario) -> &[CameraScenarioEvent] {
+        &scenario.events
+    }
+
+    fn sensitive_ids(scenario: &CameraScenario) -> Vec<u64> {
+        scenario.sensitive_ids()
+    }
+}
+
+/// Energy accrued between two reports of one core's meter: window, busy
+/// time and energy all subtract (floats clamped at zero against rounding
+/// noise), so a run's energy covers the run — not setup, not earlier
+/// runs on the same device.
+fn diff_energy(after: &EnergyReport, before: &EnergyReport) -> EnergyReport {
+    let mut per_component = std::collections::BTreeMap::new();
+    for (component, late) in &after.per_component {
+        let early = before.per_component.get(component);
+        per_component.insert(
+            *component,
+            ComponentEnergy {
+                busy: late.busy - early.map(|e| e.busy).unwrap_or(SimDuration::ZERO),
+                energy_mj: (late.energy_mj - early.map(|e| e.energy_mj).unwrap_or(0.0)).max(0.0),
+            },
+        );
+    }
+    EnergyReport {
+        window: after.window - before.window,
+        total_mj: (after.total_mj - before.total_mj).max(0.0),
+        per_component,
+    }
+}
+
+/// Merges per-core energy reports, in core order: cores draw power
+/// concurrently, so the observation window is the longest core's, while
+/// busy time and energy add up.
+fn merge_energy(reports: Vec<EnergyReport>) -> EnergyReport {
+    let mut merged = EnergyReport {
+        window: SimDuration::ZERO,
+        total_mj: 0.0,
+        per_component: std::collections::BTreeMap::new(),
+    };
+    for report in reports {
+        merged.window = merged.window.max(report.window);
+        merged.total_mj += report.total_mj;
+        for (component, energy) in report.per_component {
+            let entry = merged
+                .per_component
+                .entry(component)
+                .or_insert(ComponentEnergy {
+                    busy: SimDuration::ZERO,
+                    energy_mj: 0.0,
+                });
+            entry.busy += energy.busy;
+            entry.energy_mj += energy.energy_mj;
+        }
+    }
+    merged
+}
+
+/// One secure core of a device — a *lane*: the TEE core (and with it
+/// the core's platform), the normal world's session on the core's filter
+/// TA, and the capture and filter stages that feed and drive it.
+struct Lane<C> {
+    core: Arc<TeeCore>,
     client: TeeClient,
     session: TeeSessionHandle,
+    capture: C,
+    filter: SecureFilterStage,
+}
+
+/// One secure device: a normal world (network fabric, supplicants, cloud
+/// endpoint) and one or more secure cores, each a lane with the sensor
+/// path `S` installed in it, driven as capture → filter → relay stages.
+///
+/// Every batch of events crosses the TEE boundary once per lane that
+/// received a share of it: one SMC, one world-switch round trip and one
+/// batched relay record. Audio and camera devices have one lane; a
+/// sharded camera has one per core of its pool, and its lanes' clocks
+/// run concurrently.
+pub struct SecureDevice<S: SensorPath> {
+    knobs: DeviceKnobs,
+    pool: S::Pool,
+    lanes: Vec<Lane<S::Capture>>,
+    scheduler: SessionScheduler,
+    stolen_windows: u64,
     ledger: CloudLedger,
     fabric: NetworkFabric,
-    core: Arc<TeeCore>,
-    capture: S::Capture,
-    filter: SecureFilterStage,
     relay: SecureRelayStage,
     batcher: Option<AdaptiveBatcher>,
     pressure: Option<PressureMonitor>,
@@ -839,6 +1382,7 @@ impl<S: SensorPath> std::fmt::Debug for SecureDevice<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SecureDevice")
             .field("pipeline", &S::PIPELINE)
+            .field("lanes", &self.lanes.len())
             .field("knobs", &self.knobs)
             .finish()
     }
@@ -872,6 +1416,26 @@ impl SecureCameraPipeline {
     }
 }
 
+impl ShardedVisionPipeline {
+    /// Builds the sharded camera stack around a frame classifier trained
+    /// on the camera config's `train_frames` and `corpus_seed`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a refused camera field, a degenerate pool, an untrainable
+    /// classifier or a TEE component that cannot be registered.
+    pub fn new(config: ShardedCameraConfig) -> Result<Self> {
+        let models = SharedModels::deferred(Architecture::Cnn, 16, config.camera.corpus_seed)
+            .with_vision_spec(config.camera.train_frames, config.camera.corpus_seed);
+        SecureDevice::with_models(config, &models)
+    }
+
+    /// The secure-core pool.
+    pub fn pool(&self) -> &TeePool {
+        &self.pool
+    }
+}
+
 impl<S: SensorPath> SecureDevice<S> {
     /// Builds the device stack around an existing model set — the fleet
     /// path: the models are shared by reference, not retrained. A camera's
@@ -879,29 +1443,38 @@ impl<S: SensorPath> SecureDevice<S> {
     /// with the **model set's** vision spec (see
     /// [`SharedModels::with_vision_spec`]); a camera config's
     /// `train_frames` / `corpus_seed` only govern
-    /// [`SecureCameraPipeline::new`].
+    /// [`SecureCameraPipeline::new`] and [`ShardedVisionPipeline::new`].
     ///
     /// # Errors
     ///
-    /// Fails if the models cannot be trained or a TEE component cannot be
-    /// registered (e.g. the secure carve-out is too small for the model).
+    /// Fails on a config field the kind refuses, if the models cannot be
+    /// trained, or if a TEE component cannot be registered (e.g. the
+    /// secure carve-out is too small for the model).
     pub fn with_models(mut config: S::Config, models: &SharedModels) -> Result<Self> {
         let knobs = S::knobs(&config);
-        let platform = build_platform(knobs.constrained_platform, knobs.secure_ram_kib);
         let (telemetry, faults, ingest) = S::planes(&mut config);
+        let (telemetry, ingest) = (*telemetry, ingest.clone());
 
-        // Normal world: supplicant + network fabric + cloud endpoint. A
-        // config routed through a sharded ingest plane registers the
+        // Normal world: one network fabric, reached from every core
+        // through its own supplicant. Every core boots before any is
+        // installed on, and installs run in core order, so allocations
+        // on a shared carve-out always land in the same order.
+        let fabric = NetworkFabric::new().with_faults(*faults);
+        let (pool, cores) = S::boot(&config, || {
+            let supplicant = Arc::new(Supplicant::new());
+            supplicant.set_net_backend(Arc::new(fabric.clone()));
+            supplicant
+        })?;
+        let first = cores[0].platform();
+
+        // A config routed through a sharded ingest plane registers the
         // plane's session endpoint under the cloud hostname instead of a
         // local mock cloud, so the TA dials the same host either way.
-        let fabric = NetworkFabric::new().with_faults(*faults);
         let ledger = match ingest {
             Some(hook) => {
-                fabric.register_service(
-                    MockCloudService::HOST,
-                    hook.endpoint(platform.clock().clone()),
-                );
-                CloudLedger::Plane(hook.clone())
+                fabric
+                    .register_service(MockCloudService::HOST, hook.endpoint(first.clock().clone()));
+                CloudLedger::Plane(hook)
             }
             None => {
                 let cloud = MockCloudService::new(default_psk());
@@ -909,26 +1482,12 @@ impl<S: SensorPath> SecureDevice<S> {
                 CloudLedger::Direct(cloud)
             }
         };
-        let supplicant = Arc::new(Supplicant::new());
-        supplicant.set_net_backend(Arc::new(fabric.clone()));
-
-        // Secure world: the TEE core, then the sensor's PTA and filter TA.
-        // One tracer over the device's virtual clock is shared by the
-        // stages (below) and the TEE core / TAs (via set_tracer).
-        let core = TeeCore::boot(platform.clone(), supplicant);
-        let tracer = Tracer::new(platform.clock().clone(), telemetry);
-        core.set_tracer(tracer.clone());
-        let capture = S::install(&config, models, &core)?;
-
-        // Normal world client session to the filter TA.
-        let client = TeeClient::connect(Arc::clone(&core));
-        let (session, _) = client
-            .open_session(TaUuid::from_name(S::TA_NAME), TeeParams::new())
-            .map_err(CoreError::from)?;
-        let filter = SecureFilterStage::new(platform.clone(), client.clone(), session);
+        // One tracer over the first core's clock is shared by the stages
+        // (below) and every core's TEE and TAs (via set_tracer).
+        let tracer = Tracer::new(first.clock().clone(), &telemetry);
         let batcher = knobs
             .latency_slo
-            .map(|slo| AdaptiveBatcher::new(platform.cost(), slo, MAX_BATCH_WINDOWS));
+            .map(|slo| AdaptiveBatcher::new(first.cost(), slo, MAX_BATCH_WINDOWS));
         // Pressure without a batcher has nothing to act on; build the
         // monitor only when both knobs are set.
         let pressure = match (&batcher, knobs.slo_pressure) {
@@ -936,16 +1495,40 @@ impl<S: SensorPath> SecureDevice<S> {
             _ => None,
         };
 
+        let mut lanes = Vec::with_capacity(cores.len());
+        for core in cores {
+            core.set_tracer(tracer.clone());
+            let capture = S::install(&config, models, &core)?;
+            let client = TeeClient::connect(Arc::clone(&core));
+            let (session, _) = client
+                .open_session(TaUuid::from_name(S::TA_NAME), TeeParams::new())
+                .map_err(CoreError::from)?;
+            let filter = SecureFilterStage::new(core.platform().clone(), client.clone(), session);
+            lanes.push(Lane {
+                core,
+                client,
+                session,
+                capture,
+                filter,
+            });
+        }
+        // Greedy placement weighs events alone; only the steal pass adds
+        // the per-window fixed cost, so greedy placements stay as they
+        // always were.
+        let overhead = if knobs.work_stealing {
+            S::window_overhead(&config, models)?
+        } else {
+            0
+        };
+
         Ok(SecureDevice {
             knobs,
-            platform,
-            client,
-            session,
+            pool,
+            scheduler: SessionScheduler::with_window_overhead(lanes.len(), overhead),
+            lanes,
+            stolen_windows: 0,
             ledger,
             fabric,
-            core,
-            capture,
-            filter,
             relay: SecureRelayStage::new(),
             batcher,
             pressure,
@@ -966,63 +1549,78 @@ impl<S: SensorPath> SecureDevice<S> {
         self.tracer.take()
     }
 
-    /// The simulated platform (for inspecting stats and energy directly).
+    /// The first lane's simulated platform — a one-lane device's only one
+    /// (for inspecting stats and energy directly).
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        self.lanes[0].core.platform()
     }
 
-    /// The TEE core (for footprint reports).
+    /// The first lane's TEE core (for footprint reports).
     pub fn tee_core(&self) -> &Arc<TeeCore> {
-        &self.core
+        &self.lanes[0].core
+    }
+
+    /// The device's virtual "now": its lanes run concurrently, so this is
+    /// the latest of their clocks.
+    pub fn now(&self) -> SimInstant {
+        self.lanes
+            .iter()
+            .map(|lane| lane.core.platform().clock().now())
+            .max()
+            .unwrap_or(SimInstant::EPOCH)
     }
 
     /// The pressure monitor's current verdict, when the config wired one
-    /// ([`PipelineConfig::slo_pressure`] alongside `latency_slo`).
+    /// (`slo_pressure` alongside `latency_slo`).
     pub fn pressure_state(&self) -> Option<perisec_telemetry::HealthState> {
         self.pressure.as_ref().map(PressureMonitor::state)
     }
 
-    /// Installs a new privacy policy in the filter TA.
+    /// Installs a new privacy policy in every lane's filter TA.
     ///
     /// # Errors
     ///
-    /// Propagates TEE invocation failures.
+    /// Propagates the first failing TEE invocation.
     pub fn set_policy(&mut self, policy: PrivacyPolicy) -> Result<()> {
         let (mode, threshold) = policy.to_values();
-        let params = TeeParams::new().with(
-            0,
-            TeeParam::ValueInput {
-                a: mode,
-                b: threshold,
-            },
-        );
-        // Both filter TAs take the same command id.
-        self.client
-            .invoke(&self.session, filter_cmd::SET_POLICY, params)
-            .map_err(CoreError::from)?;
+        for lane in &self.lanes {
+            let params = TeeParams::new().with(
+                0,
+                TeeParam::ValueInput {
+                    a: mode,
+                    b: threshold,
+                },
+            );
+            // Both filter TAs take the same command id.
+            lane.client
+                .invoke(&lane.session, filter_cmd::SET_POLICY, params)
+                .map_err(CoreError::from)?;
+        }
         Ok(())
     }
 
     /// Starts a resumable scenario replay (see
     /// [`SecureDevice::step_scenario`]): resets the cloud ledger and
-    /// snapshots the TEE counters the final report diffs against.
-    pub fn begin_scenario(&mut self) -> ScenarioProgress {
+    /// records the marks the final report counts from.
+    pub fn begin_scenario(&mut self) -> ScenarioProgress<S> {
         self.ledger.reset();
         ScenarioProgress {
-            stats_before: self.platform.stats().snapshot(),
+            marks: S::mark(self),
             next_event: 0,
             relay_backlog: false,
         }
     }
 
-    /// Drives **one** batch — one TEE crossing — of the scenario through
-    /// the capture → filter → relay stages and advances the cursor; the
-    /// batch size is the fixed `batch_windows` unless the config carries a
-    /// latency SLO, in which case the adaptive batcher picks it from the
-    /// remaining queue depth. Returns whether events remain. This is the
-    /// fleet executor's yield point: a `DeviceTask` calls it once per
-    /// executor step, so thousands of devices interleave at TEE-crossing
-    /// granularity on a bounded worker pool.
+    /// Drives **one** batch of the scenario through the capture → filter
+    /// → relay stages and advances the cursor; the batch size is the
+    /// fixed `batch_windows` unless the config carries a latency SLO, in
+    /// which case the adaptive batcher picks it from the remaining queue
+    /// depth. The batch's events are placed on the lanes, and each lane
+    /// that received a share crosses into its TEE core once. Returns
+    /// whether events remain. This is the fleet executor's yield point: a
+    /// `DeviceTask` calls it once per executor step, so thousands of
+    /// devices interleave at TEE-crossing granularity on a bounded worker
+    /// pool.
     ///
     /// # Errors
     ///
@@ -1030,7 +1628,7 @@ impl<S: SensorPath> SecureDevice<S> {
     pub fn step_scenario(
         &mut self,
         scenario: &S::Scenario,
-        progress: &mut ScenarioProgress,
+        progress: &mut ScenarioProgress<S>,
     ) -> Result<bool> {
         let events = S::events(scenario);
         if progress.next_event >= events.len() {
@@ -1042,29 +1640,49 @@ impl<S: SensorPath> SecureDevice<S> {
             None => self.knobs.batch_windows.max(1),
         }
         .min(depth);
-        let chunk = events[progress.next_event..progress.next_event + batch].to_vec();
-        let clock = self.platform.clock();
         self.tracer.count("pipeline.windows", batch as u64);
+        let shares = self.place(&events[progress.next_event..progress.next_event + batch]);
         // Each stage runs under a span named after it; the filter stage's
-        // span encloses the whole TEE crossing (smc.call, TA inference,
-        // tee.rpc), so a chrome-trace dump shows the full nesting.
+        // span encloses the TEE crossings (smc.call, TA inference,
+        // tee.rpc), so a chrome-trace dump shows the full nesting. Every
+        // lane's capture stage runs, even on an empty share: it clears
+        // the lane's sensor queue and stamps the lane's own clock.
         let prepared = {
-            let _span = self.tracer.span(self.capture.name());
-            self.capture.process(chunk)?
-        };
-        let filter_start = clock.now();
-        let filtered = {
-            let _span = self.tracer.span(self.filter.name());
-            let filtered = self.filter.process(prepared)?;
-            // Injected degradation lands inside the filter span, so the
-            // slowdown shows exactly where the health plane's SLO watches.
-            if let Some(spec) = self.knobs.degrade {
-                if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
-                    clock.advance(spec.per_window * batch as u64);
-                }
+            let _span = self.tracer.span(self.lanes[0].capture.name());
+            let mut prepared = Vec::with_capacity(shares.len());
+            for (lane, share) in self.lanes.iter_mut().zip(shares) {
+                prepared.push(lane.capture.process(share)?);
             }
-            filtered
+            prepared
         };
+        let filter_start = self.now();
+        let filtered = {
+            let _span = self.tracer.span(self.lanes[0].filter.name());
+            let mut merged = FilteredBatch::default();
+            for (lane, share) in self.lanes.iter_mut().zip(prepared) {
+                let windows = share.windows.len() as u64;
+                let filtered = lane.filter.process(share)?;
+                // Injected degradation lands inside the filter span, so
+                // the slowdown shows exactly where the health plane's SLO
+                // watches.
+                if let Some(spec) = self.knobs.degrade {
+                    let clock = lane.core.platform().clock();
+                    if clock.now().duration_since(SimInstant::EPOCH) >= spec.after {
+                        clock.advance(spec.per_window * windows);
+                    }
+                }
+                merged.verdicts.extend(filtered.verdicts);
+                merged.wire += filtered.wire;
+                merged.capture_cpu += filtered.capture_cpu;
+                merged.ml += filtered.ml;
+                merged.relay += filtered.relay;
+                merged.retries += filtered.retries;
+                merged.backlog += filtered.backlog;
+                merged.per_utterance.extend(filtered.per_utterance);
+            }
+            merged
+        };
+        let filter_end = self.now();
         if let Some(batcher) = &mut self.batcher {
             if !filtered.per_utterance.is_empty() {
                 let mean = filtered.per_utterance.iter().copied().sum::<SimDuration>()
@@ -1072,14 +1690,14 @@ impl<S: SensorPath> SecureDevice<S> {
                 batcher.observe(mean);
             }
             // The pressure monitor judges the per-window share of the whole
-            // crossing (TA service *and* any degradation), then its verdict
-            // clips the next pick — the observability→control loop.
+            // crossing, slowest lane to slowest lane (TA service, any
+            // degradation, and any imbalance across lanes), then its
+            // verdict clips the next pick — the observability→control loop.
             if let Some(pressure) = &mut self.pressure {
-                let per_window = clock.now().duration_since(filter_start) / batch as u64;
-                pressure.observe(per_window);
-                batcher.set_pressure(pressure.advance(clock.now()));
+                pressure.observe(filter_end.duration_since(filter_start) / batch as u64);
+                batcher.set_pressure(pressure.advance(filter_end));
             }
-            // Relay backlog overrides any SLO verdict: the TA's bounded
+            // Relay backlog overrides any SLO verdict: a TA's bounded
             // unacked buffer is backing up, so fall to single-window probes
             // until the network drains it.
             if filtered.backlog > 0 {
@@ -1094,14 +1712,36 @@ impl<S: SensorPath> SecureDevice<S> {
         progress.next_event += batch;
         let more = progress.next_event < events.len();
         if !more && progress.relay_backlog {
-            // The scenario ended with unacked records still buffered in
-            // the TA: a blocking drain retires them, so the report never
-            // misses a verdict the network delayed. Skipped on a clean
-            // finish — the healthy path pays no extra TEE crossing.
-            self.filter.drain_relay()?;
+            // The scenario ended with unacked records still buffered in a
+            // TA: a blocking drain on every lane retires them, so the
+            // report never misses a verdict the network delayed. Skipped
+            // on a clean finish — the healthy path pays no extra crossing.
+            for lane in &mut self.lanes {
+                lane.filter.drain_relay()?;
+            }
             progress.relay_backlog = false;
         }
         Ok(more)
+    }
+
+    /// Places a batch's events on the lanes with the scheduler's
+    /// least-loaded rule by event weight, then its steal pass when the
+    /// knobs turn `work_stealing` on; returns each lane's share, in lane
+    /// order. A one-lane device places everything on lane 0.
+    fn place(&mut self, events: &[S::Event]) -> Vec<Vec<S::Event>> {
+        let weights: Vec<u64> = events.iter().map(S::weight).collect();
+        let placement = if self.knobs.work_stealing {
+            let (placement, steals) = self.scheduler.assign_with_stealing(&weights);
+            self.stolen_windows += steals.len() as u64;
+            placement
+        } else {
+            self.scheduler.assign(&weights)
+        };
+        let mut shares = vec![Vec::new(); self.lanes.len()];
+        for (event, lane) in events.iter().zip(placement) {
+            shares[lane].push(event.clone());
+        }
+        shares
     }
 
     /// Assembles the report of a stepped-to-completion scenario replay. A
@@ -1110,31 +1750,10 @@ impl<S: SensorPath> SecureDevice<S> {
     pub fn finish_scenario(
         &mut self,
         scenario: &S::Scenario,
-        progress: ScenarioProgress,
-    ) -> PipelineReport {
-        let sensitive_ids = S::sensitive_ids(scenario);
+        progress: ScenarioProgress<S>,
+    ) -> S::Report {
         let latency = self.relay.take_breakdown();
-        let stats_after = self.platform.stats().snapshot();
-        PipelineReport {
-            pipeline: S::PIPELINE.to_owned(),
-            workload: WorkloadSummary {
-                utterances: S::events(scenario).len(),
-                sensitive_utterances: sensitive_ids.len(),
-            },
-            latency,
-            cloud: CloudOutcome {
-                report: self.ledger.report(),
-                sensitive_ids,
-            },
-            tz: stats_after.delta_since(&progress.stats_before),
-            energy: self.platform.energy_report(),
-            virtual_time: self
-                .platform
-                .clock()
-                .now()
-                .duration_since(SimInstant::EPOCH),
-            bytes_to_cloud: self.fabric.stats().bytes_sent,
-        }
+        S::report(self, scenario, progress.marks, latency)
     }
 
     /// Replays a scenario end to end — batch by batch through the
@@ -1143,10 +1762,25 @@ impl<S: SensorPath> SecureDevice<S> {
     /// # Errors
     ///
     /// Propagates TEE and relay failures.
-    pub fn run_scenario(&mut self, scenario: &S::Scenario) -> Result<PipelineReport> {
+    pub fn run_scenario(&mut self, scenario: &S::Scenario) -> Result<S::Report> {
         let mut progress = self.begin_scenario();
         while self.step_scenario(scenario, &mut progress)? {}
         Ok(self.finish_scenario(scenario, progress))
+    }
+
+    /// What every kind's report says about the workload and the cloud.
+    fn outcome(&self, scenario: &S::Scenario) -> (WorkloadSummary, CloudOutcome) {
+        let sensitive_ids = S::sensitive_ids(scenario);
+        (
+            WorkloadSummary {
+                utterances: S::events(scenario).len(),
+                sensitive_utterances: sensitive_ids.len(),
+            },
+            CloudOutcome {
+                report: self.ledger.report(),
+                sensitive_ids,
+            },
+        )
     }
 }
 
@@ -1400,16 +2034,19 @@ mod tests {
         };
         let mut fresh = SecurePipeline::with_models(config.clone(), &models).unwrap();
         let mut probed = SecurePipeline::with_models(config, &models).unwrap();
-        assert_unbounded_batches_are_refused(&probed.client, &probed.session);
+        assert_unbounded_batches_are_refused(&probed.lanes[0].client, &probed.lanes[0].session);
         // Nothing was processed for the refused batches.
-        assert_eq!(ta_stats(&probed.client, &probed.session), [(0, 0); 2]);
+        assert_eq!(
+            ta_stats(&probed.lanes[0].client, &probed.lanes[0].session),
+            [(0, 0); 2]
+        );
         let a = fresh.run_scenario(&scenario).unwrap();
         let b = probed.run_scenario(&scenario).unwrap();
         assert!(!b.cloud.report.events.is_empty());
         assert_eq!(a.cloud.report.events, b.cloud.report.events);
         assert_eq!(
-            ta_stats(&fresh.client, &fresh.session),
-            ta_stats(&probed.client, &probed.session)
+            ta_stats(&fresh.lanes[0].client, &fresh.lanes[0].session),
+            ta_stats(&probed.lanes[0].client, &probed.lanes[0].session)
         );
     }
 
@@ -1424,15 +2061,18 @@ mod tests {
         };
         let mut fresh = SecureCameraPipeline::with_models(config.clone(), &models).unwrap();
         let mut probed = SecureCameraPipeline::with_models(config, &models).unwrap();
-        assert_unbounded_batches_are_refused(&probed.client, &probed.session);
-        assert_eq!(ta_stats(&probed.client, &probed.session), [(0, 0); 2]);
+        assert_unbounded_batches_are_refused(&probed.lanes[0].client, &probed.lanes[0].session);
+        assert_eq!(
+            ta_stats(&probed.lanes[0].client, &probed.lanes[0].session),
+            [(0, 0); 2]
+        );
         let a = fresh.run_scenario(&scenario).unwrap();
         let b = probed.run_scenario(&scenario).unwrap();
         assert!(!b.cloud.report.events.is_empty());
         assert_eq!(a.cloud.report.events, b.cloud.report.events);
         assert_eq!(
-            ta_stats(&fresh.client, &fresh.session),
-            ta_stats(&probed.client, &probed.session)
+            ta_stats(&fresh.lanes[0].client, &fresh.lanes[0].session),
+            ta_stats(&probed.lanes[0].client, &probed.lanes[0].session)
         );
     }
 
@@ -1756,5 +2396,241 @@ mod tests {
         // 8 utterances in batches of 4: two SMCs instead of eight.
         assert_eq!(b.tz.smc_calls, 2);
         assert!(b.tz.world_switches < a.tz.world_switches);
+    }
+
+    #[test]
+    fn window_overhead_derivation_scales_with_model_and_batch() {
+        let cost = perisec_tz::cost::CostModel::iot_quad_node();
+        // A tiny model at batch 1: the crossing dwarfs per-frame
+        // inference and the fixed cost dominates the weight.
+        assert!(window_overhead_frames(&cost, 100, 1) > 10);
+        // The production frame CNN at batch >= 4: the amortized crossing
+        // share stays below one frame-equivalent, so historical
+        // frames-only placements are preserved.
+        assert_eq!(window_overhead_frames(&cost, 12_000, 4), 0);
+        // Bigger batches amortize the crossing further.
+        assert!(window_overhead_frames(&cost, 100, 8) < window_overhead_frames(&cost, 100, 1));
+        // A free cost model degenerates to frames-only weighting.
+        assert_eq!(
+            window_overhead_frames(&perisec_tz::cost::CostModel::free(), 100, 1),
+            0
+        );
+    }
+
+    fn small_sharded_config(cores: usize) -> ShardedCameraConfig {
+        ShardedCameraConfig {
+            camera: CameraPipelineConfig {
+                batch_windows: 2,
+                ..CameraPipelineConfig::default()
+            },
+            pool: TeePoolConfig::jetson(cores),
+            ..ShardedCameraConfig::default()
+        }
+    }
+
+    /// Builds a two-core sharded camera after `set` edits its camera
+    /// config, and checks that the build is refused by an error naming
+    /// `field`. The model set is deferred: the refusal comes before any
+    /// model trains.
+    fn assert_refused(field: &str, set: impl FnOnce(&mut CameraPipelineConfig)) {
+        let mut config = small_sharded_config(2);
+        set(&mut config.camera);
+        let models = SharedModels::deferred(Architecture::Cnn, 16, 0x5EF);
+        let error = ShardedVisionPipeline::with_models(config, &models)
+            .expect_err("an unsupported camera field was accepted")
+            .to_string();
+        assert!(error.contains(field), "{error}");
+    }
+
+    #[test]
+    fn refuses_an_ingest_hook() {
+        #[derive(Debug)]
+        struct NoPlane;
+        impl perisec_relay::attest::SessionIngest for NoPlane {
+            fn handle(&self, _: u64, _: u64, _: &[u8]) -> Vec<u8> {
+                Vec::new()
+            }
+            fn session_report(&self, _: u64) -> perisec_relay::cloud::CloudReport {
+                Default::default()
+            }
+            fn reset_session(&self, _: u64) {}
+        }
+        let hook = IngestHook::new(Arc::new(NoPlane), 0);
+        assert_refused("camera.ingest", |camera| camera.ingest = Some(hook));
+    }
+
+    #[test]
+    fn refuses_a_degrade_spec() {
+        let degrade = DegradeSpec {
+            after: SimDuration::ZERO,
+            per_window: SimDuration::from_millis(1),
+        };
+        assert_refused("camera.degrade", |camera| camera.degrade = Some(degrade));
+    }
+
+    #[test]
+    fn refuses_enabled_telemetry() {
+        let metrics = TelemetryConfig::metrics();
+        assert_refused("camera.telemetry", |camera| camera.telemetry = metrics);
+    }
+
+    #[test]
+    fn refuses_the_constrained_platform() {
+        assert_refused("camera.constrained_platform", |camera| {
+            camera.constrained_platform = true
+        });
+    }
+
+    #[test]
+    fn refuses_a_secure_ram_override() {
+        assert_refused("camera.secure_ram_kib", |camera| {
+            camera.secure_ram_kib = Some(4096)
+        });
+    }
+
+    #[test]
+    fn sharded_pipeline_filters_and_keeps_cores_busy() {
+        use perisec_workload::scenario::CameraScenario;
+        let mut pipeline = ShardedVisionPipeline::new(small_sharded_config(2)).unwrap();
+        let scenario = CameraScenario::mixed_scenes(12, 0.5, SimDuration::from_secs(2), 0x5C2D);
+        assert!(scenario.sensitive_count() > 0);
+        let run = pipeline.run_scenario(&scenario).unwrap();
+
+        assert_eq!(run.report.workload.utterances, 12);
+        assert_eq!(run.report.cloud.leaked_sensitive_utterances(), 0);
+        assert!(run.report.cloud.received_utterances() >= 1);
+        // Both cores really worked and reported coherent utilization.
+        assert_eq!(run.per_core.len(), 2);
+        for core in &run.per_core {
+            assert!(core.smc_calls >= 1, "core {} never entered", core.core);
+            assert!(core.secure_busy > SimDuration::ZERO);
+            assert!(core.utilization > 0.0 && core.utilization <= 1.0);
+        }
+        // Wall time is the max over cores, not the sum.
+        let max_core = run.per_core.iter().map(|c| c.virtual_time).max().unwrap();
+        assert_eq!(run.report.virtual_time, max_core);
+        // Verdict records only — no payload bytes at the cloud.
+        assert!(run
+            .report
+            .cloud
+            .report
+            .events
+            .iter()
+            .all(|e| e.audio_bytes == 0 && e.encrypted));
+    }
+
+    #[test]
+    fn dedup_charges_the_model_once_across_sessions() {
+        let with_dedup = ShardedVisionPipeline::new(small_sharded_config(4)).unwrap();
+        let without = ShardedVisionPipeline::new(ShardedCameraConfig {
+            dedup_models: false,
+            ..small_sharded_config(4)
+        })
+        .unwrap();
+        let deduped = with_dedup.pool().secure_ram().bytes_in_use();
+        let duplicated = without.pool().secure_ram().bytes_in_use();
+        assert!(
+            deduped < duplicated,
+            "dedup {deduped} B should undercut duplicated {duplicated} B"
+        );
+        assert!(with_dedup.pool().secure_ram().dedup_saved_bytes() > 0);
+        assert_eq!(with_dedup.pool().secure_ram().dedup_hits(), 3);
+        assert_eq!(without.pool().secure_ram().dedup_hits(), 0);
+    }
+
+    #[test]
+    fn adaptive_batcher_drives_the_run_within_slo() {
+        use perisec_workload::scenario::CameraScenario;
+        let mut pipeline = ShardedVisionPipeline::new(ShardedCameraConfig {
+            latency_slo: Some(SimDuration::from_millis(5)),
+            ..small_sharded_config(2)
+        })
+        .unwrap();
+        let scenario = CameraScenario::mixed_scenes(10, 0.4, SimDuration::from_millis(10), 0xADAB);
+        let run = pipeline.run_scenario(&scenario).unwrap();
+        assert_eq!(run.report.cloud.leaked_sensitive_utterances(), 0);
+        assert_eq!(run.report.workload.utterances, 10);
+        assert!(run.report.latency.p99_end_to_end() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn slo_pressure_steers_the_sharded_batcher_without_changing_outcomes() {
+        use perisec_telemetry::HealthState;
+        use perisec_workload::scenario::CameraScenario;
+
+        let scenario = CameraScenario::mixed_scenes(16, 0.4, SimDuration::from_millis(10), 0x9E55);
+        let base = ShardedCameraConfig {
+            latency_slo: Some(SimDuration::from_millis(5)),
+            ..small_sharded_config(2)
+        };
+        let mut plain = ShardedVisionPipeline::new(base.clone()).unwrap();
+        let a = plain.run_scenario(&scenario).unwrap();
+        assert_eq!(plain.pressure_state(), None);
+
+        // An unattainable objective: every observed crossing breaches, so
+        // the monitor demotes and the batcher runs clipped — same
+        // verdicts at the cloud, never fewer crossings than the pure
+        // curve.
+        let mut pressured = ShardedVisionPipeline::new(ShardedCameraConfig {
+            slo_pressure: Some(SloSpec::p95("shard.filter", SimDuration::from_nanos(1))),
+            ..base.clone()
+        })
+        .unwrap();
+        let b = pressured.run_scenario(&scenario).unwrap();
+        assert_ne!(pressured.pressure_state(), Some(HealthState::Healthy));
+        assert_eq!(
+            a.report.cloud.received_utterances(),
+            b.report.cloud.received_utterances()
+        );
+        assert_eq!(
+            a.report.cloud.leaked_sensitive_utterances(),
+            b.report.cloud.leaked_sensitive_utterances()
+        );
+        assert!(b.report.tz.smc_calls >= a.report.tz.smc_calls);
+
+        // Without a latency SLO there is no batcher, so the spec is
+        // inert and no monitor is built.
+        let inert = ShardedVisionPipeline::new(ShardedCameraConfig {
+            latency_slo: None,
+            slo_pressure: Some(SloSpec::p95("shard.filter", SimDuration::from_nanos(1))),
+            ..small_sharded_config(2)
+        })
+        .unwrap();
+        assert_eq!(inert.pressure_state(), None);
+    }
+
+    #[test]
+    fn repeated_runs_report_run_relative_figures() {
+        use perisec_workload::scenario::CameraScenario;
+        let mut pipeline = ShardedVisionPipeline::new(small_sharded_config(2)).unwrap();
+        let scenario = CameraScenario::mixed_scenes(6, 0.4, SimDuration::from_millis(50), 0x2E);
+        let first = pipeline.run_scenario(&scenario).unwrap();
+        let second = pipeline.run_scenario(&scenario).unwrap();
+        // Same scenario, same decisions: the second report must describe
+        // only its own run, not accumulate the first one's traffic or
+        // energy. The second run can only be cheaper — the channel
+        // handshake happened in the first, and replayed (past) event
+        // timestamps leave no idle gaps — never the sum of both runs.
+        assert!(first.report.bytes_to_cloud > 0);
+        assert!(second.report.bytes_to_cloud > 0);
+        assert!(second.report.bytes_to_cloud <= first.report.bytes_to_cloud);
+        assert!(second.report.energy.total_mj <= first.report.energy.total_mj);
+        assert!(second.report.energy.window <= first.report.energy.window);
+        assert!(second.report.virtual_time <= first.report.virtual_time);
+    }
+
+    #[test]
+    fn policy_updates_reach_every_shard() {
+        use perisec_workload::scenario::CameraScenario;
+        let mut pipeline = ShardedVisionPipeline::new(small_sharded_config(2)).unwrap();
+        let scenario = CameraScenario::mixed_scenes(8, 1.0, SimDuration::from_secs(1), 0xA11);
+        pipeline.set_policy(PrivacyPolicy::allow_all()).unwrap();
+        let permissive = pipeline.run_scenario(&scenario).unwrap();
+        assert!(permissive.report.cloud.leakage_rate() > 0.5);
+        pipeline
+            .set_policy(PrivacyPolicy::block_sensitive())
+            .unwrap();
+        let strict = pipeline.run_scenario(&scenario).unwrap();
+        assert_eq!(strict.report.cloud.leaked_sensitive_utterances(), 0);
     }
 }

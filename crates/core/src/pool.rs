@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use perisec_core::{CoreError, Result};
 use perisec_optee::{Supplicant, TeeCore};
 use perisec_tz::cost::CostModel;
 use perisec_tz::platform::{Platform, PlatformSpec};
@@ -23,6 +22,8 @@ use perisec_tz::power::PowerModel;
 use perisec_tz::secure_mem::SecureRam;
 use perisec_tz::stats::{TzStats, TzStatsSnapshot};
 use perisec_tz::time::{SimDuration, SimInstant};
+
+use crate::{CoreError, Result};
 
 /// Configuration of a secure-core pool.
 #[derive(Debug, Clone)]

@@ -23,8 +23,7 @@
 //! | [`workload`] | `perisec-workload` | Synthetic labelled speech corpus and scenario generators |
 //! | [`relay`] | `perisec-relay` | TLS-like secure channel, AVS-style cloud API, mock cloud service |
 //! | [`tcb`] | `perisec-tcb` | Trace analysis, call graphs, driver pruning, secure-memory accounting, TCB reports |
-//! | [`core`] | `perisec-core` | The paper's contribution: policy engine, privacy filter, end-to-end pipelines, metrics |
-//! | [`sched`] | `perisec-sched` | Multi-core TEE scheduler: secure-core pools, sharded TA sessions, adaptive batching, model dedup |
+//! | [`core`] | `perisec-core` | The paper's contribution: policy engine, privacy filter, end-to-end pipelines (one secure core or a sharded pool of them), metrics |
 //! | [`telemetry`] | `perisec-telemetry` | Observability plane: virtual-time span tracer, bounded log-bucket histograms, order-invariant fleet fold, chrome-trace/flamegraph export |
 //! | [`ingest`] | `perisec-ingest` | Sharded attested ingest plane: epoch-fenced sessions, append-only journals, deterministic crash/recovery, bounded backpressure |
 //!
@@ -50,7 +49,6 @@ pub use perisec_kernel as kernel;
 pub use perisec_ml as ml;
 pub use perisec_optee as optee;
 pub use perisec_relay as relay;
-pub use perisec_sched as sched;
 pub use perisec_secure_driver as secure_driver;
 pub use perisec_tcb as tcb;
 pub use perisec_telemetry as telemetry;

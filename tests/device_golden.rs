@@ -33,15 +33,15 @@ use perisec::core::pipeline::SharedModels;
 use perisec::core::pipeline::{
     CameraPipelineConfig, DegradeSpec, PipelineConfig, SecureCameraPipeline, SecurePipeline,
 };
+use perisec::core::pipeline::{ShardedCameraConfig, ShardedRunReport, ShardedVisionPipeline};
 use perisec::core::policy::PrivacyPolicy;
+use perisec::core::pool::TeePoolConfig;
 use perisec::core::{FILTER_TA_NAME, VISION_TA_NAME};
 use perisec::ingest::{IngestPlane, IngestPlaneConfig, ShardFaultSpec};
 use perisec::ml::classifier::Architecture;
 use perisec::ml::quant::QuantMode;
 use perisec::relay::measurement_of;
 use perisec::relay::netsim::FaultSpec;
-use perisec::sched::pipeline::{ShardedCameraConfig, ShardedRunReport, ShardedVisionPipeline};
-use perisec::sched::pool::TeePoolConfig;
 use perisec::telemetry::{HealthState, SloSpec};
 use perisec::tz::time::SimDuration;
 use perisec::workload::scenario::{CameraScenario, Scenario};

@@ -14,9 +14,9 @@ use perisec::core::fleet::{FleetConfig, PipelineFleet};
 use perisec::core::pipeline::{
     CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecurePipeline, SharedModels,
 };
+use perisec::core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
+use perisec::core::pool::TeePoolConfig;
 use perisec::ml::quant::QuantMode;
-use perisec::sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-use perisec::sched::pool::TeePoolConfig;
 use perisec::tz::time::SimDuration;
 use perisec::workload::scenario::{CameraScenario, Scenario};
 

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 
 use std::sync::OnceLock;
 
-use perisec::core::policy::FilterDecision;
-use perisec::core::stage::WindowVerdict;
+use perisec::core::scheduler::SessionScheduler;
 use perisec::devices::codec::{bytes_to_pcm, mulaw_decode, mulaw_encode, pcm_to_bytes};
 use perisec::ml::classifier::{Architecture, TrainConfig};
 use perisec::ml::int8::{QuantFrameCnn, QuantSensitiveClassifier};
@@ -16,28 +15,11 @@ use perisec::optee::crypto::{aead_open, aead_seal, nonce_from_sequence};
 use perisec::relay::avs::AvsEvent;
 use perisec::relay::netsim::NetworkService;
 use perisec::relay::{MockCloudService, SecureChannelClient, PSK_LEN};
-use perisec::sched::scheduler::SessionScheduler;
-use perisec::sched::stage::merge_verdicts;
 use perisec::tz::secure_mem::SecureRam;
 use perisec::tz::stats::TzStats;
 use perisec::tz::time::SimDuration;
 use perisec::workload::corpus::CorpusGenerator;
 use perisec::workload::vocab::Vocabulary;
-
-/// Decodes one drawn `u64` into a verdict (the vendored proptest has no
-/// tuple/map strategies; deriving the fields from independent bit ranges
-/// of one draw covers the same space).
-fn verdict_from_seed(seed: u64) -> WindowVerdict {
-    WindowVerdict {
-        dialog_id: seed % 32,
-        decision: match (seed >> 8) % 3 {
-            0 => FilterDecision::Forward,
-            1 => FilterDecision::ForwardRedacted,
-            _ => FilterDecision::Drop,
-        },
-        probability_milli: ((seed >> 16) % 1001) as u16,
-    }
-}
 
 /// One trained CNN classifier plus its int8 deployment form, shared by
 /// every proptest case (training once keeps the property fast).
@@ -257,46 +239,6 @@ proptest! {
         let report = cloud.report();
         prop_assert_eq!(report.events.len(), 1);
         prop_assert_eq!(report.committed_records, 1);
-    }
-
-    /// Sharded verdict merging is permutation- and partition-invariant:
-    /// however the scheduler splits a batch's windows across {1,2,4,8}
-    /// sessions, and in whatever order the per-shard replies come back,
-    /// the merged verdict list is identical — the property that makes the
-    /// sharded pipeline's cloud outcome equal the unsharded pipeline's
-    /// (pinned end to end by `tests/shard_parity.rs`).
-    #[test]
-    fn sharded_verdict_merging_is_partition_invariant(
-        verdict_seeds in proptest::collection::vec(any::<u64>(), 0..64),
-        order in any::<u64>(),
-    ) {
-        let verdicts: Vec<WindowVerdict> =
-            verdict_seeds.iter().copied().map(verdict_from_seed).collect();
-        let reference = merge_verdicts(verdicts.clone());
-        for shards in [1usize, 2, 4, 8] {
-            // Partition with the real scheduler, exactly as the sharded
-            // stages do (weight 1 per window here; any weights give a
-            // valid partition).
-            let mut scheduler = SessionScheduler::new(shards);
-            let assignment = scheduler.assign(&vec![1u64; verdicts.len()]);
-            let mut shard_replies: Vec<Vec<WindowVerdict>> = vec![Vec::new(); shards];
-            for (verdict, &shard) in verdicts.iter().zip(&assignment) {
-                shard_replies[shard].push(*verdict);
-            }
-            // Shard replies arrive in an arbitrary order.
-            let mut rotation = (order as usize) % shards.max(1);
-            let mut collected = Vec::with_capacity(verdicts.len());
-            for _ in 0..shards {
-                collected.extend(shard_replies[rotation].iter().copied());
-                rotation = (rotation + 1) % shards;
-            }
-            prop_assert_eq!(merge_verdicts(collected), reference.clone(),
-                "merge diverged at {} shards", shards);
-        }
-        // The merged list is sorted and free of duplicate dialog ids.
-        for pair in reference.windows(2) {
-            prop_assert!(pair[0].dialog_id < pair[1].dialog_id);
-        }
     }
 
     /// Virtual durations add up associatively and never go negative.

@@ -14,9 +14,9 @@
 //!   dedup stays strictly below residency without it.
 
 use perisec::core::pipeline::{CameraPipelineConfig, SecureCameraPipeline, SharedModels};
+use perisec::core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
+use perisec::core::pool::TeePoolConfig;
 use perisec::ml::classifier::Architecture;
-use perisec::sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
-use perisec::sched::pool::TeePoolConfig;
 use perisec::workload::scenario::CameraScenario;
 
 fn camera_config(batch_windows: usize) -> CameraPipelineConfig {

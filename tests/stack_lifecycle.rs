@@ -14,13 +14,13 @@ use perisec::core::fleet::{FleetConfig, PipelineFleet};
 use perisec::core::pipeline::{
     CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecurePipeline, SharedModels,
 };
+use perisec::core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
 use perisec::core::{IngestHook, VISION_TA_NAME};
 use perisec::ingest::{IngestPlane, IngestPlaneConfig};
 use perisec::ml::classifier::Architecture;
 use perisec::optee::TeeCore;
 use perisec::relay::attest::SessionIngest;
 use perisec::relay::measurement_of;
-use perisec::sched::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
 use perisec::tz::secure_mem::SecureRam;
 use perisec::tz::time::SimDuration;
 use perisec::workload::scenario::{CameraScenario, Scenario};
