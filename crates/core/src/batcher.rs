@@ -10,11 +10,10 @@
 //! per-window service time, it picks the largest batch that still meets
 //! the SLO — maximum amortization, bounded latency.
 //!
-//! The batcher drives both the sharded vision pipeline (via
-//! `perisec_sched::ShardedCameraConfig::latency_slo`) and the plain audio
-//! pipeline (via [`crate::pipeline::PipelineConfig::latency_slo`]); it
-//! lives in this crate so both can share one implementation, and the
-//! scheduler crate re-exports it under its historical path.
+//! Every [`crate::pipeline::SecureDevice`] whose config sets a latency
+//! SLO runs one: the audio pipeline through
+//! [`crate::pipeline::PipelineConfig::latency_slo`] and the sharded
+//! camera through [`crate::pipeline::ShardedCameraConfig::latency_slo`].
 
 use perisec_telemetry::HealthState;
 use perisec_tz::cost::CostModel;

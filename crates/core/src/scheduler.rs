@@ -10,12 +10,10 @@
 //! **Determinism contract.** Placement depends only on the sequence of
 //! window weights the scheduler has seen — there is no randomness and no
 //! clock. Two schedulers fed identical weight sequences produce identical
-//! assignments. The sharded capture stage and the sharded filter stage
-//! rely on exactly this: each holds its own scheduler, both see the same
-//! batches, so the scenes the capture side queues on core `s` are
-//! precisely the windows the filter side dispatches to core `s`'s
-//! session. A shared mutable scheduler would give the same result at the
-//! cost of a lock; the mirrored form keeps the stages independent.
+//! assignments, so a device's placement replays exactly: each
+//! [`crate::pipeline::SecureDevice`] holds one scheduler over its lanes,
+//! and the scenes a lane's capture stage queues are precisely the windows
+//! its filter stage dispatches.
 //!
 //! **Work stealing.** Greedy least-loaded placement is online: it cannot
 //! revisit a decision once a heavier window lands. On ragged window mixes
@@ -25,9 +23,8 @@
 //! move from the most-loaded to the least-loaded session strictly shrinks
 //! the imbalance, the idle session steals it, and every steal is recorded
 //! as a [`WindowSteal`] — the seam that keeps the determinism contract:
-//! steal decisions are a pure function of the weight sequence, so
-//! mirrored schedulers still agree, and the records travel with the
-//! prepared batch for auditability.
+//! steal decisions are a pure function of the weight sequence, so two
+//! schedulers fed the same batches still agree.
 
 use serde::{Deserialize, Serialize};
 
@@ -84,8 +81,9 @@ impl SessionScheduler {
     /// `overhead` frame-equivalents — the per-window fixed cost (TEE
     /// crossing + TA dispatch) that dominates once window shares get very
     /// small. The overhead is part of the weight *function*, not the
-    /// weight *sequence*: mirrored schedulers built with the same
-    /// overhead still agree on every placement and steal decision.
+    /// weight *sequence*: two schedulers built with the same overhead
+    /// and fed the same batches agree on every placement and steal
+    /// decision.
     ///
     /// # Panics
     ///
@@ -146,7 +144,7 @@ impl SessionScheduler {
     /// strictly below the gap to the idlest session, the idle session
     /// steals it (largest such window first), and every move is
     /// recorded. The pass is a pure function of the weight sequence —
-    /// mirrored schedulers make identical steal decisions — and it never
+    /// two schedulers make identical steal decisions — and it never
     /// increases the cumulative makespan, which is what cuts completion
     /// time and tail latency on ragged window mixes.
     pub fn assign_with_stealing(&mut self, weights: &[u64]) -> (Vec<usize>, Vec<WindowSteal>) {
@@ -277,7 +275,7 @@ mod tests {
 
     #[test]
     fn mirrored_schedulers_agree() {
-        // The determinism contract the sharded stages rely on.
+        // The determinism contract: same weights, same placement.
         let mut capture_side = SessionScheduler::new(4);
         let mut filter_side = SessionScheduler::new(4);
         for batch in [vec![3u64, 1, 4, 1, 5], vec![9, 2], vec![6, 5, 3, 5]] {
