@@ -75,14 +75,13 @@ pub use filter_ta::{FilterStats, FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
-    BaselinePipeline, CameraPipelineConfig, CoreUtilization, PipelineConfig, SecureCameraPipeline,
-    SecureDevice, SecurePipeline, SensorPath, ShardedCameraConfig, ShardedRunReport,
-    ShardedVisionPipeline, SharedModels,
+    BaselinePipeline, CameraPipelineConfig, PipelineConfig, SecureCameraPipeline, SecureDevice,
+    SecurePipeline, SensorPath, ShardedCameraConfig, ShardedVisionPipeline, SharedModels,
 };
 pub use policy::{FilterDecision, FilterMode, PrivacyPolicy};
-pub use pool::{TeeCoreHandle, TeePool, TeePoolConfig};
+pub use pool::{TeePool, TeePoolConfig};
 pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};
-pub use scheduler::{SessionLoad, SessionScheduler, WindowSteal};
+pub use scheduler::SessionScheduler;
 pub use source::{SharedPlayback, SharedSceneQueue};
 pub use stage::{FilteredBatch, PipelineStage, PreparedBatch, WindowSpec, WindowVerdict};
 pub use vision_ta::{VisionStats, VisionTa, VISION_TA_NAME};

@@ -1060,8 +1060,8 @@ pub struct ShardedCameraConfig {
     /// Let an idle session steal queued windows from a backlogged sibling
     /// (the scheduler's deterministic rebalance pass — see
     /// [`crate::scheduler::SessionScheduler::assign_with_stealing`]).
-    /// Off by default: placement then matches the historical greedy
-    /// scheduler exactly.
+    /// Off by default: placement is then the greedy least-loaded rule
+    /// alone.
     pub work_stealing: bool,
 }
 
@@ -1512,9 +1512,8 @@ impl<S: SensorPath> SecureDevice<S> {
                 filter,
             });
         }
-        // Greedy placement weighs events alone; only the steal pass adds
-        // the per-window fixed cost, so greedy placements stay as they
-        // always were.
+        // Only the steal pass adds the per-window fixed cost to an
+        // event's weight; greedy placement weighs events alone.
         let overhead = if knobs.work_stealing {
             S::window_overhead(&config, models)?
         } else {
@@ -1562,7 +1561,7 @@ impl<S: SensorPath> SecureDevice<S> {
 
     /// The device's virtual "now": its lanes run concurrently, so this is
     /// the latest of their clocks.
-    pub fn now(&self) -> SimInstant {
+    pub(crate) fn now(&self) -> SimInstant {
         self.lanes
             .iter()
             .map(|lane| lane.core.platform().clock().now())
@@ -2405,8 +2404,8 @@ mod tests {
         // inference and the fixed cost dominates the weight.
         assert!(window_overhead_frames(&cost, 100, 1) > 10);
         // The production frame CNN at batch >= 4: the amortized crossing
-        // share stays below one frame-equivalent, so historical
-        // frames-only placements are preserved.
+        // share stays below one frame-equivalent, so frames-only
+        // placements are unchanged.
         assert_eq!(window_overhead_frames(&cost, 12_000, 4), 0);
         // Bigger batches amortize the crossing further.
         assert!(window_overhead_frames(&cost, 100, 8) < window_overhead_frames(&cost, 100, 1));
