@@ -1,16 +1,28 @@
 //! Criterion bench behind experiment E2: host-time cost of one capture
-//! period through the baseline (kernel) and secure (TEE) drivers.
+//! period through the baseline (kernel) and secure (TEE) drivers, of
+//! batched windows through the I2S PTA, and of the batch a fleet audio
+//! device captures.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use perisec_core::SharedPlayback;
 use perisec_devices::codec::AudioEncoding;
 use perisec_devices::mic::Microphone;
 use perisec_devices::signal::SineSource;
 use perisec_kernel::i2s_driver::BaselineI2sDriver;
 use perisec_kernel::pcm::PcmHwParams;
 use perisec_kernel::trace::FunctionTracer;
+use perisec_optee::{Supplicant, TeeCore, TeeParam, TeeParams};
 use perisec_secure_driver::driver::SecureI2sDriver;
+use perisec_secure_driver::pta::{cmd, encode_windows_request};
+use perisec_secure_driver::I2sPta;
 use perisec_tz::platform::Platform;
+
+/// Periods in one fleet utterance's window: a 2.7 s utterance at 160
+/// frames per period.
+const FLEET_WINDOW_PERIODS: usize = 272;
 
 fn mic() -> Microphone {
     Microphone::speech_mic("bench-mic", Box::new(SineSource::new(440.0, 16_000, 0.6))).unwrap()
@@ -53,7 +65,7 @@ fn bench_capture(c: &mut Criterion) {
             },
         );
     }
-    // Batch sweep: N four-period windows per driver call (one dispatch for
+    // Batch sweep: N four-period windows per PTA capture (one dispatch for
     // the whole batch) versus N separate `capture_periods` calls.
     for &batch in &[1usize, 4, 8, 16] {
         group.bench_with_input(
@@ -63,12 +75,49 @@ fn bench_capture(c: &mut Criterion) {
                 let mut driver = SecureI2sDriver::new(Platform::jetson_agx_xavier(), mic());
                 driver.configure(160, AudioEncoding::PcmLe16).unwrap();
                 driver.start().unwrap();
+                let mut pta = I2sPta::new(driver);
                 let windows = vec![4usize; batch];
-                b.iter(|| driver.capture_windows(&windows).unwrap());
+                b.iter(|| pta.capture_windows(&windows).unwrap());
             },
         );
     }
+    group.bench_function("secure_pta_fleet_batch", bench_fleet_batch);
     group.finish();
+}
+
+/// What one `audio_fleet` device captures per step: a four-window
+/// `CAPTURE_BATCH` of 272-period windows through the PTA on a booted core,
+/// from a shared playback queue the iteration refills the way the
+/// capture stage does (each utterance padded to its whole window).
+fn bench_fleet_batch(b: &mut criterion::Bencher) {
+    let platform = Platform::jetson_agx_xavier();
+    let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
+    let playback = SharedPlayback::new();
+    let mic = Microphone::speech_mic("fleet-mic", playback.source()).unwrap();
+    let uuid = core
+        .register_pta(Box::new(I2sPta::new(SecureI2sDriver::new(platform, mic))))
+        .unwrap();
+    let mut configure = TeeParams::new().with(0, TeeParam::ValueInput { a: 160, b: 0 });
+    core.invoke_pta(uuid, cmd::CONFIGURE, &mut configure)
+        .unwrap();
+    core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
+        .unwrap();
+
+    let window_samples = FLEET_WINDOW_PERIODS * 160;
+    let utterance: Vec<i16> = (0..window_samples - 100)
+        .map(|i| ((i as f64 * 0.17).sin() * 12_000.0) as i16)
+        .collect();
+    let windows = [FLEET_WINDOW_PERIODS; 4];
+    let request = encode_windows_request(&windows);
+    b.iter(|| {
+        for _ in windows {
+            playback.push_padded(&utterance, window_samples);
+        }
+        let mut params = TeeParams::new().with(0, TeeParam::MemRefInput(request.clone()));
+        core.invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut params)
+            .unwrap();
+        params
+    });
 }
 
 criterion_group!(benches, bench_capture);

@@ -307,7 +307,7 @@ impl FilterTa {
         self.stats
     }
 
-    /// Runs the in-TA ML stage over one window of encoded audio, charging
+    /// Runs the in-TA ML stage over one window of decoded audio, charging
     /// its compute. Returns the recovered tokens, the sensitive
     /// probability and the ML time in nanoseconds.
     ///
@@ -318,17 +318,10 @@ impl FilterTa {
     /// count, so virtual-time accounting — and therefore every simulated
     /// latency and energy figure — is mode-independent; the int8 win is
     /// host wall-clock and secure-RAM residency.
-    fn run_ml(
-        &mut self,
-        env: &TaEnv<'_>,
-        encoded_audio: &[u8],
-    ) -> TeeResult<(Vec<usize>, f32, u64)> {
+    fn run_ml(&mut self, env: &TaEnv<'_>, samples: &[i16]) -> TeeResult<(Vec<usize>, f32, u64)> {
         let tracer = env.tracer();
         let ml_start = env.platform().clock().now();
-        let audio = self
-            .encoding
-            .decode(encoded_audio, AudioFormat::speech_16khz_mono());
-        let samples_len = audio.samples().len();
+        let samples_len = samples.len();
         // The STT charge is split by stage so each span covers its own
         // share of the virtual time; the split is unconditional, so the
         // charged total — and the report — is identical with telemetry
@@ -348,11 +341,11 @@ impl FilterTa {
                 QuantMode::Int8 => self
                     .models
                     .stt
-                    .transcribe_to_tokens_int8_with(audio.samples(), &mut self.plan),
+                    .transcribe_to_tokens_int8_with(samples, &mut self.plan),
                 QuantMode::F32 => self
                     .models
                     .stt
-                    .transcribe_to_tokens_with(audio.samples(), &mut self.plan),
+                    .transcribe_to_tokens_with(samples, &mut self.plan),
             }
         };
         let probability = {
@@ -472,13 +465,17 @@ impl FilterTa {
         }
         let (wire_ns, capture_cpu_ns) = capture.get(2).as_values().unwrap_or((0, 0));
 
-        // 2. Per-window ML + policy; permitted content accumulates into one
+        // 2. Per-window decode, ML and policy; the windows share one
+        //    decode buffer, and permitted content accumulates into one
         //    batched relay event.
         let mut verdicts = Vec::with_capacity(windows.len());
         let mut outbound = Vec::new();
         let mut ml_ns_total = 0u64;
+        let mut samples = Vec::new();
         for (&(dialog_id, _), reply) in windows.iter().zip(&replies) {
-            let (tokens, probability, ml_ns) = self.run_ml(env, &reply.encoded)?;
+            samples.clear();
+            self.encoding.decode_into(reply.encoded, &mut samples);
+            let (tokens, probability, ml_ns) = self.run_ml(env, &samples)?;
             ml_ns_total += ml_ns;
             let (decision, event) = self.decide(dialog_id, &tokens, probability);
             verdicts.push((decision, (probability * 1000.0) as u16));

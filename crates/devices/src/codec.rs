@@ -6,27 +6,34 @@
 //! ITU-T G.711 µ-law companding, which roughly halves the bytes crossing the
 //! PTA/TA boundary — relevant to the world-switch amortization experiments.
 
-use crate::audio::{AudioBuffer, AudioFormat};
+use crate::audio::AudioBuffer;
 
 const MU_LAW_BIAS: i32 = 0x84;
 const MU_LAW_CLIP: i32 = 32_635;
 
+/// Writes `samples` into `dst` as little-endian bytes, two per sample.
+/// Bytes of `dst` past `2 * samples.len()` are left as they are; samples
+/// past `dst.len() / 2` are not written.
+pub fn write_pcm_le(samples: &[i16], dst: &mut [u8]) {
+    let (pairs, _) = dst.as_chunks_mut::<2>();
+    for (pair, &sample) in pairs.iter_mut().zip(samples) {
+        *pair = sample.to_le_bytes();
+    }
+}
+
 /// Encodes interleaved PCM samples as little-endian bytes.
 pub fn pcm_to_bytes(samples: &[i16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * 2);
-    for &s in samples {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    AudioEncoding::PcmLe16.encode_into(samples, &mut out);
     out
 }
 
 /// Decodes little-endian bytes back into PCM samples (odd trailing byte is
 /// ignored).
 pub fn bytes_to_pcm(bytes: &[u8]) -> Vec<i16> {
-    bytes
-        .chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]))
-        .collect()
+    let mut out = Vec::new();
+    AudioEncoding::PcmLe16.decode_into(bytes, &mut out);
+    out
 }
 
 /// Compresses one PCM sample to 8-bit µ-law.
@@ -69,12 +76,16 @@ pub fn mulaw_decode_sample(byte: u8) -> i16 {
 
 /// Encodes a whole buffer to µ-law.
 pub fn mulaw_encode(samples: &[i16]) -> Vec<u8> {
-    samples.iter().map(|&s| mulaw_encode_sample(s)).collect()
+    let mut out = Vec::new();
+    AudioEncoding::MuLaw.encode_into(samples, &mut out);
+    out
 }
 
 /// Decodes a µ-law byte stream to PCM.
 pub fn mulaw_decode(bytes: &[u8]) -> Vec<i16> {
-    bytes.iter().map(|&b| mulaw_decode_sample(b)).collect()
+    let mut out = Vec::new();
+    AudioEncoding::MuLaw.decode_into(bytes, &mut out);
+    out
 }
 
 /// Encoding applied by the driver before data leaves its I/O buffers.
@@ -95,22 +106,35 @@ impl AudioEncoding {
         }
     }
 
-    /// Encodes an audio buffer into a byte stream.
-    pub fn encode(self, audio: &AudioBuffer) -> Vec<u8> {
+    /// Encodes `samples` onto the end of `out`.
+    pub fn encode_into(self, samples: &[i16], out: &mut Vec<u8>) {
         match self {
-            AudioEncoding::PcmLe16 => pcm_to_bytes(audio.samples()),
-            AudioEncoding::MuLaw => mulaw_encode(audio.samples()),
+            AudioEncoding::PcmLe16 => {
+                let start = out.len();
+                out.resize(start + samples.len() * 2, 0);
+                write_pcm_le(samples, &mut out[start..]);
+            }
+            AudioEncoding::MuLaw => out.extend(samples.iter().map(|&s| mulaw_encode_sample(s))),
         }
     }
 
-    /// Decodes a byte stream produced by [`AudioEncoding::encode`] back into
-    /// an audio buffer of the given format.
-    pub fn decode(self, bytes: &[u8], format: AudioFormat) -> AudioBuffer {
-        let samples = match self {
-            AudioEncoding::PcmLe16 => bytes_to_pcm(bytes),
-            AudioEncoding::MuLaw => mulaw_decode(bytes),
-        };
-        AudioBuffer::new(format, samples)
+    /// Decodes a byte stream produced by [`AudioEncoding::encode_into`]
+    /// onto the end of `out` (an odd trailing PCM byte is ignored).
+    pub fn decode_into(self, bytes: &[u8], out: &mut Vec<i16>) {
+        match self {
+            AudioEncoding::PcmLe16 => {
+                let (pairs, _) = bytes.as_chunks::<2>();
+                out.extend(pairs.iter().map(|&pair| i16::from_le_bytes(pair)));
+            }
+            AudioEncoding::MuLaw => out.extend(bytes.iter().map(|&b| mulaw_decode_sample(b))),
+        }
+    }
+
+    /// Encodes an audio buffer into a new byte stream.
+    pub fn encode(self, audio: &AudioBuffer) -> Vec<u8> {
+        let mut out = Vec::with_capacity(audio.samples().len() * self.bytes_per_sample());
+        self.encode_into(audio.samples(), &mut out);
+        out
     }
 }
 
@@ -169,7 +193,9 @@ mod tests {
         let audio = AudioBuffer::new(format, samples);
         for encoding in [AudioEncoding::PcmLe16, AudioEncoding::MuLaw] {
             let encoded = encoding.encode(&audio);
-            let decoded = encoding.decode(&encoded, format);
+            let mut samples = Vec::new();
+            encoding.decode_into(&encoded, &mut samples);
+            let decoded = AudioBuffer::new(format, samples);
             assert_eq!(decoded.frames(), audio.frames());
             assert!((decoded.rms() - audio.rms()).abs() < 0.02);
         }

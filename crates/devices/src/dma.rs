@@ -6,9 +6,9 @@
 //! the channel with a destination buffer and a period size, and consumes
 //! periods as they complete.
 //!
-//! The model is synchronous: [`DmaChannel::transfer`] moves samples into a
-//! byte buffer and reports the transfer it performed, including the bus
-//! time the transfer would occupy. Period-interrupt pacing is handled by
+//! The model is synchronous: [`DmaChannel::transfer`] copies samples into a
+//! byte buffer as one slice write and reports the transfer it performed,
+//! including the bus time the transfer would occupy. Period-interrupt pacing is handled by
 //! the driver layers, which know about the platform clock.
 
 use serde::{Deserialize, Serialize};
@@ -100,11 +100,7 @@ impl DmaChannel {
                 available: dst.len(),
             });
         }
-        for (i, &s) in samples.iter().enumerate() {
-            let le = s.to_le_bytes();
-            dst[2 * i] = le[0];
-            dst[2 * i + 1] = le[1];
-        }
+        crate::codec::write_pcm_le(samples, dst);
         let bus_time = self.bus_time_for(required);
         self.transfers += 1;
         self.bytes_moved += required as u64;
@@ -135,10 +131,7 @@ impl Default for DmaChannel {
 /// Decodes a little-endian byte buffer produced by [`DmaChannel::transfer`]
 /// back into samples. Odd trailing bytes are ignored.
 pub fn bytes_to_samples(bytes: &[u8]) -> Vec<i16> {
-    bytes
-        .chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]))
-        .collect()
+    crate::codec::bytes_to_pcm(bytes)
 }
 
 #[cfg(test)]

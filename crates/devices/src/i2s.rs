@@ -10,6 +10,12 @@
 //! * if the CPU/DMA does not drain the FIFO fast enough, samples are
 //!   dropped and an overrun is latched — the phenomenon that makes the
 //!   secure-world driver's latency budget interesting.
+//!
+//! Samples move in slices. Per transfer the bus fills one chunk buffer it
+//! reuses from its [`SignalSource`]; the controller accepts the part that
+//! fits the FIFO's free space in one copy and counts the rest as
+//! overruns; [`I2sController::drain_into`] appends the oldest samples to
+//! the caller's buffer.
 
 use std::collections::VecDeque;
 
@@ -150,30 +156,31 @@ impl I2sController {
         self.enabled
     }
 
-    /// Pushes samples arriving from the bus into the FIFO. Samples that do
-    /// not fit are dropped and counted as overruns. Returns the number of
-    /// samples accepted.
+    /// Pushes samples arriving from the bus into the FIFO. The first
+    /// samples up to the free space are accepted; the rest are dropped and
+    /// counted as overruns. Returns the number of samples accepted.
     pub fn receive(&mut self, samples: &[i16]) -> usize {
         if !self.enabled {
             return 0;
         }
-        let mut accepted = 0;
-        for &s in samples {
-            if self.fifo.len() < self.config.fifo_depth {
-                self.fifo.push_back(s);
-                accepted += 1;
-            } else {
-                self.overrun_samples += 1;
-            }
-        }
+        let free = self.config.fifo_depth.saturating_sub(self.fifo.len());
+        let accepted = free.min(samples.len());
+        self.fifo.extend(&samples[..accepted]);
+        self.overrun_samples += (samples.len() - accepted) as u64;
         self.received_samples += accepted as u64;
         accepted
     }
 
-    /// Drains up to `max` samples from the FIFO (oldest first).
-    pub fn drain(&mut self, max: usize) -> Vec<i16> {
+    /// Moves up to `max` samples from the FIFO (oldest first) onto the end
+    /// of `out`, returning how many moved.
+    pub fn drain_into(&mut self, out: &mut Vec<i16>, max: usize) -> usize {
         let n = max.min(self.fifo.len());
-        self.fifo.drain(..n).collect()
+        let (front, back) = self.fifo.as_slices();
+        let from_front = n.min(front.len());
+        out.extend_from_slice(&front[..from_front]);
+        out.extend_from_slice(&back[..n - from_front]);
+        self.fifo.drain(..n);
+        n
     }
 
     /// Number of samples currently waiting in the FIFO.
@@ -204,6 +211,8 @@ pub struct I2sBus {
     config: I2sConfig,
     source: Box<dyn SignalSource>,
     controller: I2sController,
+    /// The samples of one transfer, reused across transfers.
+    chunk: Vec<i16>,
 }
 
 impl std::fmt::Debug for I2sBus {
@@ -228,6 +237,7 @@ impl I2sBus {
             config,
             source,
             controller,
+            chunk: Vec::new(),
         })
     }
 
@@ -260,8 +270,12 @@ impl I2sBus {
             return SimDuration::ZERO;
         }
         let samples = frames * self.config.format.channels as usize;
-        let produced = self.source.next_samples(samples);
-        self.controller.receive(&produced);
+        if self.chunk.len() < samples {
+            self.chunk.resize(samples, 0);
+        }
+        let chunk = &mut self.chunk[..samples];
+        self.source.fill(chunk);
+        self.controller.receive(chunk);
         self.config.format.duration_of_frames(frames)
     }
 }
@@ -270,6 +284,81 @@ impl I2sBus {
 mod tests {
     use super::*;
     use crate::signal::{SilenceSource, SineSource};
+    use proptest::prelude::*;
+
+    fn drain(ctrl: &mut I2sController, max: usize) -> Vec<i16> {
+        let mut out = Vec::new();
+        ctrl.drain_into(&mut out, max);
+        out
+    }
+
+    /// The per-sample `receive` loop the slice path replaced, kept as the
+    /// FIFO oracle.
+    fn receive_ref(ctrl: &mut I2sController, samples: &[i16]) -> usize {
+        if !ctrl.enabled {
+            return 0;
+        }
+        let mut accepted = 0;
+        for &s in samples {
+            if ctrl.fifo.len() < ctrl.config.fifo_depth {
+                ctrl.fifo.push_back(s);
+                accepted += 1;
+            } else {
+                ctrl.overrun_samples += 1;
+            }
+        }
+        ctrl.received_samples += accepted as u64;
+        accepted
+    }
+
+    /// The collecting `drain` the appending one replaced.
+    fn drain_ref(ctrl: &mut I2sController, max: usize) -> Vec<i16> {
+        let n = max.min(ctrl.fifo.len());
+        ctrl.fifo.drain(..n).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fifo_matches_the_per_sample_oracle(
+            depth in 1usize..129,
+            incoming in proptest::collection::vec(0usize..200, 1..40),
+            drains in proptest::collection::vec(0usize..200, 40..41),
+            seed in any::<u16>(),
+        ) {
+            let config = I2sConfig {
+                fifo_depth: depth,
+                ..I2sConfig::microphone_default()
+            };
+            let mut ctrl = I2sController::new(config).unwrap();
+            let mut oracle = I2sController::new(config).unwrap();
+            ctrl.enable();
+            oracle.enable();
+            let mut next = seed as i16;
+            for (step, (&incoming, &max)) in incoming.iter().zip(&drains).enumerate() {
+                let samples: Vec<i16> = (0..incoming)
+                    .map(|_| {
+                        next = next.wrapping_add(1);
+                        next
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    ctrl.receive(&samples),
+                    receive_ref(&mut oracle, &samples),
+                    "accepted at step {}", step
+                );
+                prop_assert_eq!(ctrl.overrun_samples(), oracle.overrun_samples());
+                prop_assert_eq!(ctrl.received_samples(), oracle.received_samples());
+                // Appending must keep what the buffer already held.
+                let mut out = vec![-1, -2];
+                let moved = ctrl.drain_into(&mut out, max);
+                let want = drain_ref(&mut oracle, max);
+                prop_assert_eq!(moved, want.len());
+                prop_assert_eq!(&out[..2], &[-1, -2]);
+                prop_assert_eq!(&out[2..], &want[..], "drained at step {}", step);
+                prop_assert_eq!(ctrl.fifo_level(), oracle.fifo_level());
+            }
+        }
+    }
 
     #[test]
     fn config_validation_catches_bad_configs() {
@@ -313,7 +402,7 @@ mod tests {
         let accepted = ctrl.receive(&[1, 2, 3, 4, 5, 6]);
         assert_eq!(accepted, 4);
         assert_eq!(ctrl.overrun_samples(), 2);
-        assert_eq!(ctrl.drain(10), vec![1, 2, 3, 4]);
+        assert_eq!(drain(&mut ctrl, 10), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -327,7 +416,7 @@ mod tests {
         let t = bus.transfer_frames(160); // 10 ms at 16 kHz
         assert_eq!(t, SimDuration::from_millis(10));
         assert_eq!(bus.controller_ref().fifo_level(), 160);
-        let drained = bus.controller().drain(160);
+        let drained = drain(bus.controller(), 160);
         assert_eq!(drained.len(), 160);
         assert!(drained.iter().any(|&s| s != 0));
     }
@@ -352,10 +441,10 @@ mod tests {
         .unwrap();
         bus.controller().enable();
         bus.transfer_frames(16);
-        assert!(bus.controller().drain(16).iter().all(|&s| s == 0));
+        assert!(drain(bus.controller(), 16).iter().all(|&s| s == 0));
         let old = bus.set_source(Box::new(SineSource::new(1000.0, 16_000, 0.9)));
         assert!(old.describe().contains("silence"));
         bus.transfer_frames(64);
-        assert!(bus.controller().drain(64).iter().any(|&s| s != 0));
+        assert!(drain(bus.controller(), 64).iter().any(|&s| s != 0));
     }
 }

@@ -2,8 +2,11 @@
 //!
 //! A thin device wrapper around an [`I2sBus`]: power state, capture
 //! start/stop, and chunked capture that respects the controller FIFO. The
-//! driver layers (both the untrusted baseline in `perisec-kernel` and the
-//! TEE-ported driver in `perisec-secure-driver`) talk to this type.
+//! driver layers talk to this type: the TEE-ported driver in
+//! `perisec-secure-driver` appends each period to a buffer it reuses
+//! ([`Microphone::capture_into`]); the untrusted baseline in
+//! `perisec-kernel` takes a fresh buffer per period
+//! ([`Microphone::capture`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -160,40 +163,52 @@ impl Microphone {
         self.bus.set_source(source)
     }
 
-    /// Captures `frames` frames in FIFO-sized chunks, returning the audio
-    /// and the bus time it took.
+    /// Captures `frames` frames in FIFO-sized chunks, appending the
+    /// samples to `out` and returning the bus time it took.
     ///
     /// This models a well-behaved consumer that drains the FIFO every chunk
     /// (what the DMA engine or a polling driver does). Overruns can still
-    /// occur if the configured chunk exceeds the FIFO depth.
+    /// occur if the configured chunk exceeds the FIFO depth. Each call
+    /// counts as one delivered chunk in [`MicStats::chunks`].
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::InvalidState`] if the microphone is not
-    /// capturing.
-    pub fn capture(&mut self, frames: usize) -> Result<(AudioBuffer, SimDuration)> {
+    /// capturing; `out` is untouched in that case.
+    pub fn capture_into(&mut self, frames: usize, out: &mut Vec<i16>) -> Result<SimDuration> {
         if self.state != MicState::Capturing {
             return Err(DeviceError::InvalidState {
                 operation: "capture".to_owned(),
                 state: self.state.to_string(),
             });
         }
-        let format = self.format();
-        let chunk_frames = self.bus.config().fifo_depth / format.channels as usize;
-        let mut samples: Vec<i16> = Vec::with_capacity(frames * format.channels as usize);
+        let channels = self.format().channels as usize;
+        let chunk_frames = (self.bus.config().fifo_depth / channels).max(1);
+        out.reserve(frames * channels);
         let mut elapsed = SimDuration::ZERO;
         let mut remaining = frames;
         while remaining > 0 {
-            let n = remaining.min(chunk_frames.max(1));
+            let n = remaining.min(chunk_frames);
             elapsed += self.bus.transfer_frames(n);
-            let drained = self.bus.controller().drain(n * format.channels as usize);
-            samples.extend_from_slice(&drained);
+            self.bus.controller().drain_into(out, n * channels);
             remaining -= n;
         }
         self.stats.frames_captured += frames as u64;
         self.stats.chunks += 1;
         self.stats.overrun_samples = self.bus.controller_ref().overrun_samples();
-        Ok((AudioBuffer::new(format, samples), elapsed))
+        Ok(elapsed)
+    }
+
+    /// Captures `frames` frames into a new buffer, returning the audio and
+    /// the bus time it took (see [`Microphone::capture_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Microphone::capture_into`].
+    pub fn capture(&mut self, frames: usize) -> Result<(AudioBuffer, SimDuration)> {
+        let mut samples = Vec::new();
+        let elapsed = self.capture_into(frames, &mut samples)?;
+        Ok((AudioBuffer::new(self.format(), samples), elapsed))
     }
 
     /// Captures `duration` worth of audio.

@@ -13,9 +13,11 @@ use rand::{Rng, SeedableRng};
 /// Implementations must be deterministic for a fixed construction (the
 /// experiments rely on reproducible runs), and are expected to be infinite:
 /// a source never "runs out", it keeps producing (silence if nothing else).
+/// The stream must not depend on how it is chunked: filling `a` then `b`
+/// gives the same samples as filling one slice of `a.len() + b.len()`.
 pub trait SignalSource: Send {
-    /// Produces the next `count` samples.
-    fn next_samples(&mut self, count: usize) -> Vec<i16>;
+    /// Overwrites `out` with the next `out.len()` samples.
+    fn fill(&mut self, out: &mut [i16]);
 
     /// A short human-readable description of the source.
     fn describe(&self) -> String {
@@ -28,8 +30,8 @@ pub trait SignalSource: Send {
 pub struct SilenceSource;
 
 impl SignalSource for SilenceSource {
-    fn next_samples(&mut self, count: usize) -> Vec<i16> {
-        vec![0i16; count]
+    fn fill(&mut self, out: &mut [i16]) {
+        out.fill(0);
     }
 
     fn describe(&self) -> String {
@@ -60,18 +62,15 @@ impl SineSource {
 }
 
 impl SignalSource for SineSource {
-    fn next_samples(&mut self, count: usize) -> Vec<i16> {
-        let mut out = Vec::with_capacity(count);
+    fn fill(&mut self, out: &mut [i16]) {
         let step = 2.0 * std::f64::consts::PI * self.freq_hz / self.sample_rate_hz;
-        for _ in 0..count {
-            let v = (self.phase.sin() * self.amplitude * i16::MAX as f64) as i16;
-            out.push(v);
+        for sample in out {
+            *sample = (self.phase.sin() * self.amplitude * i16::MAX as f64) as i16;
             self.phase += step;
             if self.phase > 2.0 * std::f64::consts::PI {
                 self.phase -= 2.0 * std::f64::consts::PI;
             }
         }
-        out
     }
 
     fn describe(&self) -> String {
@@ -97,11 +96,11 @@ impl WhiteNoiseSource {
 }
 
 impl SignalSource for WhiteNoiseSource {
-    fn next_samples(&mut self, count: usize) -> Vec<i16> {
+    fn fill(&mut self, out: &mut [i16]) {
         let scale = self.amplitude * i16::MAX as f64;
-        (0..count)
-            .map(|_| (self.rng.gen_range(-1.0..=1.0) * scale) as i16)
-            .collect()
+        for sample in out {
+            *sample = (self.rng.gen_range(-1.0..=1.0) * scale) as i16;
+        }
     }
 
     fn describe(&self) -> String {
@@ -142,12 +141,12 @@ impl PlaybackSource {
 }
 
 impl SignalSource for PlaybackSource {
-    fn next_samples(&mut self, count: usize) -> Vec<i16> {
-        let available = self.remaining().min(count);
-        let mut out = self.samples[self.position..self.position + available].to_vec();
+    fn fill(&mut self, out: &mut [i16]) {
+        let available = self.remaining().min(out.len());
+        let (played, silence) = out.split_at_mut(available);
+        played.copy_from_slice(&self.samples[self.position..self.position + available]);
+        silence.fill(0);
         self.position += available;
-        out.resize(count, 0);
-        out
     }
 
     fn describe(&self) -> String {
@@ -158,19 +157,94 @@ impl SignalSource for PlaybackSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The next `count` samples of `source`, in one fresh buffer.
+    fn take(source: &mut dyn SignalSource, count: usize) -> Vec<i16> {
+        let mut out = vec![i16::MIN; count];
+        source.fill(&mut out);
+        out
+    }
+
+    /// The per-call `next_samples` bodies the slice fills replaced, kept
+    /// as stream oracles: same state, same expressions, one fresh `Vec`
+    /// per call.
+    fn sine_ref(s: &mut SineSource, count: usize) -> Vec<i16> {
+        let mut out = Vec::with_capacity(count);
+        let step = 2.0 * std::f64::consts::PI * s.freq_hz / s.sample_rate_hz;
+        for _ in 0..count {
+            let v = (s.phase.sin() * s.amplitude * i16::MAX as f64) as i16;
+            out.push(v);
+            s.phase += step;
+            if s.phase > 2.0 * std::f64::consts::PI {
+                s.phase -= 2.0 * std::f64::consts::PI;
+            }
+        }
+        out
+    }
+
+    fn noise_ref(s: &mut WhiteNoiseSource, count: usize) -> Vec<i16> {
+        let scale = s.amplitude * i16::MAX as f64;
+        (0..count)
+            .map(|_| (s.rng.gen_range(-1.0..=1.0) * scale) as i16)
+            .collect()
+    }
+
+    fn playback_ref(s: &mut PlaybackSource, count: usize) -> Vec<i16> {
+        let available = s.remaining().min(count);
+        let mut out = s.samples[s.position..s.position + available].to_vec();
+        s.position += available;
+        out.resize(count, 0);
+        out
+    }
+
+    /// Feeds `chunks` to `fill` and to `oracle` on twin sources and
+    /// checks that the two streams agree sample for sample.
+    fn same_stream<S: SignalSource + Clone>(
+        source: S,
+        chunks: &[usize],
+        oracle: fn(&mut S, usize) -> Vec<i16>,
+    ) -> std::result::Result<(), String> {
+        let (mut filled, mut reference) = (source.clone(), source);
+        for (index, &count) in chunks.iter().enumerate() {
+            let got = take(&mut filled, count);
+            let want = oracle(&mut reference, count);
+            prop_assert_eq!(got, want, "chunk {} of {}", index, count);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn fill_matches_the_per_call_oracles_under_any_chunking(
+            chunks in proptest::collection::vec(0usize..300, 1..24),
+            seed in any::<u64>(),
+            freq in 20.0f64..7_900.0,
+            amplitude in 0.0f64..1.0,
+            clip in proptest::collection::vec(any::<i16>(), 0..2_000),
+        ) {
+            same_stream(SineSource::new(freq, 16_000, amplitude), &chunks, sine_ref)?;
+            same_stream(WhiteNoiseSource::new(seed, amplitude), &chunks, noise_ref)?;
+            same_stream(PlaybackSource::new(clip, "clip"), &chunks, playback_ref)?;
+            let mut silence = SilenceSource;
+            for &count in &chunks {
+                prop_assert_eq!(take(&mut silence, count), vec![0; count]);
+            }
+        }
+    }
 
     #[test]
     fn silence_is_all_zeros() {
         let mut s = SilenceSource;
-        assert!(s.next_samples(100).iter().all(|&v| v == 0));
-        assert_eq!(s.next_samples(0).len(), 0);
+        assert!(take(&mut s, 100).iter().all(|&v| v == 0));
+        assert_eq!(take(&mut s, 0).len(), 0);
     }
 
     #[test]
     fn sine_has_expected_period() {
         // 1 kHz at 16 kHz: one period every 16 samples.
         let mut s = SineSource::new(1_000.0, 16_000, 0.9);
-        let samples = s.next_samples(16_000);
+        let samples = take(&mut s, 16_000);
         assert_eq!(samples.len(), 16_000);
         // Sign changes ~2 per period => ~2000 zero crossings in one second.
         let crossings = samples
@@ -186,19 +260,19 @@ mod tests {
     fn noise_is_deterministic_for_a_seed() {
         let mut a = WhiteNoiseSource::new(7, 0.5);
         let mut b = WhiteNoiseSource::new(7, 0.5);
-        assert_eq!(a.next_samples(256), b.next_samples(256));
+        assert_eq!(take(&mut a, 256), take(&mut b, 256));
         let mut c = WhiteNoiseSource::new(8, 0.5);
-        assert_ne!(a.next_samples(256), c.next_samples(256));
+        assert_ne!(take(&mut a, 256), take(&mut c, 256));
     }
 
     #[test]
     fn playback_pads_with_silence_when_exhausted() {
         let mut p = PlaybackSource::new(vec![1, 2, 3], "clip");
-        assert_eq!(p.next_samples(2), vec![1, 2]);
+        assert_eq!(take(&mut p, 2), vec![1, 2]);
         assert!(!p.exhausted());
-        assert_eq!(p.next_samples(4), vec![3, 0, 0, 0]);
+        assert_eq!(take(&mut p, 4), vec![3, 0, 0, 0]);
         assert!(p.exhausted());
-        assert_eq!(p.next_samples(2), vec![0, 0]);
+        assert_eq!(take(&mut p, 2), vec![0, 0]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use perisec_tz::platform::Platform;
 use perisec_tz::secure_mem::SecureBuf;
 use perisec_tz::time::SimDuration;
+use perisec_tz::world::World;
 
 use crate::param::TeeParams;
 use crate::ta::TaDescriptor;
@@ -36,17 +37,20 @@ pub trait PseudoTa: Send {
 /// have no supplicant or storage access of their own.
 pub struct PtaEnv<'a> {
     platform: &'a Platform,
+    caller: World,
 }
 
 impl std::fmt::Debug for PtaEnv<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PtaEnv").finish()
+        f.debug_struct("PtaEnv")
+            .field("caller", &self.caller)
+            .finish()
     }
 }
 
 impl<'a> PtaEnv<'a> {
-    pub(crate) fn new(platform: &'a Platform) -> Self {
-        PtaEnv { platform }
+    pub(crate) fn new(platform: &'a Platform, caller: World) -> Self {
+        PtaEnv { platform, caller }
     }
 
     /// The underlying platform.
@@ -54,16 +58,25 @@ impl<'a> PtaEnv<'a> {
         self.platform
     }
 
+    /// The world the call came from. [`World::Normal`] is a command a
+    /// normal-world client sent through [`crate::client::TeeClient`] (in
+    /// OP-TEE, `ts_get_calling_session()` returns NULL for it);
+    /// [`World::Secure`] is a TA calling through
+    /// [`crate::ta::TaEnv::invoke_pta`] or the core's own secure-side
+    /// entry points. A PTA that holds sensor data must not hand it to the
+    /// normal world.
+    pub fn caller(&self) -> World {
+        self.caller
+    }
+
     /// Charges secure-world CPU time.
     pub fn charge_cpu(&self, duration: SimDuration) {
-        self.platform
-            .charge_cpu(perisec_tz::world::World::Secure, duration);
+        self.platform.charge_cpu(World::Secure, duration);
     }
 
     /// Charges `flops` of secure-world compute, returning the time charged.
     pub fn charge_compute(&self, flops: u64) -> SimDuration {
-        self.platform
-            .charge_compute(perisec_tz::world::World::Secure, flops)
+        self.platform.charge_compute(World::Secure, flops)
     }
 
     /// Allocates a buffer from secure RAM (e.g. the secure driver's I/O
@@ -88,7 +101,8 @@ mod tests {
     #[test]
     fn pta_env_exposes_platform_services() {
         let platform = Platform::jetson_agx_xavier();
-        let env = PtaEnv::new(&platform);
+        let env = PtaEnv::new(&platform, World::Secure);
+        assert_eq!(env.caller(), World::Secure);
         let before = platform.clock().now();
         env.charge_cpu(SimDuration::from_micros(3));
         env.charge_compute(1_000);

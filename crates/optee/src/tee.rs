@@ -432,7 +432,9 @@ impl TeeCore {
         })
     }
 
-    /// Invokes a command on an open session.
+    /// Invokes a command on an open session from the secure side. A PTA
+    /// sees the call as [`World::Secure`]; the normal world's commands
+    /// arrive through [`crate::client::TeeClient`] instead.
     ///
     /// # Errors
     ///
@@ -440,6 +442,18 @@ impl TeeCore {
     /// application's own error.
     pub fn invoke_command(
         &self,
+        session: SessionId,
+        cmd: u32,
+        params: &mut TeeParams,
+    ) -> TeeResult<()> {
+        self.invoke_command_from(World::Secure, session, cmd, params)
+    }
+
+    /// [`TeeCore::invoke_command`] on behalf of `caller`, which a PTA sees
+    /// as [`PtaEnv::caller`].
+    fn invoke_command_from(
+        &self,
+        caller: World,
         session: SessionId,
         cmd: u32,
         params: &mut TeeParams,
@@ -458,7 +472,7 @@ impl TeeCore {
             return entry.instance.lock().invoke(&mut env, cmd, params);
         }
         if self.ptas.read().get(&uuid).is_some() {
-            return self.invoke_pta(uuid, cmd, params);
+            return self.invoke_pta_from(caller, uuid, cmd, params);
         }
         Err(TeeError::TargetDead)
     }
@@ -487,6 +501,16 @@ impl TeeCore {
         session: SessionId,
         calls: Vec<(u32, TeeParams)>,
     ) -> TeeResult<Vec<TeeParams>> {
+        self.invoke_command_batched_from(World::Secure, session, calls)
+    }
+
+    /// [`TeeCore::invoke_command_batched`] on behalf of `caller`.
+    fn invoke_command_batched_from(
+        &self,
+        caller: World,
+        session: SessionId,
+        calls: Vec<(u32, TeeParams)>,
+    ) -> TeeResult<Vec<TeeParams>> {
         // Borrow the installed tracer under its lock just long enough to
         // open the span; the guard must not be held across the command
         // loop (TAs re-enter the tracer through `TaEnv::tracer`).
@@ -497,7 +521,7 @@ impl TeeCore {
         };
         let mut results = Vec::with_capacity(calls.len());
         for (cmd, mut params) in calls {
-            self.invoke_command(session, cmd, &mut params)?;
+            self.invoke_command_from(caller, session, cmd, &mut params)?;
             results.push(params);
         }
         Ok(results)
@@ -524,13 +548,24 @@ impl TeeCore {
     }
 
     /// Invokes a command on a pseudo TA directly (used by TAs through
-    /// [`TaEnv::invoke_pta`] and by the secure world itself).
+    /// [`TaEnv::invoke_pta`] and by the secure world itself); the PTA sees
+    /// a [`World::Secure`] caller.
     ///
     /// # Errors
     ///
     /// Returns [`TeeError::ItemNotFound`] for unknown PTAs or the PTA's own
     /// error.
     pub fn invoke_pta(&self, uuid: TaUuid, cmd: u32, params: &mut TeeParams) -> TeeResult<()> {
+        self.invoke_pta_from(World::Secure, uuid, cmd, params)
+    }
+
+    fn invoke_pta_from(
+        &self,
+        caller: World,
+        uuid: TaUuid,
+        cmd: u32,
+        params: &mut TeeParams,
+    ) -> TeeResult<()> {
         let entry = self
             .ptas
             .read()
@@ -541,7 +576,7 @@ impl TeeCore {
             })?;
         self.platform
             .charge_cpu(World::Secure, self.platform.cost().pta_dispatch);
-        let mut env = PtaEnv::new(&self.platform);
+        let mut env = PtaEnv::new(&self.platform, caller);
         let result = entry.instance.lock().invoke(&mut env, cmd, params);
         result
     }
@@ -607,12 +642,12 @@ impl TeeCore {
                 session,
                 cmd,
                 mut params,
-            }) => match self.invoke_command(session, cmd, &mut params) {
+            }) => match self.invoke_command_from(World::Normal, session, cmd, &mut params) {
                 Ok(()) => ClientReply::Invoked { params },
                 Err(e) => ClientReply::Failed(e),
             },
             Some(ClientMessage::InvokeBatch { session, calls }) => {
-                match self.invoke_command_batched(session, calls) {
+                match self.invoke_command_batched_from(World::Normal, session, calls) {
                     Ok(results) => ClientReply::InvokedBatch { results },
                     Err(e) => ClientReply::Failed(e),
                 }

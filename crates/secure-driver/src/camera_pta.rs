@@ -5,7 +5,9 @@
 //! capture / stop / stats commands to userland TAs (the vision TA in
 //! `perisec-core`). The pixel data it returns never leaves the secure
 //! world — its only consumer is the vision TA, which relays verdicts, not
-//! frames.
+//! frames. A normal-world caller gets `STATS` only; every other command
+//! is refused with [`TeeError::AccessDenied`] before the driver is
+//! touched.
 
 use perisec_optee::{PseudoTa, PtaEnv, TaDescriptor, TeeError, TeeParam, TeeParams, TeeResult};
 
@@ -23,7 +25,8 @@ pub mod cmd {
     /// Stop the frame stream.
     pub const STOP: u32 = 3;
     /// Query cumulative statistics: returns `(frames, bytes)` and
-    /// `(secure_irqs, 0)` in two value outputs.
+    /// `(secure_irqs, 0)` in two value outputs. The only command served
+    /// to a normal-world caller.
     pub const STATS: u32 = 4;
     /// Release all resources.
     pub const SHUTDOWN: u32 = 5;
@@ -178,7 +181,8 @@ impl PseudoTa for CameraPta {
         TaDescriptor::new(CAMERA_PTA_NAME, 16, 96)
     }
 
-    fn invoke(&mut self, _env: &mut PtaEnv<'_>, cmd: u32, params: &mut TeeParams) -> TeeResult<()> {
+    fn invoke(&mut self, env: &mut PtaEnv<'_>, cmd: u32, params: &mut TeeParams) -> TeeResult<()> {
+        crate::pta::admit(env, CAMERA_PTA_NAME, cmd, cmd::STATS)?;
         match cmd {
             cmd::CONFIGURE => self.driver.configure(),
             cmd::START => self.driver.start(),

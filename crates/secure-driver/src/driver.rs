@@ -5,8 +5,16 @@
 //! interrupts, the period bookkeeping and the encode step are secure CPU
 //! time (with the secure compute penalty), and the I/O buffers live in the
 //! TrustZone carve-out, so the untrusted OS cannot observe the raw audio.
+//!
+//! Per period the driver captures into one period-sized sample scratch it
+//! reuses, DMAs the period into the secure I/O buffer, and encodes it onto
+//! the end of the caller's output. A window's costs are summed over its
+//! periods and charged after the last one, once per cost term. The clock
+//! and the energy meter add integer nanoseconds, so this charges exactly
+//! what one charge per period would; nothing reads either of them between
+//! the periods of a window.
 
-use perisec_devices::audio::{AudioBuffer, AudioFormat};
+use perisec_devices::audio::AudioFormat;
 use perisec_devices::codec::AudioEncoding;
 use perisec_devices::dma::DmaChannel;
 use perisec_devices::mic::Microphone;
@@ -115,13 +123,15 @@ pub struct SecureDriverStats {
     pub bytes_delivered: u64,
 }
 
-/// One window of a batched capture: the encoded audio plus its accounting.
-#[derive(Debug, Clone, Default)]
-pub struct WindowCapture {
-    /// Encoded audio of this window.
-    pub encoded: Vec<u8>,
-    /// Accounting for this window alone.
-    pub report: SecureCaptureReport,
+/// A window's costs, summed over its completed periods until
+/// [`SecureI2sDriver::charge_window`] charges them.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowTally {
+    periods: u64,
+    samples: u64,
+    wire_time: SimDuration,
+    dma_time: SimDuration,
+    encode_time: SimDuration,
 }
 
 /// The secure, capture-only I2S driver.
@@ -133,6 +143,8 @@ pub struct SecureI2sDriver {
     period_frames: usize,
     encoding: AudioEncoding,
     io_buffer: Option<SecureBuf>,
+    /// One period's samples, reused across periods.
+    scratch: Vec<i16>,
     stats: SecureDriverStats,
 }
 
@@ -157,6 +169,7 @@ impl SecureI2sDriver {
             period_frames: 160,
             encoding: AudioEncoding::PcmLe16,
             io_buffer: None,
+            scratch: Vec::new(),
             stats: SecureDriverStats::default(),
         }
     }
@@ -179,6 +192,11 @@ impl SecureI2sDriver {
     /// Encoding applied before data leaves the driver.
     pub fn encoding(&self) -> AudioEncoding {
         self.encoding
+    }
+
+    /// Encoded bytes one period produces.
+    pub fn period_encoded_bytes(&self) -> usize {
+        self.period_frames * self.format().channels as usize * self.encoding.bytes_per_sample()
     }
 
     /// Access to the microphone (used by scenario runners to swap the
@@ -270,114 +288,118 @@ impl SecureI2sDriver {
     ///
     /// # Errors
     ///
-    /// Returns [`TeeError::BadParameters`] if the stream is not running, or
-    /// a wrapped device error.
+    /// Same as [`SecureI2sDriver::capture_window_into`].
     pub fn capture_periods(&mut self, periods: usize) -> TeeResult<(Vec<u8>, SecureCaptureReport)> {
+        let mut encoded = Vec::new();
+        let report = self.capture_window_into(periods, &mut encoded)?;
+        Ok((encoded, report))
+    }
+
+    /// Captures one window of `periods` periods and appends its encoded
+    /// audio to `out`, returning the window's accounting. This is the
+    /// loop behind the PTA's `CAPTURE_BATCH`, once per window.
+    ///
+    /// Each period is one microphone capture into the driver's scratch,
+    /// one DMA transfer into the secure I/O buffer and one encode onto
+    /// `out`. The window's costs are charged after its last period: the
+    /// wire and DMA busy time once per component, each secure CPU term
+    /// once at its sum over the periods, and the periods' secure
+    /// interrupts in one count. `cpu_time` is the clock time that elapses
+    /// across the window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TeeError::BadParameters`] if the stream is not running,
+    /// or a wrapped device error. A device error part-way through a window
+    /// still charges the periods completed before it; `out` is left as it
+    /// was, and the cumulative statistics do not count the window.
+    pub fn capture_window_into(
+        &mut self,
+        periods: usize,
+        out: &mut Vec<u8>,
+    ) -> TeeResult<SecureCaptureReport> {
         if self.state != SecureDriverState::Running {
             return Err(TeeError::BadParameters {
                 reason: format!("capture requested while driver is {}", self.state),
             });
         }
-        let format = self.format();
-        let mut report = SecureCaptureReport {
-            periods,
-            ..SecureCaptureReport::default()
-        };
-        let mut audio = AudioBuffer::silence(format, 0);
+        let start = out.len();
         let cpu_before = self.platform.clock().now();
+        let mut tally = WindowTally::default();
+        let mut outcome = Ok(());
         for _ in 0..periods {
-            // 1. One period arrives over the wire.
-            let (chunk, wire) =
-                self.mic
-                    .capture(self.period_frames)
-                    .map_err(|e| TeeError::Generic {
-                        reason: e.to_string(),
-                    })?;
-            report.wire_time += wire;
-            self.platform
-                .record_device_busy(Component::Microphone, wire);
-            self.platform
-                .record_device_busy(Component::I2sController, wire);
-
-            // 2. DMA moves it into the secure I/O buffer.
-            let io = self
-                .io_buffer
-                .as_mut()
-                .expect("configured driver has io buffer");
-            let transfer = self
-                .dma
-                .transfer(chunk.samples(), io.as_mut_slice())
-                .map_err(|e| TeeError::Generic {
-                    reason: e.to_string(),
-                })?;
-            self.platform
-                .record_device_busy(Component::DmaEngine, transfer.bus_time);
-
-            // 3. Secure (FIQ-routed) period interrupt plus bookkeeping.
-            self.platform.stats().record_secure_irq();
-            report.secure_irqs += 1;
-            self.platform
-                .charge_cpu(World::Secure, self.platform.cost().secure_irq_entry);
-            self.platform
-                .charge_cpu(World::Secure, PER_PERIOD_DRIVER_OVERHEAD);
-
-            // 4. The driver "securely processes (e.g., encoding an audio
-            //    signal)" the period: charged as secure compute over the
-            //    period bytes.
-            let encode_flops = (chunk.byte_len() as u64) / 2;
-            self.platform.charge_compute(World::Secure, encode_flops);
-            audio.append(&chunk);
+            if let Err(e) = self.capture_period(out, &mut tally) {
+                outcome = Err(e);
+                break;
+            }
         }
-        let encoded = self.encoding.encode(&audio);
-        report.encoded_bytes = encoded.len();
-        report.cpu_time = self.platform.clock().elapsed_since(cpu_before);
-
-        self.stats.frames_captured += audio.frames() as u64;
+        self.charge_window(&tally);
+        if let Err(e) = outcome {
+            out.truncate(start);
+            return Err(e);
+        }
+        let report = SecureCaptureReport {
+            wire_time: tally.wire_time,
+            cpu_time: self.platform.clock().elapsed_since(cpu_before),
+            periods,
+            encoded_bytes: out.len() - start,
+            secure_irqs: tally.periods,
+        };
+        self.stats.frames_captured += tally.samples / u64::from(self.format().channels);
         self.stats.periods += periods as u64;
         self.stats.secure_irqs += report.secure_irqs;
-        self.stats.bytes_delivered += encoded.len() as u64;
-        Ok((encoded, report))
+        self.stats.bytes_delivered += report.encoded_bytes as u64;
+        Ok(report)
     }
 
-    /// Captures several windows back to back in one driver call — the
-    /// batch-aware entry point behind the PTA's `CAPTURE_BATCH` command.
-    ///
-    /// Each entry of `windows` is a window length in periods; the windows
-    /// are captured in order and encoded independently, so the caller gets
-    /// one encoded buffer per window (one per utterance in the pipelines)
-    /// while paying a single driver dispatch for the whole batch. The
-    /// second return value aggregates the accounting over the batch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SecureI2sDriver::capture_periods`]; an empty batch or a
-    /// zero-length window is rejected as [`TeeError::BadParameters`].
-    pub fn capture_windows(
-        &mut self,
-        windows: &[usize],
-    ) -> TeeResult<(Vec<WindowCapture>, SecureCaptureReport)> {
-        if windows.is_empty() {
-            return Err(TeeError::BadParameters {
-                reason: "capture batch must name at least one window".to_owned(),
-            });
-        }
-        if windows.contains(&0) {
-            return Err(TeeError::BadParameters {
-                reason: "capture windows must be at least one period".to_owned(),
-            });
-        }
-        let mut captures = Vec::with_capacity(windows.len());
-        let mut total = SecureCaptureReport::default();
-        for &periods in windows {
-            let (encoded, report) = self.capture_periods(periods)?;
-            total.wire_time += report.wire_time;
-            total.cpu_time += report.cpu_time;
-            total.periods += report.periods;
-            total.encoded_bytes += report.encoded_bytes;
-            total.secure_irqs += report.secure_irqs;
-            captures.push(WindowCapture { encoded, report });
-        }
-        Ok((captures, total))
+    /// One period: capture, DMA into the secure I/O buffer, encode onto
+    /// `out`. Adds the period's costs to `tally` without charging them.
+    fn capture_period(&mut self, out: &mut Vec<u8>, tally: &mut WindowTally) -> TeeResult<()> {
+        // 1. One period arrives over the wire.
+        self.scratch.clear();
+        let wire = self
+            .mic
+            .capture_into(self.period_frames, &mut self.scratch)
+            .map_err(device_error)?;
+
+        // 2. DMA moves it into the secure I/O buffer.
+        let io = self
+            .io_buffer
+            .as_mut()
+            .expect("configured driver has io buffer");
+        let transfer = self
+            .dma
+            .transfer(&self.scratch, io.as_mut_slice())
+            .map_err(device_error)?;
+
+        // 3. The driver "securely processes (e.g., encoding an audio
+        //    signal)" the period: charged as secure compute over the
+        //    period's samples, converted to time per period because the
+        //    conversion rounds.
+        self.encoding.encode_into(&self.scratch, out);
+        let encode_flops = self.scratch.len() as u64;
+        tally.periods += 1;
+        tally.samples += encode_flops;
+        tally.wire_time += wire;
+        tally.dma_time += transfer.bus_time;
+        tally.encode_time += self.platform.cost().compute(encode_flops, true);
+        Ok(())
+    }
+
+    /// Charges a window's periods: device busy time, the secure (FIQ)
+    /// period interrupts with their bookkeeping, and the encode compute.
+    fn charge_window(&self, tally: &WindowTally) {
+        let platform = &self.platform;
+        platform.record_device_busy(Component::Microphone, tally.wire_time);
+        platform.record_device_busy(Component::I2sController, tally.wire_time);
+        platform.record_device_busy(Component::DmaEngine, tally.dma_time);
+        platform.stats().record_secure_irqs(tally.periods);
+        platform.charge_cpu(
+            World::Secure,
+            platform.cost().secure_irq_entry * tally.periods,
+        );
+        platform.charge_cpu(World::Secure, PER_PERIOD_DRIVER_OVERHEAD * tally.periods);
+        platform.charge_cpu(World::Secure, tally.encode_time);
     }
 
     /// Releases the secure I/O buffers and powers the microphone down.
@@ -386,6 +408,12 @@ impl SecureI2sDriver {
         self.io_buffer = None;
         self.mic.power_off();
         self.state = SecureDriverState::Idle;
+    }
+}
+
+fn device_error(e: perisec_devices::DeviceError) -> TeeError {
+    TeeError::Generic {
+        reason: e.to_string(),
     }
 }
 
@@ -462,6 +490,24 @@ mod tests {
         assert!(d.configure(320, AudioEncoding::PcmLe16).is_err());
         d.stop();
         assert!(d.configure(320, AudioEncoding::PcmLe16).is_ok());
+    }
+
+    #[test]
+    fn a_failed_capture_leaves_output_stats_and_clock_alone() {
+        let platform = Platform::jetson_agx_xavier();
+        let mut d = secure_driver(&platform);
+        d.configure(160, AudioEncoding::PcmLe16).unwrap();
+        d.start().unwrap();
+        // The microphone stops under a running driver: the first period
+        // fails, so the window charges and records nothing.
+        d.mic_mut().stop_capture();
+        let mut out = vec![7u8; 3];
+        let before = platform.clock().now();
+        assert!(d.capture_window_into(4, &mut out).is_err());
+        assert_eq!(out, vec![7u8; 3]);
+        assert_eq!(d.stats(), SecureDriverStats::default());
+        assert_eq!(platform.clock().now(), before);
+        assert_eq!(platform.stats().snapshot().secure_irqs, 0);
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! code like device driver software." (§II)
 //!
 //! [`I2sPta`] is that intermediary: it owns the [`SecureI2sDriver`] and
-//! exposes configure / start / batched capture / stop / stats commands to userland
-//! TAs (the filter TA in `perisec-core`) and, for management purposes, to
-//! the normal-world client.
+//! exposes configure / start / batched capture / stop / stats commands to
+//! userland TAs (the filter TA in `perisec-core`). A normal-world client
+//! may open a session on it too, but gets `STATS` only: every other
+//! command is refused with [`TeeError::AccessDenied`] before the driver is
+//! touched, so raw audio never crosses to the normal world.
 
 use perisec_devices::codec::AudioEncoding;
 use perisec_optee::{PseudoTa, PtaEnv, TaDescriptor, TeeError, TeeParam, TeeParams, TeeResult};
+use perisec_tz::world::World;
 
-use crate::driver::{SecureDriverState, SecureI2sDriver, WindowCapture};
+use crate::driver::{SecureCaptureReport, SecureDriverState, SecureI2sDriver};
 
 /// Registered name of the I2S PTA (its UUID is derived from this).
 pub const I2S_PTA_NAME: &str = "perisec.i2s-pta";
@@ -28,7 +31,8 @@ pub mod cmd {
     /// Stop the capture stream.
     pub const STOP: u32 = 3;
     /// Query cumulative statistics: returns `(frames, bytes)` and
-    /// `(periods, secure_irqs)` in two value outputs.
+    /// `(periods, secure_irqs)` in two value outputs. The only command
+    /// served to a normal-world caller.
     pub const STATS: u32 = 4;
     /// Release all resources.
     pub const SHUTDOWN: u32 = 5;
@@ -38,6 +42,18 @@ pub mod cmd {
     /// [`super::decode_windows_reply`]) and the aggregate
     /// `(wire_ns, cpu_ns)` in a value output.
     pub const CAPTURE_BATCH: u32 = 6;
+}
+
+/// Refuses every command but `stats` from a normal-world caller. The other
+/// commands drive the sensor or return its data, which must stay in the
+/// secure world.
+pub(crate) fn admit(env: &PtaEnv<'_>, pta: &str, cmd: u32, stats: u32) -> TeeResult<()> {
+    if env.caller() == World::Normal && cmd != stats {
+        return Err(TeeError::AccessDenied {
+            reason: format!("{pta} serves only STATS to the normal world, not command {cmd}"),
+        });
+    }
+    Ok(())
 }
 
 /// Encodes a batch-capture request: each window length in periods as a
@@ -67,62 +83,64 @@ pub fn decode_windows_request(data: &[u8]) -> TeeResult<Vec<usize>> {
         .collect())
 }
 
-/// Encodes a batch-capture reply: per window, a `u32` length, the
-/// `(wire_ns, cpu_ns)` accounting as two `u64`s, then the encoded audio.
-pub fn encode_windows_reply(captures: &[WindowCapture]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for capture in captures {
-        out.extend_from_slice(&(capture.encoded.len() as u32).to_le_bytes());
-        out.extend_from_slice(&capture.report.wire_time.as_nanos().to_le_bytes());
-        out.extend_from_slice(&capture.report.cpu_time.as_nanos().to_le_bytes());
-        out.extend_from_slice(&capture.encoded);
-    }
-    out
+/// Bytes of a window's header in a batch-capture reply: a `u32` audio
+/// length, then `wire_ns` and `cpu_ns` as `u64`s, all little-endian. The
+/// window's encoded audio follows its header.
+const WINDOW_HEADER_BYTES: usize = 20;
+
+/// A window's header in a batch-capture reply.
+fn window_header(audio_len: usize, wire_ns: u64, cpu_ns: u64) -> [u8; WINDOW_HEADER_BYTES] {
+    let mut header = [0u8; WINDOW_HEADER_BYTES];
+    header[..4].copy_from_slice(&(audio_len as u32).to_le_bytes());
+    header[4..12].copy_from_slice(&wire_ns.to_le_bytes());
+    header[12..].copy_from_slice(&cpu_ns.to_le_bytes());
+    header
 }
 
-/// One decoded window of a batch-capture reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowReply {
+/// One decoded window of a batch-capture reply, borrowed from the reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowReply<'a> {
     /// Encoded audio of the window.
-    pub encoded: Vec<u8>,
+    pub encoded: &'a [u8],
     /// Time the window's audio occupied the I2S wire, in nanoseconds.
     pub wire_ns: u64,
     /// Secure CPU time charged for the window, in nanoseconds.
     pub cpu_ns: u64,
 }
 
-/// Decodes a batch-capture reply produced by [`encode_windows_reply`].
+/// Decodes a batch-capture reply (see [`I2sPta::capture_windows`]) into
+/// windows that borrow their audio from `data`. Per window the reply
+/// holds a `u32` audio length, `wire_ns` and `cpu_ns` as `u64`s, all
+/// little-endian, then the encoded audio.
 ///
 /// # Errors
 ///
-/// Returns [`TeeError::Communication`] for truncated buffers.
-pub fn decode_windows_reply(data: &[u8]) -> TeeResult<Vec<WindowReply>> {
+/// Returns [`TeeError::Communication`] for a truncated header or truncated
+/// audio.
+pub fn decode_windows_reply(data: &[u8]) -> TeeResult<Vec<WindowReply<'_>>> {
     let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < data.len() {
-        if data.len() < offset + 20 {
-            return Err(TeeError::Communication {
+    let mut rest = data;
+    while !rest.is_empty() {
+        let (header, tail) = rest
+            .split_first_chunk::<WINDOW_HEADER_BYTES>()
+            .ok_or_else(|| TeeError::Communication {
                 reason: "batch reply header truncated".to_owned(),
-            });
-        }
-        let len =
-            u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let wire_ns =
-            u64::from_le_bytes(data[offset + 4..offset + 12].try_into().expect("8 bytes"));
-        let cpu_ns =
-            u64::from_le_bytes(data[offset + 12..offset + 20].try_into().expect("8 bytes"));
-        offset += 20;
-        if data.len() < offset + len {
+            })?;
+        let (len, times) = header.split_at(4);
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+        let (wire_ns, cpu_ns) = times.split_at(8);
+        if tail.len() < len {
             return Err(TeeError::Communication {
                 reason: "batch reply audio truncated".to_owned(),
             });
         }
+        let (encoded, tail) = tail.split_at(len);
         out.push(WindowReply {
-            encoded: data[offset..offset + len].to_vec(),
-            wire_ns,
-            cpu_ns,
+            encoded,
+            wire_ns: u64::from_le_bytes(wire_ns.try_into().expect("8 bytes")),
+            cpu_ns: u64::from_le_bytes(cpu_ns.try_into().expect("8 bytes")),
         });
-        offset += len;
+        rest = tail;
     }
     Ok(out)
 }
@@ -156,6 +174,72 @@ impl I2sPta {
     pub fn driver_mut(&mut self) -> &mut SecureI2sDriver {
         &mut self.driver
     }
+
+    /// Captures several windows back to back — the work behind
+    /// `CAPTURE_BATCH` — and returns the batch reply plus the accounting
+    /// summed over the batch.
+    ///
+    /// Each entry of `windows` is a window length in periods. The windows
+    /// are captured in order, each encoded straight into the reply after
+    /// its header (see [`decode_windows_reply`]), so the caller gets one encoded window per
+    /// utterance while paying a single PTA dispatch for the whole batch.
+    ///
+    /// # Errors
+    ///
+    /// * [`TeeError::BadParameters`] for an empty batch, a zero-length
+    ///   window or a batch whose reply size overflows.
+    /// * [`TeeError::OutOfMemory`] when the reply cannot be allocated.
+    /// * The driver's errors (see [`SecureI2sDriver::capture_window_into`]).
+    pub fn capture_windows(
+        &mut self,
+        windows: &[usize],
+    ) -> TeeResult<(Vec<u8>, SecureCaptureReport)> {
+        if windows.is_empty() {
+            return Err(TeeError::BadParameters {
+                reason: "capture batch must name at least one window".to_owned(),
+            });
+        }
+        if windows.contains(&0) {
+            return Err(TeeError::BadParameters {
+                reason: "capture windows must be at least one period".to_owned(),
+            });
+        }
+        let period_bytes = self.driver.period_encoded_bytes();
+        let reply_bytes = windows
+            .iter()
+            .try_fold(0usize, |total, &periods| {
+                periods
+                    .checked_mul(period_bytes)?
+                    .checked_add(WINDOW_HEADER_BYTES)?
+                    .checked_add(total)
+            })
+            .ok_or_else(|| TeeError::BadParameters {
+                reason: "capture batch reply would overflow".to_owned(),
+            })?;
+        let mut reply = Vec::new();
+        reply
+            .try_reserve_exact(reply_bytes)
+            .map_err(|_| TeeError::OutOfMemory {
+                requested: reply_bytes,
+            })?;
+        let mut total = SecureCaptureReport::default();
+        for &periods in windows {
+            let header = reply.len();
+            reply.extend_from_slice(&[0; WINDOW_HEADER_BYTES]);
+            let report = self.driver.capture_window_into(periods, &mut reply)?;
+            reply[header..header + WINDOW_HEADER_BYTES].copy_from_slice(&window_header(
+                report.encoded_bytes,
+                report.wire_time.as_nanos(),
+                report.cpu_time.as_nanos(),
+            ));
+            total.wire_time += report.wire_time;
+            total.cpu_time += report.cpu_time;
+            total.periods += report.periods;
+            total.encoded_bytes += report.encoded_bytes;
+            total.secure_irqs += report.secure_irqs;
+        }
+        Ok((reply, total))
+    }
 }
 
 impl PseudoTa for I2sPta {
@@ -163,7 +247,8 @@ impl PseudoTa for I2sPta {
         TaDescriptor::new(I2S_PTA_NAME, 16, 64)
     }
 
-    fn invoke(&mut self, _env: &mut PtaEnv<'_>, cmd: u32, params: &mut TeeParams) -> TeeResult<()> {
+    fn invoke(&mut self, env: &mut PtaEnv<'_>, cmd: u32, params: &mut TeeParams) -> TeeResult<()> {
+        admit(env, I2S_PTA_NAME, cmd, cmd::STATS)?;
         match cmd {
             cmd::CONFIGURE => {
                 let (period_frames, encoding) =
@@ -188,8 +273,8 @@ impl PseudoTa for I2sPta {
                         reason: "capture-batch expects a memref parameter".to_owned(),
                     },
                 )?)?;
-                let (captures, total) = self.driver.capture_windows(&windows)?;
-                params.set(1, TeeParam::MemRefOutput(encode_windows_reply(&captures)));
+                let (reply, total) = self.capture_windows(&windows)?;
+                params.set(1, TeeParam::MemRefOutput(reply));
                 params.set(
                     2,
                     TeeParam::ValueOutput {
@@ -246,6 +331,7 @@ mod tests {
     use perisec_devices::signal::SineSource;
     use perisec_optee::{Supplicant, TaUuid, TeeCore};
     use perisec_tz::platform::Platform;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn registered_pta() -> (Arc<TeeCore>, TaUuid) {
@@ -330,6 +416,62 @@ mod tests {
         let mut p = TeeParams::new();
         core.invoke_pta(uuid, cmd::STATS, &mut p).unwrap();
         assert_eq!(p.get(1).as_values().unwrap().0, 10);
+    }
+
+    /// Frames decoded windows back into reply bytes.
+    fn encode_windows_reply(windows: &[WindowReply<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for w in windows {
+            out.extend_from_slice(&window_header(w.encoded.len(), w.wire_ns, w.cpu_ns));
+            out.extend_from_slice(w.encoded);
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn reply_decoding_is_total(
+            audio in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 0..6),
+            times in proptest::collection::vec(any::<u64>(), 12..13),
+            flip in any::<usize>(),
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let windows: Vec<WindowReply<'_>> = audio
+                .iter()
+                .zip(times.chunks_exact(2))
+                .map(|(encoded, t)| WindowReply { encoded, wire_ns: t[0], cpu_ns: t[1] })
+                .collect();
+            let reply = encode_windows_reply(&windows);
+            prop_assert_eq!(decode_windows_reply(&reply).unwrap(), windows.clone());
+
+            // Cutting the reply anywhere but a window boundary truncates a
+            // header or a window's audio.
+            let mut boundaries = vec![0];
+            for w in &windows {
+                boundaries.push(boundaries.last().unwrap() + WINDOW_HEADER_BYTES + w.encoded.len());
+            }
+            for cut in 0..reply.len() {
+                let decoded = decode_windows_reply(&reply[..cut]);
+                if boundaries.contains(&cut) {
+                    prop_assert!(decoded.is_ok(), "cut at boundary {}", cut);
+                } else {
+                    prop_assert!(decoded.is_err(), "cut at {} of {} accepted", cut, reply.len());
+                }
+            }
+
+            // Whatever a corrupted reply or random bytes decode to frames
+            // back to the same bytes.
+            let mut corrupted = reply;
+            if !corrupted.is_empty() {
+                let at = flip % corrupted.len();
+                corrupted[at] ^= (flip >> 32) as u8 | 1;
+            }
+            for bytes in [&corrupted, &garbage] {
+                if let Ok(decoded) = decode_windows_reply(bytes) {
+                    prop_assert_eq!(&encode_windows_reply(&decoded), bytes);
+                }
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,12 @@ impl TzStats {
 
     /// Records a secure interrupt.
     pub fn record_secure_irq(&self) {
-        self.inner.secure_irqs.fetch_add(1, Ordering::Relaxed);
+        self.record_secure_irqs(1);
+    }
+
+    /// Records `count` secure interrupts at once.
+    pub fn record_secure_irqs(&self, count: u64) {
+        self.inner.secure_irqs.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Records the current secure-RAM usage, updating the peak if needed.
