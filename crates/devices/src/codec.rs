@@ -14,7 +14,7 @@ const MU_LAW_CLIP: i32 = 32_635;
 /// Writes `samples` into `dst` as little-endian bytes, two per sample.
 /// Bytes of `dst` past `2 * samples.len()` are left as they are; samples
 /// past `dst.len() / 2` are not written.
-pub fn write_pcm_le(samples: &[i16], dst: &mut [u8]) {
+pub(crate) fn write_pcm_le(samples: &[i16], dst: &mut [u8]) {
     let (pairs, _) = dst.as_chunks_mut::<2>();
     for (pair, &sample) in pairs.iter_mut().zip(samples) {
         *pair = sample.to_le_bytes();

@@ -195,7 +195,7 @@ impl SecureI2sDriver {
     }
 
     /// Encoded bytes one period produces.
-    pub fn period_encoded_bytes(&self) -> usize {
+    pub(crate) fn period_encoded_bytes(&self) -> usize {
         self.period_frames * self.format().channels as usize * self.encoding.bytes_per_sample()
     }
 
