@@ -24,6 +24,14 @@
 //! without model dedup, and a lossy link with a policy change between
 //! two runs on one device.
 //!
+//! A third digest pins the filter TA's branches that the first two do
+//! not reach, recorded before the two filter TAs became one: the f32
+//! classifier, the Transformer's int8-to-f32 fallback, µ-law decoding,
+//! the constrained platform, redaction, and a `SET_POLICY` between two
+//! runs on one device, for audio and for frames. It hashes each run's
+//! report and the TA's `GET_STATS` counters read through a fresh
+//! normal-world session.
+//!
 //! A mismatch means a device computes something different — never noise.
 
 use std::sync::Arc;
@@ -33,13 +41,16 @@ use perisec::core::pipeline::SharedModels;
 use perisec::core::pipeline::{
     CameraPipelineConfig, DegradeSpec, PipelineConfig, SecureCameraPipeline, SecurePipeline,
 };
+use perisec::core::pipeline::{SecureDevice, SensorPath};
 use perisec::core::pipeline::{ShardedCameraConfig, ShardedRunReport, ShardedVisionPipeline};
 use perisec::core::policy::PrivacyPolicy;
 use perisec::core::pool::TeePoolConfig;
 use perisec::core::{FILTER_TA_NAME, VISION_TA_NAME};
+use perisec::devices::codec::AudioEncoding;
 use perisec::ingest::{IngestPlane, IngestPlaneConfig, ShardFaultSpec};
 use perisec::ml::classifier::Architecture;
 use perisec::ml::quant::QuantMode;
+use perisec::optee::{TaUuid, TeeClient, TeeParams};
 use perisec::relay::measurement_of;
 use perisec::relay::netsim::FaultSpec;
 use perisec::telemetry::{HealthState, SloSpec};
@@ -85,6 +96,10 @@ const GOLDEN_DIGEST: u64 = 0x5a39_ea88_8636_f91c;
 /// Digest of the sharded camera runs, recorded before the sharded camera
 /// became a generic device; see the module docs.
 const SHARDED_GOLDEN_DIGEST: u64 = 0xaf81_ad05_99ad_52de;
+
+/// Digest of the filter TA's branches, recorded before the two filter TAs
+/// became one; see the module docs.
+const TA_BRANCHES_GOLDEN_DIGEST: u64 = 0xaef4_73ca_d4de_84e2;
 
 fn degrade() -> Option<DegradeSpec> {
     Some(DegradeSpec {
@@ -297,6 +312,109 @@ fn sharded_camera_matches_the_golden_digest() {
     assert_eq!(
         digest.0, SHARDED_GOLDEN_DIGEST,
         "sharded camera digest changed: {:#018x}",
+        digest.0
+    );
+}
+
+/// `GET_STATS` of the filter TA on `device`'s core, read through a fresh
+/// normal-world session: `(windows, forwarded)` and `(dropped, redacted)`.
+fn ta_stats<S: SensorPath>(device: &SecureDevice<S>, ta_name: &str) -> [u64; 4] {
+    /// `GET_STATS` has this id in every filter TA.
+    const GET_STATS: u32 = 2;
+    let client = TeeClient::connect(Arc::clone(device.tee_core()));
+    let (session, _) = client
+        .open_session(TaUuid::from_name(ta_name), TeeParams::new())
+        .expect("the filter TA opens a session");
+    let reply = client
+        .invoke(&session, GET_STATS, TeeParams::new())
+        .expect("GET_STATS answers");
+    let ((a, b), (c, d)) = (
+        reply.get(0).as_values().expect("slot 0"),
+        reply.get(1).as_values().expect("slot 1"),
+    );
+    [a, b, c, d]
+}
+
+#[test]
+fn filter_ta_branches_match_the_golden_digest() {
+    let spacing = SimDuration::from_secs(1);
+    let mut digest = Fnv::new();
+
+    // Audio: each device runs a mixed scenario, takes a policy change,
+    // and runs it again.
+    let scenario = Scenario::mixed(EVENTS, 0.5, spacing, SEED);
+    let cnn = SharedModels::deferred(Architecture::Cnn, 40, SEED);
+    let transformer = SharedModels::deferred(Architecture::Transformer, 40, SEED);
+    let audio_cases = [
+        (
+            &cnn,
+            PipelineConfig {
+                encoding: AudioEncoding::MuLaw,
+                quant_mode: QuantMode::F32,
+                policy: PrivacyPolicy::redact_sensitive(),
+                ..audio_config()
+            },
+        ),
+        (
+            &transformer,
+            PipelineConfig {
+                architecture: Architecture::Transformer,
+                quant_mode: QuantMode::Int8,
+                ..audio_config()
+            },
+        ),
+        (
+            &cnn,
+            PipelineConfig {
+                encoding: AudioEncoding::MuLaw,
+                quant_mode: QuantMode::Int8,
+                constrained_platform: true,
+                ..audio_config()
+            },
+        ),
+    ];
+    for (models, config) in audio_cases {
+        let mut device = SecurePipeline::with_models(config, models).expect("audio device builds");
+        let first = device.run_scenario(&scenario).expect("audio scenario runs");
+        digest.bytes(first.to_json().as_bytes());
+        device
+            .set_policy(PrivacyPolicy::allow_all())
+            .expect("policy installs");
+        let second = device.run_scenario(&scenario).expect("audio rerun runs");
+        digest.bytes(second.to_json().as_bytes());
+        for value in ta_stats(&device, FILTER_TA_NAME) {
+            digest.bytes(&value.to_le_bytes());
+        }
+    }
+
+    // Frames: redaction maps to forwarding, then everything is allowed.
+    let scenes = CameraScenario::mixed_scenes(EVENTS, 0.5, spacing, SEED);
+    let frames = SharedModels::deferred(Architecture::Cnn, 40, SEED).with_vision_spec(60, SEED);
+    for quant_mode in [QuantMode::F32, QuantMode::Int8] {
+        let config = CameraPipelineConfig {
+            policy: PrivacyPolicy::redact_sensitive(),
+            quant_mode,
+            ..camera_config()
+        };
+        let mut device =
+            SecureCameraPipeline::with_models(config, &frames).expect("camera device builds");
+        let first = device.run_scenario(&scenes).expect("camera scenario runs");
+        digest.bytes(first.to_json().as_bytes());
+        device
+            .set_policy(PrivacyPolicy::allow_all())
+            .expect("policy installs");
+        let second = device.run_scenario(&scenes).expect("camera rerun runs");
+        digest.bytes(second.to_json().as_bytes());
+        // The fourth camera slot is left out: frame windows are never
+        // redacted.
+        for value in &ta_stats(&device, VISION_TA_NAME)[..3] {
+            digest.bytes(&value.to_le_bytes());
+        }
+    }
+
+    assert_eq!(
+        digest.0, TA_BRANCHES_GOLDEN_DIGEST,
+        "filter TA branch digest changed: {:#018x}",
         digest.0
     );
 }
