@@ -1,6 +1,6 @@
 //! Criterion bench behind experiment E13: host-time cost of the frame
-//! path — featurization + classification per scene kind, and the secure
-//! camera driver's batched window capture.
+//! path — featurization + classification per scene kind, and the camera
+//! PTA's batched window capture on a booted core.
 
 use std::sync::Arc;
 
@@ -10,7 +10,10 @@ use perisec_core::pipeline::SharedModels;
 use perisec_devices::camera::{CameraSensor, FixedScene, SceneKind};
 use perisec_ml::classifier::Architecture;
 use perisec_ml::vision::FrameCnn;
+use perisec_optee::{Supplicant, TeeCore, TeeParam, TeeParams};
 use perisec_secure_driver::camera::SecureCameraDriver;
+use perisec_secure_driver::camera_pta::{cmd, CameraPta};
+use perisec_secure_driver::pta::encode_windows_request;
 use perisec_tz::platform::Platform;
 
 /// Trains through the same path the pipelines use, so the bench measures
@@ -47,20 +50,30 @@ fn bench_secure_frame_capture(c: &mut Criterion) {
     group.sample_size(20);
     for batch in [1usize, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("capture_windows", batch),
+            BenchmarkId::new("capture_frame_batch", batch),
             &batch,
             |b, &batch| {
                 let platform = Platform::jetson_agx_xavier();
+                let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
                 let sensor = CameraSensor::smart_home("bench-cam-3", 15).unwrap();
-                let mut driver = SecureCameraDriver::new(
+                let driver = SecureCameraDriver::new(
                     platform,
                     sensor,
                     Box::new(FixedScene(SceneKind::Person)),
                 );
-                driver.configure().unwrap();
-                driver.start().unwrap();
-                let windows = vec![2usize; batch];
-                b.iter(|| driver.capture_windows(&windows).unwrap());
+                let uuid = core.register_pta(Box::new(CameraPta::new(driver))).unwrap();
+                for command in [cmd::CONFIGURE, cmd::START] {
+                    core.invoke_pta(uuid, command, &mut TeeParams::new())
+                        .unwrap();
+                }
+                let request = encode_windows_request(&vec![2usize; batch]);
+                b.iter(|| {
+                    let mut params =
+                        TeeParams::new().with(0, TeeParam::MemRefInput(request.clone()));
+                    core.invoke_pta(uuid, cmd::CAPTURE_FRAME_BATCH, &mut params)
+                        .unwrap();
+                    params
+                });
             },
         );
     }

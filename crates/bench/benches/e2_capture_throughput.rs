@@ -10,11 +10,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perisec_core::SharedPlayback;
 use perisec_devices::codec::AudioEncoding;
 use perisec_devices::mic::Microphone;
-use perisec_devices::signal::SineSource;
+use perisec_devices::signal::{SignalSource, SineSource};
 use perisec_kernel::i2s_driver::BaselineI2sDriver;
 use perisec_kernel::pcm::PcmHwParams;
 use perisec_kernel::trace::FunctionTracer;
-use perisec_optee::{Supplicant, TeeCore, TeeParam, TeeParams};
+use perisec_optee::{Supplicant, TaUuid, TeeCore, TeeParam, TeeParams};
 use perisec_secure_driver::driver::SecureI2sDriver;
 use perisec_secure_driver::pta::{cmd, encode_windows_request};
 use perisec_secure_driver::I2sPta;
@@ -26,6 +26,23 @@ const FLEET_WINDOW_PERIODS: usize = 272;
 
 fn mic() -> Microphone {
     Microphone::speech_mic("bench-mic", Box::new(SineSource::new(440.0, 16_000, 0.6))).unwrap()
+}
+
+/// An I2S PTA on a booted core, capturing 160-frame PCM periods from
+/// `source`.
+fn running_pta(source: Box<dyn SignalSource>) -> (Arc<TeeCore>, TaUuid) {
+    let platform = Platform::jetson_agx_xavier();
+    let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
+    let mic = Microphone::speech_mic("bench-mic", source).unwrap();
+    let uuid = core
+        .register_pta(Box::new(I2sPta::new(SecureI2sDriver::new(platform, mic))))
+        .unwrap();
+    let mut configure = TeeParams::new().with(0, TeeParam::ValueInput { a: 160, b: 0 });
+    core.invoke_pta(uuid, cmd::CONFIGURE, &mut configure)
+        .unwrap();
+    core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
+        .unwrap();
+    (core, uuid)
 }
 
 fn bench_capture(c: &mut Criterion) {
@@ -72,12 +89,15 @@ fn bench_capture(c: &mut Criterion) {
             BenchmarkId::new("secure_driver_batched_windows", batch),
             &batch,
             |b, &batch| {
-                let mut driver = SecureI2sDriver::new(Platform::jetson_agx_xavier(), mic());
-                driver.configure(160, AudioEncoding::PcmLe16).unwrap();
-                driver.start().unwrap();
-                let mut pta = I2sPta::new(driver);
-                let windows = vec![4usize; batch];
-                b.iter(|| pta.capture_windows(&windows).unwrap());
+                let (core, uuid) = running_pta(Box::new(SineSource::new(440.0, 16_000, 0.6)));
+                let request = encode_windows_request(&vec![4usize; batch]);
+                b.iter(|| {
+                    let mut params =
+                        TeeParams::new().with(0, TeeParam::MemRefInput(request.clone()));
+                    core.invoke_pta(uuid, cmd::CAPTURE_BATCH, &mut params)
+                        .unwrap();
+                    params
+                });
             },
         );
     }
@@ -90,18 +110,8 @@ fn bench_capture(c: &mut Criterion) {
 /// from a shared playback queue the iteration refills the way the
 /// capture stage does (each utterance padded to its whole window).
 fn bench_fleet_batch(b: &mut criterion::Bencher) {
-    let platform = Platform::jetson_agx_xavier();
-    let core = TeeCore::boot(platform.clone(), Arc::new(Supplicant::new()));
     let playback = SharedPlayback::new();
-    let mic = Microphone::speech_mic("fleet-mic", playback.source()).unwrap();
-    let uuid = core
-        .register_pta(Box::new(I2sPta::new(SecureI2sDriver::new(platform, mic))))
-        .unwrap();
-    let mut configure = TeeParams::new().with(0, TeeParam::ValueInput { a: 160, b: 0 });
-    core.invoke_pta(uuid, cmd::CONFIGURE, &mut configure)
-        .unwrap();
-    core.invoke_pta(uuid, cmd::START, &mut TeeParams::new())
-        .unwrap();
+    let (core, uuid) = running_pta(playback.source());
 
     let window_samples = FLEET_WINDOW_PERIODS * 160;
     let utterance: Vec<i16> = (0..window_samples - 100)

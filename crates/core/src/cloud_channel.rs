@@ -1,9 +1,7 @@
-//! The TA-side cloud channel, shared by the audio filter TA and the
-//! vision TA.
+//! The TA-side cloud channel of the filter TA.
 //!
-//! Both TAs relay permitted content to the cloud the same way: a PSK
-//! handshake over a supplicant socket, then sealed records. Keeping that
-//! logic in one place means the two TAs cannot drift apart.
+//! The filter TA relays permitted content to the cloud over a PSK
+//! handshake on a supplicant socket, then sealed records.
 //!
 //! # Fault tolerance
 //!
@@ -31,16 +29,13 @@
 
 use std::collections::VecDeque;
 
-use perisec_optee::{TaEnv, TeeError, TeeParam, TeeParams, TeeResult};
+use perisec_optee::{TaEnv, TeeError, TeeResult};
 use perisec_relay::attest::{
     encode_attest_request, encode_ingest_record, IngestReply, ATTEST_SEQ_BASE, MEASUREMENT_LEN,
 };
 use perisec_relay::avs::AvsEvent;
 use perisec_relay::tls::{seal_flops, SecureChannelClient, PSK_LEN};
 use perisec_tz::time::SimDuration;
-
-use crate::filter_ta::encode_batch_verdicts;
-use crate::policy::FilterDecision;
 
 /// Knobs of the relay retry state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,17 +174,17 @@ impl TaCloudChannel {
         });
     }
 
-    /// The retransmissions accrued since the last call — what
-    /// `relay_batch_and_pack` reports back to the stage.
-    fn take_retries_delta(&mut self) -> u64 {
+    /// The retransmissions accrued since the last call — what the filter
+    /// TA's `PROCESS_BATCH` reports back to the stage.
+    pub(crate) fn take_retries_delta(&mut self) -> u64 {
         let retries = self.retries - self.reported_retries;
         self.reported_retries = self.retries;
         retries
     }
 
     /// Records currently sitting unacknowledged in the bounded buffer —
-    /// the live backlog `relay_batch_and_pack` reports back to the
-    /// normal world, which drives the batcher to `Critical` and triggers
+    /// the live backlog the filter TA's `PROCESS_BATCH` reports back to
+    /// the normal world, which drives the batcher to `Critical` and triggers
     /// the end-of-scenario drain when non-zero.
     pub(crate) fn unacked_len(&self) -> usize {
         self.unacked.len()
@@ -499,66 +494,4 @@ impl TaCloudChannel {
         }
         result
     }
-}
-
-/// The shared tail of both TAs' `PROCESS_BATCH`: relays every permitted
-/// event of the batch in **one** sealed record (one supplicant send/recv
-/// round trip on the happy path), then packs the reply contract
-/// `SecureFilterStage` decodes — `(retransmissions delta, unacked
-/// backlog)` in slot 0, verdicts in slot 1, `(wire_ns, capture_cpu_ns)` in
-/// slot 2, `(ml_ns, relay_ns)` in slot 3. Keeping this in one place means
-/// the audio and vision TAs cannot drift apart on the wire contract.
-pub(crate) fn relay_batch_and_pack(
-    channel: &mut TaCloudChannel,
-    env: &TaEnv<'_>,
-    outbound: Vec<AvsEvent>,
-    verdicts: &[(FilterDecision, u16)],
-    capture: (u64, u64),
-    ml_ns_total: u64,
-    params: &mut TeeParams,
-) -> TeeResult<()> {
-    let relay_start = env.platform().clock().now();
-    if !outbound.is_empty() {
-        // The health plane's privacy tripwire: raw payload bytes crossing
-        // the relay outward. A filtered fleet sends verdicts and text
-        // only, so this counter staying zero *is* the privacy claim,
-        // observable per epoch.
-        let payload_bytes: u64 = outbound
-            .iter()
-            .map(|event| match event {
-                AvsEvent::Recognize { audio, .. } => audio.len() as u64,
-                _ => 0,
-            })
-            .sum();
-        if payload_bytes > 0 {
-            env.tracer().count("relay.payload_bytes", payload_bytes);
-        }
-        channel.send_event(env, &AvsEvent::Batch(outbound))?;
-    }
-    let relay_ns = env.platform().clock().elapsed_since(relay_start).as_nanos();
-
-    let retries = channel.take_retries_delta();
-    params.set(
-        0,
-        TeeParam::ValueOutput {
-            a: retries,
-            b: channel.unacked_len() as u64,
-        },
-    );
-    params.set(1, TeeParam::MemRefOutput(encode_batch_verdicts(verdicts)));
-    params.set(
-        2,
-        TeeParam::ValueOutput {
-            a: capture.0,
-            b: capture.1,
-        },
-    );
-    params.set(
-        3,
-        TeeParam::ValueOutput {
-            a: ml_ns_total,
-            b: relay_ns,
-        },
-    );
-    Ok(())
 }

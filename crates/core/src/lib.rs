@@ -7,11 +7,14 @@
 //!   do with it (drop, redact, forward);
 //! * [`source`] — a shared playback signal source so scenario runners can
 //!   feed utterances into a microphone owned by the secure driver;
-//! * [`filter_ta`] — the trusted application at the heart of the design:
-//!   pulls audio from the I2S PTA, transcribes it with the in-TA STT,
-//!   classifies the transcript (CNN / Transformer / hybrid), applies the
-//!   policy, and relays only permitted content to the cloud over the
-//!   TLS-like channel through the TEE supplicant;
+//! * [`filter_ta`] — [`filter_ta::FilterTa`], the trusted application at
+//!   the heart of the design, written once for every sensor: pulls a batch
+//!   of windows from its sensor's PTA, classifies each window in the TA,
+//!   applies the policy, and relays only permitted content to the cloud
+//!   over the TLS-like channel through the TEE supplicant. A
+//!   [`filter_ta::WindowFilter`] holds what differs per sensor;
+//!   [`filter_ta::SpeechFilter`] transcribes audio with the in-TA STT and
+//!   classifies the transcript (CNN / Transformer / hybrid);
 //! * [`stage`] — the staged architecture: capture → filter → relay behind
 //!   the [`stage::PipelineStage`] trait, with batch-aware TEE crossings;
 //! * [`pipeline`] — [`pipeline::SecureDevice`], the proposed design for
@@ -29,9 +32,9 @@
 //! * [`scheduler`] — [`scheduler::SessionScheduler`]: deterministic
 //!   least-loaded placement of a device's events onto its lanes, with an
 //!   opt-in work-stealing pass;
-//! * [`vision_ta`] — [`vision_ta::VisionTa`], the camera modality's filter
-//!   TA: pulls frames from the camera PTA, classifies them with the in-TA
-//!   frame CNN, and relays only sealed verdict records — never pixels;
+//! * [`vision_ta`] — [`vision_ta::FrameFilter`], the camera's window
+//!   filter: classifies frames with the in-TA frame CNN, so the vision TA
+//!   relays only sealed verdict records — never pixels;
 //! * [`executor`] — the bounded work-stealing fleet executor:
 //!   [`executor::FleetExecutor`] steps resumable device tasks on a fixed
 //!   worker pool, so fleet scale is a function of work, not thread count;
@@ -71,7 +74,7 @@ pub use executor::{
     DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StealRecord,
     StepOutcome,
 };
-pub use filter_ta::{FilterStats, FilterTa, FILTER_TA_NAME};
+pub use filter_ta::{FilterTa, SpeechFilter, WindowFilter, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
@@ -84,7 +87,7 @@ pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary
 pub use scheduler::SessionScheduler;
 pub use source::{SharedPlayback, SharedSceneQueue};
 pub use stage::{FilteredBatch, PipelineStage, PreparedBatch, WindowSpec, WindowVerdict};
-pub use vision_ta::{VisionStats, VisionTa, VISION_TA_NAME};
+pub use vision_ta::{FrameFilter, VISION_TA_NAME};
 
 use std::error::Error;
 use std::fmt;

@@ -64,7 +64,8 @@ use serde::{Deserialize, Serialize};
 use crate::batcher::AdaptiveBatcher;
 use crate::cloud_channel::RelayRetryConfig;
 use crate::filter_ta::{
-    cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, MAX_BATCH_WINDOWS,
+    cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, FilterTaModels, SpeechFilter,
+    MAX_BATCH_WINDOWS,
 };
 use crate::fleet::Modality;
 use crate::ingest::{CloudLedger, IngestHook};
@@ -78,7 +79,7 @@ use crate::stage::{
     PreparedBatch, SecureCaptureStage, SecureFilterStage, SecureFrameCaptureStage,
     SecureRelayStage,
 };
-use crate::vision_ta::VisionTa;
+use crate::vision_ta::FrameFilter;
 use crate::{CoreError, Result};
 
 /// Deterministic degradation injection for health-plane experiments:
@@ -782,9 +783,8 @@ impl SensorPath for AudioPath {
         let i2s_pta = core
             .register_pta(Box::new(I2sPta::new(secure_driver)))
             .map_err(CoreError::from)?;
-        let mut filter = FilterTa::new(
-            i2s_pta,
-            crate::filter_ta::FilterTaModels {
+        let speech = SpeechFilter::new(
+            FilterTaModels {
                 stt: Arc::clone(&audio.stt),
                 classifier: Arc::clone(&audio.classifier),
                 classifier_int8: match config.quant_mode {
@@ -794,11 +794,15 @@ impl SensorPath for AudioPath {
             },
             config.quant_mode,
             audio.vocabulary.clone(),
+            config.encoding,
+            config.period_frames,
+        );
+        let mut filter = FilterTa::new(
+            i2s_pta,
+            speech,
             config.policy,
             default_cloud_host(),
             default_psk(),
-            config.encoding,
-            config.period_frames,
         )
         .with_retry(config.retry);
         if config.ingest.is_some() {
@@ -895,11 +899,9 @@ fn install_camera(
     let camera_pta = core
         .register_pta(Box::new(CameraPta::new(camera_driver)))
         .map_err(CoreError::from)?;
-    let mut vision_ta = VisionTa::new(
+    let mut vision_ta = FilterTa::new(
         camera_pta,
-        vision,
-        vision_int8,
-        config.quant_mode,
+        FrameFilter::new(vision, vision_int8, config.quant_mode),
         config.policy,
         default_cloud_host(),
         default_psk(),
@@ -1590,7 +1592,6 @@ impl<S: SensorPath> SecureDevice<S> {
                     b: threshold,
                 },
             );
-            // Both filter TAs take the same command id.
             lane.client
                 .invoke(&lane.session, filter_cmd::SET_POLICY, params)
                 .map_err(CoreError::from)?;
@@ -2012,7 +2013,7 @@ mod tests {
         }
     }
 
-    /// A filter TA's `GET_STATS` counters (same command id in both TAs).
+    /// A filter TA's `GET_STATS` counters.
     fn ta_stats(client: &TeeClient, session: &TeeSessionHandle) -> [(u64, u64); 2] {
         let out = client
             .invoke(session, filter_cmd::GET_STATS, TeeParams::new())

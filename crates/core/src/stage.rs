@@ -225,11 +225,10 @@ impl PipelineStage for SecureFrameCaptureStage {
 
 /// The secure filter stage: one `PROCESS_BATCH` invocation — a single SMC
 /// and world-switch round trip — covers capture, ML, policy and the
-/// batched relay for every window in the batch. Because the audio filter
-/// TA and the vision TA share one batch parameter contract, this stage
-/// drives either modality: hand it a session on the filter TA and it
-/// filters utterances, hand it a session on the vision TA and it filters
-/// frame windows.
+/// batched relay for every window in the batch. Every sensor's TA is a
+/// [`crate::filter_ta::FilterTa`], so this stage drives either modality:
+/// hand it a session on the speech filter TA and it filters utterances,
+/// hand it a session on the vision TA and it filters frame windows.
 pub struct SecureFilterStage {
     platform: Platform,
     client: TeeClient,

@@ -90,18 +90,6 @@ pub struct SecureCameraStats {
     pub bytes_delivered: u64,
 }
 
-/// One window of a batched frame capture: the concatenated grayscale
-/// frames plus the accounting for this window alone.
-#[derive(Debug, Clone, Default)]
-pub struct FrameWindowCapture {
-    /// Row-major grayscale pixels, frames concatenated in capture order.
-    pub pixels: Vec<u8>,
-    /// Number of frames in the window.
-    pub frames: usize,
-    /// Accounting for this window alone.
-    pub report: SecureFrameReport,
-}
-
 /// The secure, capture-only camera driver.
 pub struct SecureCameraDriver {
     platform: Platform,
@@ -226,14 +214,23 @@ impl SecureCameraDriver {
         }
     }
 
-    /// Captures `frames` consecutive frames of whatever the scene source
-    /// presents, returning the concatenated pixels plus accounting.
+    /// Captures one window of `frames` consecutive frames of whatever the
+    /// scene source presents and appends their pixels to `out`, returning
+    /// the window's accounting. This is the loop behind the camera PTA's
+    /// batched capture, once per window.
     ///
     /// # Errors
     ///
-    /// Returns [`TeeError::BadParameters`] if the stream is not running,
-    /// or a wrapped device error.
-    pub fn capture_frames(&mut self, frames: usize) -> TeeResult<(Vec<u8>, SecureFrameReport)> {
+    /// Returns [`TeeError::BadParameters`] if the stream is not running or
+    /// `frames` is zero, or a wrapped device error. A device error
+    /// part-way through a window keeps the charges of the frames captured
+    /// before it; `out` is left as it was, and the cumulative statistics
+    /// do not count the window.
+    pub fn capture_window_into(
+        &mut self,
+        frames: usize,
+        out: &mut Vec<u8>,
+    ) -> TeeResult<SecureFrameReport> {
         if self.state != SecureDriverState::Running {
             return Err(TeeError::BadParameters {
                 reason: format!("frame capture requested while driver is {}", self.state),
@@ -244,106 +241,80 @@ impl SecureCameraDriver {
                 reason: "frame capture needs at least one frame".to_owned(),
             });
         }
+        let start = out.len();
         let mut report = SecureFrameReport {
             frames,
             ..SecureFrameReport::default()
         };
-        let mut pixels = Vec::with_capacity(frames * self.frame_bytes());
         let cpu_before = self.platform.clock().now();
         for _ in 0..frames {
-            // 1. One frame arrives over the sensor interface.
-            let frame = self
-                .sensor
-                .capture_from(self.scenes.as_mut())
-                .map_err(|e| TeeError::Generic {
-                    reason: e.to_string(),
-                })?;
-            let wire = self.sensor.frame_interval();
-            report.wire_time += wire;
-            self.platform.record_device_busy(Component::Camera, wire);
-
-            // 2. DMA moves it into the secure frame buffer. The DMA model
-            //    transfers i16 words; pack two pixels per word.
-            let words: Vec<i16> = frame
-                .pixels
-                .chunks(2)
-                .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
-                .collect();
-            let io = self
-                .io_buffer
-                .as_mut()
-                .expect("configured driver has io buffer");
-            let transfer =
-                self.dma
-                    .transfer(&words, io.as_mut_slice())
-                    .map_err(|e| TeeError::Generic {
-                        reason: e.to_string(),
-                    })?;
-            self.platform
-                .record_device_busy(Component::DmaEngine, transfer.bus_time);
-
-            // 3. Secure (FIQ-routed) frame-done interrupt plus bookkeeping.
-            self.platform.stats().record_secure_irq();
-            report.secure_irqs += 1;
-            self.platform
-                .charge_cpu(World::Secure, self.platform.cost().secure_irq_entry);
-            self.platform
-                .charge_cpu(World::Secure, PER_FRAME_DRIVER_OVERHEAD);
-
-            // 4. The driver securely unpacks the surface into the TA-visible
-            //    layout: charged as secure compute over the frame bytes.
-            self.platform
-                .charge_compute(World::Secure, frame.pixels.len() as u64 / 4);
-            pixels.extend_from_slice(&frame.pixels);
+            if let Err(e) = self.capture_frame_into(out, &mut report) {
+                out.truncate(start);
+                return Err(e);
+            }
         }
-        report.pixel_bytes = pixels.len();
+        report.pixel_bytes = out.len() - start;
         report.cpu_time = self.platform.clock().elapsed_since(cpu_before);
 
         self.stats.frames_captured += frames as u64;
         self.stats.secure_irqs += report.secure_irqs;
-        self.stats.bytes_delivered += pixels.len() as u64;
-        Ok((pixels, report))
+        self.stats.bytes_delivered += report.pixel_bytes as u64;
+        Ok(report)
     }
 
-    /// Captures several frame windows back to back in one driver call —
-    /// the batch-aware entry point behind the camera PTA's
-    /// `CAPTURE_FRAME_BATCH` command. Each entry of `windows` is a window
-    /// length in frames.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SecureCameraDriver::capture_frames`]; an empty batch or a
-    /// zero-length window is rejected as [`TeeError::BadParameters`].
-    pub fn capture_windows(
+    /// One frame: sensor readout, DMA into the secure frame buffer, the
+    /// frame-done interrupt and the unpack onto `out`, each charged as it
+    /// happens.
+    fn capture_frame_into(
         &mut self,
-        windows: &[usize],
-    ) -> TeeResult<(Vec<FrameWindowCapture>, SecureFrameReport)> {
-        if windows.is_empty() {
-            return Err(TeeError::BadParameters {
-                reason: "frame batch must name at least one window".to_owned(),
-            });
-        }
-        if windows.contains(&0) {
-            return Err(TeeError::BadParameters {
-                reason: "frame windows must be at least one frame".to_owned(),
-            });
-        }
-        let mut captures = Vec::with_capacity(windows.len());
-        let mut total = SecureFrameReport::default();
-        for &frames in windows {
-            let (pixels, report) = self.capture_frames(frames)?;
-            total.wire_time += report.wire_time;
-            total.cpu_time += report.cpu_time;
-            total.frames += report.frames;
-            total.pixel_bytes += report.pixel_bytes;
-            total.secure_irqs += report.secure_irqs;
-            captures.push(FrameWindowCapture {
-                pixels,
-                frames,
-                report,
-            });
-        }
-        Ok((captures, total))
+        out: &mut Vec<u8>,
+        report: &mut SecureFrameReport,
+    ) -> TeeResult<()> {
+        // 1. One frame arrives over the sensor interface.
+        let frame = self
+            .sensor
+            .capture_from(self.scenes.as_mut())
+            .map_err(|e| TeeError::Generic {
+                reason: e.to_string(),
+            })?;
+        let wire = self.sensor.frame_interval();
+        report.wire_time += wire;
+        self.platform.record_device_busy(Component::Camera, wire);
+
+        // 2. DMA moves it into the secure frame buffer. The DMA model
+        //    transfers i16 words; pack two pixels per word.
+        let words: Vec<i16> = frame
+            .pixels
+            .chunks(2)
+            .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
+            .collect();
+        let io = self
+            .io_buffer
+            .as_mut()
+            .expect("configured driver has io buffer");
+        let transfer =
+            self.dma
+                .transfer(&words, io.as_mut_slice())
+                .map_err(|e| TeeError::Generic {
+                    reason: e.to_string(),
+                })?;
+        self.platform
+            .record_device_busy(Component::DmaEngine, transfer.bus_time);
+
+        // 3. Secure (FIQ-routed) frame-done interrupt plus bookkeeping.
+        self.platform.stats().record_secure_irq();
+        report.secure_irqs += 1;
+        self.platform
+            .charge_cpu(World::Secure, self.platform.cost().secure_irq_entry);
+        self.platform
+            .charge_cpu(World::Secure, PER_FRAME_DRIVER_OVERHEAD);
+
+        // 4. The driver securely unpacks the surface into the TA-visible
+        //    layout: charged as secure compute over the frame bytes.
+        self.platform
+            .charge_compute(World::Secure, frame.pixels.len() as u64 / 4);
+        out.extend_from_slice(&frame.pixels);
+        Ok(())
     }
 
     /// Releases the secure frame buffers.
@@ -384,8 +355,11 @@ mod tests {
         let mut d = secure_camera(&platform, SceneKind::Person);
         d.configure().unwrap();
         d.start().unwrap();
-        let (pixels, report) = d.capture_frames(3).unwrap();
-        assert_eq!(pixels.len(), 3 * 64 * 48);
+        let mut pixels = vec![7u8; 5];
+        let report = d.capture_window_into(3, &mut pixels).unwrap();
+        assert_eq!(&pixels[..5], &[7u8; 5]);
+        assert_eq!(pixels.len() - 5, 3 * 64 * 48);
+        assert_eq!(report.pixel_bytes, 3 * 64 * 48);
         assert_eq!(report.frames, 3);
         assert_eq!(report.secure_irqs, 3);
         // 15 fps: three frames occupy three frame intervals of sensor time.
@@ -404,35 +378,19 @@ mod tests {
     fn capture_requires_configuration_and_start() {
         let platform = Platform::jetson_agx_xavier();
         let mut d = secure_camera(&platform, SceneKind::EmptyRoom);
+        let mut out = Vec::new();
         assert!(d.start().is_err());
-        assert!(d.capture_frames(1).is_err());
+        assert!(d.capture_window_into(1, &mut out).is_err());
         d.configure().unwrap();
-        assert!(d.capture_frames(1).is_err());
+        assert!(d.capture_window_into(1, &mut out).is_err());
+        assert!(out.is_empty());
         d.start().unwrap();
-        assert!(d.capture_frames(1).is_ok());
-        assert!(d.capture_frames(0).is_err());
+        assert!(d.capture_window_into(1, &mut out).is_ok());
+        assert!(d.capture_window_into(0, &mut out).is_err());
+        assert_eq!(out.len(), 64 * 48);
         assert!(d.configure().is_err());
         d.stop();
         assert!(d.configure().is_ok());
-    }
-
-    #[test]
-    fn batched_windows_capture_independently_and_accumulate() {
-        let platform = Platform::jetson_agx_xavier();
-        let mut d = secure_camera(&platform, SceneKind::Document);
-        d.configure().unwrap();
-        d.start().unwrap();
-        let (captures, total) = d.capture_windows(&[2, 1, 3]).unwrap();
-        assert_eq!(captures.len(), 3);
-        assert_eq!(captures[0].pixels.len(), 2 * 64 * 48);
-        assert_eq!(captures[2].frames, 3);
-        assert_eq!(total.frames, 6);
-        assert_eq!(total.secure_irqs, 6);
-        assert!(d.capture_windows(&[]).is_err());
-        assert!(d.capture_windows(&[1, 0]).is_err());
-        let stats = d.stats();
-        assert_eq!(stats.frames_captured, 6);
-        assert_eq!(stats.bytes_delivered, 6 * 64 * 48);
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   the TrustZone carve-out, and charges secure-world costs for its work;
 //! * [`pta`] — [`pta::I2sPta`], the pseudo trusted application that exposes
 //!   the audio driver to userland TAs over GlobalPlatform-style commands,
-//!   exactly as the paper's Fig. 1 steps 3–4 describe;
+//!   exactly as the paper's Fig. 1 steps 3–4 describe, and the
+//!   batch-capture framing both PTAs serve;
 //! * [`camera`] — [`camera::SecureCameraDriver`], the capture-only camera
 //!   driver (frames into secure memory, FIQ-routed frame interrupts);
-//! * [`camera_pta`] — [`camera_pta::CameraPta`], the camera PTA with the
-//!   batched `CAPTURE_FRAME_BATCH` command feeding the vision TA.
+//! * [`camera_pta`] — [`camera_pta::CameraPta`], the camera PTA, whose
+//!   batched `CAPTURE_FRAME_BATCH` command speaks the same framing and
+//!   feeds the vision TA.
 //!
 //! The kernel-function sets these ports correspond to are exported as
 //! [`driver::PORTED_FUNCTIONS`] and [`camera::PORTED_CAMERA_FUNCTIONS`];

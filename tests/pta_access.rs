@@ -162,12 +162,7 @@ fn normal_world_cannot_capture_frames() {
             twin.tee_core(),
             CAMERA_PTA_NAME,
             camera_pta::cmd::CAPTURE_FRAME_BATCH,
-            &|| {
-                TeeParams::new().with(
-                    0,
-                    TeeParam::MemRefInput(camera_pta::encode_frames_request(&[2])),
-                )
-            },
+            &|| TeeParams::new().with(0, TeeParam::MemRefInput(pta::encode_windows_request(&[2]))),
             path,
         );
         let attacked = attacked.run_scenario(&scenario).unwrap();
