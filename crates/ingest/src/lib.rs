@@ -14,7 +14,7 @@
 //!   byte-for-byte with the direct `MockCloudService`;
 //! * [`plane`] — [`IngestPlane`]: round-robin session→shard placement
 //!   (`session % shards`), plus per-shard telemetry folds, health
-//!   reports and the modeled-throughput figure E21 gates on.
+//!   reports and the per-shard commit counts E21's balance gate reads.
 //!
 //! The trust story, per the edge-to-cloud confidential-computing
 //! literature: a session may only deposit records after attesting its

@@ -33,7 +33,7 @@ pub struct IngestPlaneConfig {
     /// The shard crash schedule.
     pub faults: ShardFaultSpec,
     /// Modeled per-commit service cost (drives the commit-latency
-    /// series and the throughput model).
+    /// series).
     pub service_cost_ns: u64,
 }
 
@@ -270,21 +270,6 @@ impl IngestPlane {
         }
         health.finish_device(shard_device, HealthState::Healthy, shard_alerts);
         health.report()
-    }
-
-    /// Modeled sustained ingest throughput in records per second: total
-    /// commits divided by the makespan of the busiest shard (each commit
-    /// costing the configured service time). A single shard serializes
-    /// everything; N balanced shards divide the makespan by ~N — the
-    /// quantity E21's scaling gate measures, independent of host wall
-    /// clock.
-    pub fn modeled_throughput_rps(&self) -> f64 {
-        let busiest = self.committed_per_shard().into_iter().max().unwrap_or(0);
-        if busiest == 0 || self.config.service_cost_ns == 0 {
-            return 0.0;
-        }
-        let makespan_secs = (busiest as f64 * self.config.service_cost_ns as f64) / 1e9;
-        self.total_committed() as f64 / makespan_secs
     }
 }
 

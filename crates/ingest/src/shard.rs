@@ -49,8 +49,7 @@ pub(crate) struct ShardConfig {
     pub queue_cap: usize,
     /// The crash schedule.
     pub faults: ShardFaultSpec,
-    /// Modeled per-commit service cost, for the commit-latency series
-    /// and the throughput model.
+    /// Modeled per-commit service cost, for the commit-latency series.
     pub service_cost_ns: u64,
 }
 
