@@ -74,7 +74,7 @@ pub use executor::{
     DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StealRecord,
     StepOutcome,
 };
-pub use filter_ta::{FilterTa, SpeechFilter, WindowFilter, FILTER_TA_NAME};
+pub use filter_ta::{FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;
 pub use pipeline::{
@@ -87,7 +87,7 @@ pub use report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary
 pub use scheduler::SessionScheduler;
 pub use source::{SharedPlayback, SharedSceneQueue};
 pub use stage::{FilteredBatch, PipelineStage, PreparedBatch, WindowSpec, WindowVerdict};
-pub use vision_ta::{FrameFilter, VISION_TA_NAME};
+pub use vision_ta::VISION_TA_NAME;
 
 use std::error::Error;
 use std::fmt;

@@ -130,16 +130,6 @@ impl SecureCameraDriver {
         self.state
     }
 
-    /// Frame width in pixels.
-    pub fn width(&self) -> u32 {
-        self.sensor.width()
-    }
-
-    /// Frame height in pixels.
-    pub fn height(&self) -> u32 {
-        self.sensor.height()
-    }
-
     /// Bytes of one grayscale frame.
     pub fn frame_bytes(&self) -> usize {
         self.sensor.width() as usize * self.sensor.height() as usize
@@ -223,9 +213,9 @@ impl SecureCameraDriver {
     ///
     /// Returns [`TeeError::BadParameters`] if the stream is not running or
     /// `frames` is zero, or a wrapped device error. A device error
-    /// part-way through a window keeps the charges of the frames captured
-    /// before it; `out` is left as it was, and the cumulative statistics
-    /// do not count the window.
+    /// part-way through a window keeps what was charged before it; `out`
+    /// is left as it was, and the cumulative statistics do not count the
+    /// window.
     pub fn capture_window_into(
         &mut self,
         frames: usize,
