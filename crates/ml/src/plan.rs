@@ -19,26 +19,28 @@
 //! DCT basis) live in [`crate::mfcc::MfccExtractor`], which is shared
 //! read-only across sessions; the plan carries only the mutable state.
 
+use crate::mfcc::LaneRow;
+
 /// Caller-owned scratch for the TA inference hot path (audio front-end,
 /// int8 activations, vision pooling). One per TA session; reused across
 /// every window and frame that session processes.
 #[derive(Debug, Default, Clone)]
 pub struct FeaturePlan {
-    /// FFT real parts (frame_len).
-    pub(crate) fft_re: Vec<f32>,
-    /// FFT imaginary parts (frame_len).
-    pub(crate) fft_im: Vec<f32>,
-    /// Power spectrum (frame_len / 2).
-    pub(crate) power: Vec<f32>,
-    /// Log mel filterbank energies (n_mels).
-    pub(crate) log_mel: Vec<f32>,
+    /// FFT real parts of an MFCC lane group (`frame_len` rows of
+    /// [`crate::mfcc::LANES`] frames), then its power spectrum in the first
+    /// `frame_len / 2` rows.
+    pub(crate) fft_re: Vec<LaneRow>,
+    /// FFT imaginary parts of an MFCC lane group (`max(frame_len,
+    /// n_mels)` rows), then its log mel energies in the first `n_mels`.
+    pub(crate) fft_im: Vec<LaneRow>,
     /// Per-frame RMS energies of the current window.
     pub(crate) energies: Vec<f64>,
     /// VAD segment bounds `(start_frame, end_frame)` of the current window.
     pub(crate) bounds: Vec<(usize, usize)>,
     /// MFCC features, row-major `frames x n_coeffs`.
     pub(crate) mfcc: Vec<f32>,
-    /// Mean cepstral vector of the current segment.
+    /// Mean cepstral vectors of the current window's VAD segments,
+    /// row-major `segments x max(n_coeffs, 1)`.
     pub(crate) mean: Vec<f32>,
     /// Quantized input activations (embedding rows / feature vectors).
     pub(crate) x_q: Vec<i8>,
@@ -74,10 +76,7 @@ impl FeaturePlan {
     /// Total bytes currently retained by the plan's scratch buffers —
     /// the per-session working-memory cost of allocation-free inference.
     pub fn retained_bytes(&self) -> usize {
-        self.fft_re.capacity() * 4
-            + self.fft_im.capacity() * 4
-            + self.power.capacity() * 4
-            + self.log_mel.capacity() * 4
+        (self.fft_re.capacity() + self.fft_im.capacity()) * std::mem::size_of::<LaneRow>()
             + self.energies.capacity() * 8
             + self.bounds.capacity() * 16
             + self.mfcc.capacity() * 4

@@ -93,12 +93,19 @@ impl KeywordStt {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::BadTrainingData`] if the vocabulary is empty or a
-    /// rendering is too short to produce MFCC frames.
+    /// Returns [`MlError::BadTrainingData`] if the vocabulary is empty, the
+    /// MFCC configuration is one the extractor cannot run (a frame length
+    /// below 2 or not a power of two, or a zero hop) or a rendering is too
+    /// short to produce MFCC frames.
     pub fn train(words: &[(String, Vec<i16>)], config: SttConfig) -> Result<Self> {
         if words.is_empty() {
             return Err(MlError::BadTrainingData {
                 reason: "empty vocabulary".to_owned(),
+            });
+        }
+        if let Some(reason) = config.mfcc.unsupported() {
+            return Err(MlError::BadTrainingData {
+                reason: format!("unsupported MFCC configuration: {reason}"),
             });
         }
         let extractor = MfccExtractor::new(config.mfcc);
@@ -218,8 +225,16 @@ impl KeywordStt {
     /// Splits the audio into speech segments using the energy-based VAD.
     /// Returns `(start_frame, end_frame)` pairs (end exclusive).
     pub fn segment(&self, samples: &[i16]) -> Vec<(usize, usize)> {
-        let energies = self.extractor.frame_energies(samples);
         let mut segments = Vec::new();
+        self.segment_into(&self.extractor.frame_energies(samples), &mut segments);
+        segments
+    }
+
+    /// The VAD state machine: replaces `bounds` with the runs of frames
+    /// whose energy exceeds the threshold and that are at least
+    /// `min_segment_frames` long, as `(start_frame, end_frame)` pairs.
+    fn segment_into(&self, energies: &[f64], bounds: &mut Vec<(usize, usize)>) {
+        bounds.clear();
         let mut start: Option<usize> = None;
         for (i, &e) in energies.iter().enumerate() {
             let speech = e > self.config.vad_threshold;
@@ -227,7 +242,7 @@ impl KeywordStt {
                 (true, None) => start = Some(i),
                 (false, Some(s)) => {
                     if i - s >= self.config.min_segment_frames {
-                        segments.push((s, i));
+                        bounds.push((s, i));
                     }
                     start = None;
                 }
@@ -236,10 +251,9 @@ impl KeywordStt {
         }
         if let Some(s) = start {
             if energies.len() - s >= self.config.min_segment_frames {
-                segments.push((s, energies.len()));
+                bounds.push((s, energies.len()));
             }
         }
-        segments
     }
 
     /// Transcribes an utterance.
@@ -289,66 +303,72 @@ impl KeywordStt {
             .collect()
     }
 
-    /// [`KeywordStt::voiced_mean`] of the VAD segment `start..end` (frame
-    /// indices into `samples`, whose energies are in `plan.energies`) into
-    /// `plan.mean`, with the MFCC features and the mean vector reused
-    /// across calls.
+    /// Segments `samples` and leaves the [`KeywordStt::voiced_mean`] of
+    /// each segment in `plan.mean`, one row per segment of `plan.bounds`,
+    /// with every buffer coming from the plan.
     ///
-    /// The allocating path re-extracts the segment's samples up to
-    /// `end`'s frame and re-gates them on their energies. Segment frame
-    /// `j` *is* outer frame `start + j` (segments start on a hop
-    /// boundary), frames `start..end` are all voiced and frame `end`, if
-    /// present, is not. So the voiced mean is the plain mean over exactly
-    /// those frames, accumulated in the same order — bit-identical,
-    /// without recomputing energies or the MFCC of the trailing unvoiced
-    /// frame, and the all-frames fallback cannot arise.
-    fn segment_mean_with(
-        &self,
-        samples: &[i16],
-        (start, end): (usize, usize),
-        plan: &mut FeaturePlan,
-    ) {
-        debug_assert!(plan.energies[start..end]
-            .iter()
-            .all(|&e| e > self.config.vad_threshold));
-        let hop = self.config.mfcc.hop_len;
-        let segment = &samples[start * hop..(end - 1) * hop + self.config.mfcc.frame_len];
-        let frames = self.extractor.extract_into(segment, plan);
-        debug_assert_eq!(frames, end - start);
-        let n_coeffs = self.config.mfcc.n_coeffs.max(1);
+    /// The allocating path re-extracts each segment's samples up to its
+    /// `end` frame and re-gates them on their energies. Segment frame `j`
+    /// *is* outer frame `start + j` (segments start on a hop boundary),
+    /// frames `start..end` are all voiced and frame `end`, if present, is
+    /// not. So a segment's voiced mean is the plain mean over exactly those
+    /// frames, accumulated in the same order — bit-identical, and the
+    /// all-frames fallback cannot arise. That lets one extraction pass run
+    /// the window's voiced frames across segment boundaries, [`LANES`] at a
+    /// time, and skip the unvoiced ones.
+    ///
+    /// [`LANES`]: crate::mfcc::LANES
+    fn segment_means_into(&self, samples: &[i16], plan: &mut FeaturePlan) {
+        self.extractor
+            .frame_energies_into(samples, &mut plan.energies);
+        self.segment_into(&plan.energies, &mut plan.bounds);
+        // Taken so the extractor can borrow the plan mutably while the
+        // voiced frames are listed from the bounds; handed back below.
+        let bounds = std::mem::take(&mut plan.bounds);
+        self.extractor.extract_frames_into(
+            samples,
+            bounds.iter().flat_map(|&(start, end)| start..end),
+            plan,
+        );
+        let width = self.config.mfcc.n_coeffs.max(1);
         plan.mean.clear();
-        plan.mean.resize(n_coeffs, 0.0);
-        for row in plan.mfcc.chunks_exact(n_coeffs) {
-            for (acc, &v) in plan.mean.iter_mut().zip(row) {
-                *acc += v;
+        plan.mean.resize(bounds.len() * width, 0.0);
+        let mut rows = plan.mfcc.chunks_exact(width);
+        for (mean, &(start, end)) in plan.mean.chunks_exact_mut(width).zip(&bounds) {
+            let frames = end - start;
+            for row in rows.by_ref().take(frames) {
+                for (acc, &v) in mean.iter_mut().zip(row) {
+                    *acc += v;
+                }
+            }
+            for v in mean.iter_mut() {
+                *v /= frames as f32;
             }
         }
-        for v in &mut plan.mean {
-            *v /= frames as f32;
-        }
+        plan.bounds = bounds;
     }
 
-    /// Best (token, similarity) for the segment mean in `plan.mean`,
-    /// matched in f32 (the baseline arithmetic).
-    fn match_segment_f32(&self, plan: &FeaturePlan) -> Option<(usize, f32)> {
+    /// Best (token, similarity) for a segment mean, matched in f32 (the
+    /// baseline arithmetic).
+    fn match_segment_f32(&self, mean: &[f32]) -> Option<(usize, f32)> {
         self.templates
             .iter()
             .enumerate()
-            .map(|(token, (_, template))| (token, Self::cosine(&plan.mean, template)))
+            .map(|(token, (_, template))| (token, Self::cosine(mean, template)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
     }
 
-    /// Best (token, similarity) for the segment mean in `plan.mean`,
-    /// matched on the integer kernels: the mean is quantized once into
-    /// `plan.mean_q`, and every template comparison is one [`dot_i8`]
-    /// against the precomputed quantized templates. The quantization
-    /// scales cancel out of the cosine, so only int8 rounding separates
-    /// this from [`KeywordStt::match_segment_f32`] — and the synthetic
-    /// vocabulary's similarity margins dwarf that rounding (pinned by the
+    /// Best (token, similarity) for a segment mean, matched on the integer
+    /// kernels: the mean is quantized once into `mean_q`, and every
+    /// template comparison is one [`dot_i8`] against the precomputed
+    /// quantized templates. The quantization scales cancel out of the
+    /// cosine, so only int8 rounding separates this from
+    /// [`KeywordStt::match_segment_f32`] — and the synthetic vocabulary's
+    /// similarity margins dwarf that rounding (pinned by the
     /// decision-parity proptest).
-    fn match_segment_int8(&self, plan: &mut FeaturePlan) -> Option<(usize, f32)> {
-        quantize_activations(&plan.mean, &mut plan.mean_q);
-        let norm_mean = (dot_i8(&plan.mean_q, &plan.mean_q) as f32).sqrt();
+    fn match_segment_int8(&self, mean: &[f32], mean_q: &mut Vec<i8>) -> Option<(usize, f32)> {
+        quantize_activations(mean, mean_q);
+        let norm_mean = (dot_i8(mean_q, mean_q) as f32).sqrt();
         self.templates_q
             .iter()
             .enumerate()
@@ -357,7 +377,7 @@ impl KeywordStt {
                 let similarity = if denom == 0.0 {
                     0.0
                 } else {
-                    dot_i8(&plan.mean_q, template_q) as f32 / denom
+                    dot_i8(mean_q, template_q) as f32 / denom
                 };
                 (token, similarity)
             })
@@ -390,38 +410,13 @@ impl KeywordStt {
     }
 
     fn tokens_with_impl(&self, samples: &[i16], plan: &mut FeaturePlan, int8: bool) -> Vec<usize> {
-        self.extractor
-            .frame_energies_into(samples, &mut plan.energies);
-        // Inline segmentation over the scratch energies (the same state
-        // machine as `segment`).
+        self.segment_means_into(samples, plan);
         let mut tokens = Vec::new();
-        let mut start: Option<usize> = None;
-        plan.bounds.clear();
-        for (i, &e) in plan.energies.iter().enumerate() {
-            let speech = e > self.config.vad_threshold;
-            match (speech, start) {
-                (true, None) => start = Some(i),
-                (false, Some(s)) => {
-                    if i - s >= self.config.min_segment_frames {
-                        plan.bounds.push((s, i));
-                    }
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            if plan.energies.len() - s >= self.config.min_segment_frames {
-                plan.bounds.push((s, plan.energies.len()));
-            }
-        }
-        let bounds = std::mem::take(&mut plan.bounds);
-        for &segment in &bounds {
-            self.segment_mean_with(samples, segment, plan);
+        for mean in plan.mean.chunks_exact(self.config.mfcc.n_coeffs.max(1)) {
             let best = if int8 {
-                self.match_segment_int8(plan)
+                self.match_segment_int8(mean, &mut plan.mean_q)
             } else {
-                self.match_segment_f32(plan)
+                self.match_segment_f32(mean)
             };
             if let Some((token, similarity)) = best {
                 if similarity >= self.config.confidence_floor {
@@ -429,9 +424,6 @@ impl KeywordStt {
                 }
             }
         }
-        // Hand the bounds buffer (taken above so `segment_mean_with` can
-        // borrow the plan mutably) back to the plan for the next window.
-        plan.bounds = bounds;
         tokens
     }
 }
@@ -472,6 +464,43 @@ mod tests {
         assert!(KeywordStt::train(&[], SttConfig::default()).is_err());
         let too_short = vec![("x".to_owned(), vec![0i16; 10])];
         assert!(KeywordStt::train(&too_short, SttConfig::default()).is_err());
+    }
+
+    #[test]
+    fn training_refuses_a_config_the_extractor_cannot_run() {
+        let vocab = vocabulary(2);
+        let base = SttConfig::default();
+        for (frame_len, hop_len) in [(0, 1), (1, 1), (3, 1), (6, 2), (512, 0)] {
+            let config = SttConfig {
+                mfcc: MfccConfig {
+                    frame_len,
+                    hop_len,
+                    ..base.mfcc
+                },
+                ..base
+            };
+            assert!(
+                matches!(
+                    KeywordStt::train(&vocab, config),
+                    Err(MlError::BadTrainingData { .. })
+                ),
+                "frame_len {frame_len}, hop_len {hop_len}"
+            );
+        }
+        let smallest = SttConfig {
+            mfcc: MfccConfig {
+                frame_len: 2,
+                hop_len: 1,
+                ..base.mfcc
+            },
+            ..base
+        };
+        let stt = KeywordStt::train(&vocab, smallest).expect("a 2-sample frame is supported");
+        let mut plan = crate::plan::FeaturePlan::new();
+        assert_eq!(
+            stt.transcribe_to_tokens_with(&vocab[0].1, &mut plan),
+            stt.transcribe_to_tokens(&vocab[0].1)
+        );
     }
 
     #[test]
@@ -552,17 +581,18 @@ mod tests {
             "last segment is clipped at the end of the audio"
         );
         let mut plan = crate::plan::FeaturePlan::new();
-        stt.extractor
-            .frame_energies_into(&samples, &mut plan.energies);
+        stt.segment_means_into(&samples, &mut plan);
+        assert_eq!(plan.bounds, segments);
         let (hop, frame_len) = (stt.config.mfcc.hop_len, stt.config.mfcc.frame_len);
-        for &(start, end) in &segments {
-            stt.segment_mean_with(&samples, (start, end), &mut plan);
+        let means = plan.mean.chunks_exact(stt.config.mfcc.n_coeffs);
+        assert_eq!(means.len(), segments.len());
+        for (&(start, end), mean) in segments.iter().zip(means) {
             // The allocating path's segment: up to and including frame
             // `end` where the audio has one.
             let segment = &samples[start * hop..(end * hop + frame_len).min(samples.len())];
             let want = KeywordStt::voiced_mean(&stt.extractor, segment, stt.config.vad_threshold);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&plan.mean), bits(&want), "segment {start}..{end}");
+            assert_eq!(bits(mean), bits(&want), "segment {start}..{end}");
         }
     }
 
