@@ -93,14 +93,43 @@ impl DmaChannel {
     /// Returns [`DeviceError::BufferTooSmall`] if `dst` cannot hold all the
     /// samples; nothing is written in that case.
     pub fn transfer(&mut self, samples: &[i16], dst: &mut [u8]) -> Result<DmaTransfer> {
-        let required = samples.len() * 2;
+        self.transfer_with(samples.len() * 2, dst, |dst| {
+            crate::codec::write_pcm_le(samples, dst)
+        })
+    }
+
+    /// Copies `bytes` into `dst` as the 16-bit words
+    /// [`DmaChannel::transfer`] moves: two bytes per word, in order, and an
+    /// odd trailing byte padded with one zero byte. The bytes written and
+    /// the accounting are those of transferring the bytes packed into
+    /// little-endian words.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DmaChannel::transfer`].
+    pub fn transfer_bytes(&mut self, bytes: &[u8], dst: &mut [u8]) -> Result<DmaTransfer> {
+        self.transfer_with(bytes.len().div_ceil(2) * 2, dst, |dst| {
+            let (data, pad) = dst.split_at_mut(bytes.len());
+            data.copy_from_slice(bytes);
+            pad.fill(0);
+        })
+    }
+
+    /// Checks that `dst` holds `required` bytes, lets `write` fill exactly
+    /// those, and accounts the transfer.
+    fn transfer_with(
+        &mut self,
+        required: usize,
+        dst: &mut [u8],
+        write: impl FnOnce(&mut [u8]),
+    ) -> Result<DmaTransfer> {
         if dst.len() < required {
             return Err(DeviceError::BufferTooSmall {
                 required,
                 available: dst.len(),
             });
         }
-        crate::codec::write_pcm_le(samples, dst);
+        write(&mut dst[..required]);
         let bus_time = self.bus_time_for(required);
         self.transfers += 1;
         self.bytes_moved += required as u64;
@@ -148,6 +177,42 @@ mod tests {
         assert_eq!(bytes_to_samples(&dst), samples);
         assert_eq!(dma.transfer_count(), 1);
         assert_eq!(dma.bytes_moved(), 12);
+    }
+
+    #[test]
+    fn byte_transfers_move_what_packed_words_move() {
+        for len in [0usize, 1, 2, 35, 64, 127, 3072] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let words: Vec<i16> = bytes
+                .chunks(2)
+                .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
+                .collect();
+            let (mut by_word, mut by_byte) = (DmaChannel::default(), DmaChannel::default());
+            let mut dst_word = vec![0xEEu8; len + 4];
+            let mut dst_byte = vec![0xEEu8; len + 4];
+            let t_word = by_word.transfer(&words, &mut dst_word).unwrap();
+            let t_byte = by_byte.transfer_bytes(&bytes, &mut dst_byte).unwrap();
+            assert_eq!(t_byte, t_word, "{len} bytes");
+            assert_eq!(dst_byte, dst_word, "{len} bytes");
+            assert_eq!(by_byte.bytes_moved(), by_word.bytes_moved());
+            assert_eq!(by_byte.transfer_count(), 1);
+            if len % 2 == 1 {
+                // The odd frame's pad byte is written as zero.
+                assert_eq!(dst_byte[len], 0);
+                assert_eq!(t_byte.bytes, len + 1);
+            }
+        }
+        let mut dma = DmaChannel::default();
+        let mut dst = [0u8; 4];
+        assert!(matches!(
+            dma.transfer_bytes(&[1, 2, 3, 4, 5], &mut dst),
+            Err(DeviceError::BufferTooSmall {
+                required: 6,
+                available: 4
+            })
+        ));
+        assert_eq!(dma.transfer_count(), 0);
+        assert_eq!(dst, [0; 4]);
     }
 
     #[test]

@@ -11,6 +11,17 @@
 //! RFC 2104, RFC 5869, RFC 8439) and are validated against their test
 //! vectors in the unit tests below. They are *reference implementations*
 //! for a simulator: correctness and clarity over side-channel hardening.
+//!
+//! Every secure-channel handshake runs four HKDFs, so the hash path does
+//! no heap work. [`Sha256`] buffers a partial block in a fixed 64-byte
+//! array, pads in at most two stack blocks, and runs its compression eight
+//! rounds per step with the roles of `a..h` rotated instead of shuffled.
+//! An HMAC key is kept as two hasher states with the key's inner and outer
+//! pad blocks already absorbed (its "midstate"), so a MAC under it costs
+//! its message blocks plus one outer block. [`hkdf`] builds the PRK's
+//! midstate once and expands block by block with no allocation beyond its
+//! output: with a short `info`, an `L`-block expansion takes `2L + 2`
+//! compressions rather than `4L`.
 
 /// Output size of SHA-256 in bytes.
 pub const SHA256_LEN: usize = 32;
@@ -36,11 +47,18 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// SHA-256's initial hash value (FIPS 180-4 §5.3.3).
+const SHA256_H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: Vec<u8>,
+    /// The partial block; its first `buffered` bytes are pending input.
+    block: [u8; 64],
+    buffered: usize,
     length_bits: u64,
 }
 
@@ -54,96 +72,103 @@ impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buffer: Vec::with_capacity(64),
+            state: SHA256_H0,
+            block: [0; 64],
+            buffered: 0,
             length_bits: 0,
         }
     }
 
     /// Feeds `data` into the hash.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 64 {
-            let block: [u8; 64] = self.buffer[..64].try_into().expect("len checked");
-            self.compress(&block);
-            self.buffer.drain(..64);
+        if self.buffered > 0 {
+            let take = data.len().min(64 - self.buffered);
+            self.block[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            sha256_compress(&mut self.state, &self.block);
+            self.buffered = 0;
         }
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            sha256_compress(&mut self.state, block);
+        }
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> [u8; SHA256_LEN] {
-        let length_bits = self.length_bits;
-        self.buffer.push(0x80);
-        while self.buffer.len() % 64 != 56 {
-            self.buffer.push(0);
+        // Padding: 0x80, zeros, then the 64-bit length in the last 8 bytes
+        // of a block, which takes a second block when fewer than 9 bytes
+        // are free.
+        let n = self.buffered;
+        self.block[n] = 0x80;
+        self.block[n + 1..].fill(0);
+        if n + 1 > 56 {
+            sha256_compress(&mut self.state, &self.block);
+            self.block = [0; 64];
         }
-        self.buffer.extend_from_slice(&length_bits.to_be_bytes());
-        let blocks: Vec<[u8; 64]> = self
-            .buffer
-            .chunks_exact(64)
-            .map(|c| c.try_into().expect("chunk of 64"))
-            .collect();
-        for block in blocks {
-            self.compress(&block);
-        }
+        self.block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
+        sha256_compress(&mut self.state, &self.block);
         let mut out = [0u8; SHA256_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
+/// One SHA-256 compression of `block` into `state` (FIPS 180-4 §6.2.2).
+fn sha256_compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // One round with the working variables named by role. A round's new
+    // `a` is written over `h` and its new `e` over `d`; every other value
+    // keeps its variable, so the next round takes the same variables with
+    // the roles rotated by one, and eight rounds bring them back.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let temp1 = $h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+                .wrapping_add(SHA256_K[$i])
+                .wrapping_add(w[$i]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(temp1);
+            $h = temp1.wrapping_add(s0.wrapping_add(maj));
+        };
+    }
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -158,28 +183,45 @@ pub fn sha256(data: &[u8]) -> [u8; SHA256_LEN] {
 // HMAC-SHA-256 (RFC 2104) and HKDF (RFC 5869)
 // ---------------------------------------------------------------------------
 
+/// An HMAC-SHA-256 key with its inner and outer pad blocks already
+/// absorbed, so each MAC under it hashes only its message and one outer
+/// block.
+#[derive(Debug, Clone)]
+struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..SHA256_LEN].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|k| k ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|k| k ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// The MAC of the concatenation of `parts`.
+    fn mac(&self, parts: &[&[u8]]) -> [u8; SHA256_LEN] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// HMAC-SHA-256 of `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; SHA256_LEN] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..SHA256_LEN].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; 64];
-    let mut opad = [0x5cu8; 64];
-    for i in 0..64 {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(&[data])
 }
 
 /// HKDF-Extract then HKDF-Expand, returning `length` bytes of key material.
@@ -189,20 +231,15 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; SHA256_LEN] {
 /// Panics if `length > 255 * 32` (the RFC 5869 limit).
 pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], length: usize) -> Vec<u8> {
     assert!(length <= 255 * SHA256_LEN, "hkdf output too long");
-    let prk = hmac_sha256(salt, ikm);
-    let mut okm = Vec::with_capacity(length);
-    let mut previous: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while okm.len() < length {
-        let mut data = previous.clone();
-        data.extend_from_slice(info);
-        data.push(counter);
-        let block = hmac_sha256(&prk, &data);
-        previous = block.to_vec();
-        okm.extend_from_slice(&block);
-        counter += 1;
+    let prk = HmacKey::new(&hmac_sha256(salt, ikm));
+    let mut okm = vec![0u8; length];
+    // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
+    let mut t = [0u8; SHA256_LEN];
+    for (i, chunk) in okm.chunks_mut(SHA256_LEN).enumerate() {
+        let previous: &[u8] = if i == 0 { &[] } else { &t };
+        t = prk.mac(&[previous, info, &[i as u8 + 1]]);
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
-    okm.truncate(length);
     okm
 }
 
@@ -519,6 +556,136 @@ mod tests {
         assert_eq!(h.finalize(), sha256(&data));
     }
 
+    /// The hasher [`Sha256`] replaced: a growable buffer drained block by
+    /// block, padding built in a `Vec`, and a compression that shuffles
+    /// `a..h` every round. Kept as the oracle for the block buffer, the
+    /// padding and the unrolled rounds.
+    struct VecSha256 {
+        state: [u32; 8],
+        buffer: Vec<u8>,
+        length_bits: u64,
+    }
+
+    impl VecSha256 {
+        fn new() -> Self {
+            VecSha256 {
+                state: SHA256_H0,
+                buffer: Vec::with_capacity(64),
+                length_bits: 0,
+            }
+        }
+
+        fn update(&mut self, data: &[u8]) {
+            self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
+            self.buffer.extend_from_slice(data);
+            while self.buffer.len() >= 64 {
+                let block: [u8; 64] = self.buffer[..64].try_into().expect("len checked");
+                self.compress(&block);
+                self.buffer.drain(..64);
+            }
+        }
+
+        fn finalize(mut self) -> [u8; SHA256_LEN] {
+            let length_bits = self.length_bits;
+            self.buffer.push(0x80);
+            while self.buffer.len() % 64 != 56 {
+                self.buffer.push(0);
+            }
+            self.buffer.extend_from_slice(&length_bits.to_be_bytes());
+            let blocks: Vec<[u8; 64]> = self
+                .buffer
+                .chunks_exact(64)
+                .map(|c| c.try_into().expect("chunk of 64"))
+                .collect();
+            for block in blocks {
+                self.compress(&block);
+            }
+            let mut out = [0u8; SHA256_LEN];
+            for (i, word) in self.state.iter().enumerate() {
+                out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+            }
+            out
+        }
+
+        fn compress(&mut self, block: &[u8; 64]) {
+            let mut w = [0u32; 64];
+            for i in 0..16 {
+                w[i] = u32::from_be_bytes([
+                    block[4 * i],
+                    block[4 * i + 1],
+                    block[4 * i + 2],
+                    block[4 * i + 3],
+                ]);
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ ((!e) & g);
+                let temp1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(SHA256_K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let temp2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(temp1);
+                d = c;
+                c = b;
+                b = a;
+                a = temp1.wrapping_add(temp2);
+            }
+            for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sha256_matches_the_vec_hasher_in_any_chunking(
+            message in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..301),
+            cuts in proptest::collection::vec(0usize..301, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(message.len())).collect();
+            cuts.sort_unstable();
+            let mut fast = Sha256::new();
+            let mut oracle = VecSha256::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([message.len()]) {
+                fast.update(&message[from..to]);
+                oracle.update(&message[from..to]);
+                from = to;
+            }
+            let expected = oracle.finalize();
+            proptest::prop_assert_eq!(fast.finalize(), expected);
+            proptest::prop_assert_eq!(sha256(&message), expected);
+        }
+    }
+
+    #[test]
+    fn sha256_pads_every_tail_length_like_the_vec_hasher() {
+        // Tails of 55, 56 and 63 bytes are where padding takes one block or
+        // two; cover every tail length over two blocks.
+        let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
+        for len in 0..data.len() {
+            let mut oracle = VecSha256::new();
+            oracle.update(&data[..len]);
+            assert_eq!(sha256(&data[..len]), oracle.finalize(), "{len} bytes");
+        }
+    }
+
     #[test]
     fn hmac_matches_rfc4231_vectors() {
         // RFC 4231 test case 1.
@@ -534,6 +701,27 @@ mod tests {
             hex(&tag),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
+        // RFC 4231 test cases 6 and 7: a 131-byte key, longer than a block,
+        // is hashed first.
+        let key = [0xaau8; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+        );
+        assert_eq!(
+            hex(&tag),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger than \
+              block-size data. The key needs to be hashed before being used by \
+              the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex(&tag),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
     }
 
     #[test]
@@ -545,6 +733,29 @@ mod tests {
         assert_eq!(
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
+        );
+    }
+
+    #[test]
+    fn hkdf_matches_rfc5869_case2_three_blocks_of_long_inputs() {
+        let ikm: Vec<u8> = (0x00..=0x4f).collect();
+        let salt: Vec<u8> = (0x60..=0xaf).collect();
+        let info: Vec<u8> = (0xb0..=0xff).collect();
+        let okm = hkdf(&salt, &ikm, &info, 82);
+        assert_eq!(
+            hex(&okm),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        );
+    }
+
+    #[test]
+    fn hkdf_matches_rfc5869_case3_empty_salt_and_info() {
+        let okm = hkdf(&[], &[0x0bu8; 22], &[], 42);
+        assert_eq!(
+            hex(&okm),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
         );
     }
 

@@ -9,6 +9,11 @@
 //!
 //! The paper's filter TA uses this to persist its model parameters and the
 //! privacy policy across reboots without trusting the OS.
+//!
+//! The device key is derived on first use, by the first `write` or `read`,
+//! not when the TEE core boots: most cores never touch storage, and the
+//! derivation charges no virtual time, so deferring it changes nothing a
+//! core reports.
 
 use crate::crypto::{aead_open, aead_seal, hkdf, nonce_from_sequence, sha256, AEAD_KEY_LEN};
 use crate::supplicant::{RpcReply, RpcRequest};
@@ -17,37 +22,47 @@ use crate::uuid::TaUuid;
 use crate::{TeeError, TeeResult};
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// The secure-storage service owned by the TEE core.
 #[derive(Debug)]
 pub struct SecureStorage {
-    device_key: [u8; AEAD_KEY_LEN],
+    /// The platform identity the device key is derived from.
+    platform_name: String,
+    device_key: OnceLock<[u8; AEAD_KEY_LEN]>,
     nonce_counter: AtomicU64,
 }
 
 impl SecureStorage {
-    /// Derives the storage service for a platform (the device key is
-    /// derived from the platform identity, standing in for a fused
-    /// hardware-unique key).
+    /// The storage service for a platform (the device key is derived from
+    /// the platform identity, standing in for a fused hardware-unique key,
+    /// on first use).
     pub fn for_platform(platform: &perisec_tz::platform::Platform) -> Self {
-        let material = sha256(platform.spec().name.as_bytes());
-        let mut device_key = [0u8; AEAD_KEY_LEN];
-        device_key.copy_from_slice(&hkdf(
-            b"perisec-huk",
-            &material,
-            b"ree-fs-storage",
-            AEAD_KEY_LEN,
-        ));
         SecureStorage {
-            device_key,
+            platform_name: platform.spec().name.clone(),
+            device_key: OnceLock::new(),
             nonce_counter: AtomicU64::new(1),
         }
+    }
+
+    fn device_key(&self) -> &[u8; AEAD_KEY_LEN] {
+        self.device_key.get_or_init(|| {
+            let material = sha256(self.platform_name.as_bytes());
+            let mut device_key = [0u8; AEAD_KEY_LEN];
+            device_key.copy_from_slice(&hkdf(
+                b"perisec-huk",
+                &material,
+                b"ree-fs-storage",
+                AEAD_KEY_LEN,
+            ));
+            device_key
+        })
     }
 
     fn ta_key(&self, ta: TaUuid) -> [u8; AEAD_KEY_LEN] {
         let mut key = [0u8; AEAD_KEY_LEN];
         key.copy_from_slice(&hkdf(
-            &self.device_key,
+            self.device_key(),
             ta.as_bytes(),
             b"ta-storage-key",
             AEAD_KEY_LEN,
@@ -169,6 +184,20 @@ mod tests {
         assert_eq!(data, b"block:health,finance");
         let names = core.storage().list(&core, ta).unwrap();
         assert_eq!(names, vec!["policy"]);
+    }
+
+    #[test]
+    fn device_key_is_derived_on_first_use_from_the_platform_name() {
+        let core = core();
+        assert!(core.storage().device_key.get().is_none());
+        let ta = TaUuid::from_name("perisec.filter-ta");
+        core.storage().write(&core, ta, "policy", b"x").unwrap();
+        let material = sha256(core.platform().spec().name.as_bytes());
+        let expected = hkdf(b"perisec-huk", &material, b"ree-fs-storage", AEAD_KEY_LEN);
+        assert_eq!(
+            core.storage().device_key.get().map(|k| k.to_vec()),
+            Some(expected)
+        );
     }
 
     #[test]

@@ -252,18 +252,21 @@ impl SecureCameraDriver {
         Ok(report)
     }
 
-    /// One frame: sensor readout, DMA into the secure frame buffer, the
-    /// frame-done interrupt and the unpack onto `out`, each charged as it
-    /// happens.
+    /// One frame: sensor readout straight into the tail of `out`, DMA of
+    /// those bytes into the secure frame buffer, and the frame-done
+    /// interrupt and unpack, each charged as it happens. On error `out`
+    /// may hold a partial frame; the window truncates it.
     fn capture_frame_into(
         &mut self,
         out: &mut Vec<u8>,
         report: &mut SecureFrameReport,
     ) -> TeeResult<()> {
         // 1. One frame arrives over the sensor interface.
-        let frame = self
-            .sensor
-            .capture_from(self.scenes.as_mut())
+        let start = out.len();
+        out.resize(start + self.frame_bytes(), 0);
+        let pixels = &mut out[start..];
+        self.sensor
+            .capture_from_into(self.scenes.as_mut(), pixels)
             .map_err(|e| TeeError::Generic {
                 reason: e.to_string(),
             })?;
@@ -271,23 +274,18 @@ impl SecureCameraDriver {
         report.wire_time += wire;
         self.platform.record_device_busy(Component::Camera, wire);
 
-        // 2. DMA moves it into the secure frame buffer. The DMA model
-        //    transfers i16 words; pack two pixels per word.
-        let words: Vec<i16> = frame
-            .pixels
-            .chunks(2)
-            .map(|c| i16::from_le_bytes([c[0], *c.get(1).unwrap_or(&0)]))
-            .collect();
+        // 2. DMA moves it into the secure frame buffer, two pixels per
+        //    16-bit word.
         let io = self
             .io_buffer
             .as_mut()
             .expect("configured driver has io buffer");
-        let transfer =
-            self.dma
-                .transfer(&words, io.as_mut_slice())
-                .map_err(|e| TeeError::Generic {
-                    reason: e.to_string(),
-                })?;
+        let transfer = self
+            .dma
+            .transfer_bytes(pixels, io.as_mut_slice())
+            .map_err(|e| TeeError::Generic {
+                reason: e.to_string(),
+            })?;
         self.platform
             .record_device_busy(Component::DmaEngine, transfer.bus_time);
 
@@ -302,8 +300,7 @@ impl SecureCameraDriver {
         // 4. The driver securely unpacks the surface into the TA-visible
         //    layout: charged as secure compute over the frame bytes.
         self.platform
-            .charge_compute(World::Secure, frame.pixels.len() as u64 / 4);
-        out.extend_from_slice(&frame.pixels);
+            .charge_compute(World::Secure, pixels.len() as u64 / 4);
         Ok(())
     }
 
@@ -362,6 +359,82 @@ mod tests {
                 .component_mj(Component::CpuSecureWorld)
                 > 0.0
         );
+    }
+
+    /// Presents `Person`, `Document`, `Pet`, `EmptyRoom` in turn.
+    struct EveryScene(usize);
+
+    impl SceneSource for EveryScene {
+        fn next_scene(&mut self) -> SceneKind {
+            let scene = [
+                SceneKind::Person,
+                SceneKind::Document,
+                SceneKind::Pet,
+                SceneKind::EmptyRoom,
+            ][self.0 % 4];
+            self.0 += 1;
+            scene
+        }
+    }
+
+    #[test]
+    fn odd_sized_frames_keep_their_recorded_accounting() {
+        // A 7x5 frame is 35 bytes, so each DMA moves a zero pad byte. Every
+        // value below was recorded from the driver that packed each frame
+        // into 16-bit words before its DMA.
+        let platform = Platform::jetson_agx_xavier();
+        let sensor = CameraSensor::new("odd-cam", 7, 5, 15, 11).unwrap();
+        let mut d = SecureCameraDriver::new(platform.clone(), sensor, Box::new(EveryScene(0)));
+        d.configure().unwrap();
+        d.start().unwrap();
+        let mut out = vec![9u8; 3];
+        let report = d.capture_window_into(3, &mut out).unwrap();
+        assert_eq!(
+            report,
+            SecureFrameReport {
+                wire_time: SimDuration::from_nanos(200_000_001),
+                cpu_time: SimDuration::from_nanos(28_533),
+                frames: 3,
+                pixel_bytes: 105,
+                secure_irqs: 3,
+            }
+        );
+        assert_eq!(
+            d.stats(),
+            SecureCameraStats {
+                frames_captured: 3,
+                secure_irqs: 3,
+                bytes_delivered: 105,
+            }
+        );
+        assert_eq!(platform.clock().now().as_nanos(), 106_533);
+        let energy = platform.energy_report();
+        assert_eq!(energy.window.as_nanos(), 106_533);
+        assert_eq!(energy.total_mj.to_bits(), 0x3ff0_3068_dea1_f296);
+        let busy_and_mj: Vec<(Component, u64, u64)> = energy
+            .per_component
+            .iter()
+            .map(|(&c, e)| (c, e.busy.as_nanos(), e.energy_mj.to_bits()))
+            .collect();
+        assert_eq!(
+            busy_and_mj,
+            vec![
+                (Component::CpuNormalWorld, 0, 0x3fa3_1739_01a9_4d6c),
+                (Component::CpuSecureWorld, 106_533, 0x3fe1_0b97_7857_29b3),
+                (Component::Dram, 0, 0x3fb0_5d0c_4a91_1dca),
+                (Component::I2sController, 0, 0x3f41_7451_609a_ca71),
+                (Component::Microphone, 0, 0x3f0b_ed4f_00f7_aa4f),
+                (Component::Camera, 200_000_001, 0x3fb9_e8a8_cb65_c480),
+                (Component::DmaEngine, 183, 0x3f2e_c1e2_0d25_d856),
+                (Component::Network, 0, 0x3f83_a2db_8cae_23c0),
+                (Component::Baseline, 0, 0x3fd1_0b97_7857_29b3),
+            ]
+        );
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &out {
+            fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!((out.len(), fnv), (108, 0xae5a_90fa_107e_de0b));
     }
 
     #[test]
