@@ -45,12 +45,43 @@ fn bench_channel(c: &mut Criterion) {
     });
     let mut client = SecureChannelClient::new(psk, 1);
     let mut server = SecureChannelServer::new(psk, 2);
-    let hello = server.process_client_hello(&client.client_hello()).unwrap();
-    client.process_server_hello(&hello).unwrap();
+    let client_hello = client.client_hello();
+    let server_hello = server.process_client_hello(&client_hello).unwrap();
+    client.process_server_hello(&server_hello).unwrap();
+    // Each half of the handshake alone: the device's and the cloud's side.
+    group.bench_function("handshake_client_half", |b| {
+        b.iter(|| {
+            let mut client = SecureChannelClient::new(psk, 1);
+            client.process_server_hello(&server_hello).unwrap();
+            client
+        });
+    });
+    group.bench_function("handshake_server_half", |b| {
+        b.iter(|| {
+            let mut server = SecureChannelServer::new(psk, 2);
+            server.process_client_hello(&client_hello).unwrap()
+        });
+    });
+    // Records of the sizes the ingest plane carries: verdict records,
+    // attestation requests and acks are tens of bytes.
+    for size in [41usize, 50, 64] {
+        let payload = vec![0x42u8; size];
+        let record = client.seal_at(7, &payload).unwrap();
+        group.bench_with_input(BenchmarkId::new("seal_at", size), &payload, |b, payload| {
+            b.iter(|| client.seal_at(7, payload).unwrap());
+        });
+        group.bench_with_input(
+            BenchmarkId::new("open_explicit", size),
+            &record,
+            |b, record| {
+                b.iter(|| server.open_explicit(record).unwrap());
+            },
+        );
+    }
     let payload = vec![0x42u8; 8 * 1024];
     group.throughput(Throughput::Bytes(payload.len() as u64));
     group.bench_function("seal_8kib_record", |b| {
-        b.iter(|| client.seal(&payload).unwrap());
+        b.iter(|| client.seal_at(0, &payload).unwrap());
     });
     group.finish();
 }

@@ -15,7 +15,9 @@
 //! derivation charges no virtual time, so deferring it changes nothing a
 //! core reports.
 
-use crate::crypto::{aead_open, aead_seal, hkdf, nonce_from_sequence, sha256, AEAD_KEY_LEN};
+use crate::crypto::{
+    aead_open, aead_seal_into, hkdf, nonce_from_sequence, sha256, AEAD_KEY_LEN, AEAD_TAG_LEN,
+};
 use crate::supplicant::{RpcReply, RpcRequest};
 use crate::tee::TeeCore;
 use crate::uuid::TaUuid;
@@ -84,9 +86,9 @@ impl SecureStorage {
         let sequence = self.nonce_counter.fetch_add(1, Ordering::SeqCst);
         let nonce = nonce_from_sequence(sequence);
         let aad = Self::object_path(ta, name);
-        let mut blob = Vec::with_capacity(8 + data.len() + 16);
+        let mut blob = Vec::with_capacity(8 + data.len() + AEAD_TAG_LEN);
         blob.extend_from_slice(&sequence.to_be_bytes());
-        blob.extend_from_slice(&aead_seal(&key, &nonce, aad.as_bytes(), data));
+        aead_seal_into(&key, &nonce, aad.as_bytes(), data, &mut blob);
         match core.supplicant_rpc(RpcRequest::FsWrite {
             path: aad,
             data: blob,

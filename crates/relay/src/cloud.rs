@@ -606,13 +606,13 @@ mod tests {
     #[test]
     fn implicit_records_are_rejected_on_an_established_channel() {
         let (fabric, cloud) = fabric_with_cloud();
-        let (transport, mut client) = established_client(&fabric, 21);
+        let (transport, client) = established_client(&fabric, 21);
         let event = AvsEvent::TextMessage {
             dialog_id: 3,
             text: "implicit".into(),
         };
         transport
-            .send(&client.seal(&event.encode()).unwrap())
+            .send(&client.legacy_implicit_record(&event.encode()))
             .unwrap();
         assert!(transport.recv(4096).unwrap().is_empty());
         assert_eq!(cloud.report().rejected_records, 1);

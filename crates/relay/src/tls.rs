@@ -8,20 +8,20 @@
 //! device is provisioned with the cloud PSK the way real AVS devices are
 //! provisioned with client credentials.
 //!
-//! Record format: `u32 length || ciphertext+tag`. Handshake messages are
-//! unencrypted `CLIENT_HELLO || 32-byte random` and `SERVER_HELLO ||
-//! 32-byte random`.
+//! Handshake messages are unencrypted `u32 length || CLIENT_HELLO ||
+//! 32-byte random` and `u32 length || SERVER_HELLO || 32-byte random`.
 //!
-//! On lossy paths the implicit per-direction sequence counters desync the
-//! moment a record is dropped or duplicated, so both halves also speak
-//! DTLS-style *explicit-sequence* records: `u32 length || EXPLICIT_RECORD
-//! || u64 sequence || ciphertext+tag`, sealed with [`SecureChannelClient::
-//! seal_at`] / opened with [`SecureChannelServer::open_explicit`]. Sealing
-//! at a sequence is non-mutating, so a retransmission reproduces the exact
-//! record bytes, and the nonce is bound to the carried sequence rather
-//! than to arrival order.
+//! Application records are DTLS-style *explicit-sequence* records: `u32
+//! length || EXPLICIT_RECORD || u64 sequence || ciphertext+tag`, sealed
+//! with [`SecureChannelClient::seal_at`] / [`SecureChannelServer::seal_at`]
+//! and opened with the `open_explicit` of the other half. Paths drop,
+//! duplicate and reorder records, so the nonce is bound to the carried
+//! sequence rather than to arrival order, and sealing at a sequence is
+//! non-mutating, so a retransmission reproduces the exact record bytes.
 
-use perisec_optee::crypto::{aead_open, aead_seal, hkdf, nonce_from_sequence, AEAD_KEY_LEN};
+use perisec_optee::crypto::{
+    aead_open, aead_seal_into, hkdf, nonce_from_sequence, AEAD_KEY_LEN, AEAD_TAG_LEN,
+};
 
 use crate::{RelayError, Result};
 
@@ -35,10 +35,14 @@ const SERVER_HELLO: u8 = 0x02;
 /// First payload byte of an explicit-sequence application record.
 pub const EXPLICIT_RECORD: u8 = 0x17;
 const RANDOM_LEN: usize = 32;
+/// The associated data every application record is sealed under.
+const RECORD_AAD: &[u8] = b"perisec-record";
+/// An explicit record's type byte and carried sequence.
+const EXPLICIT_HEADER_LEN: usize = 1 + 8;
 
 /// The first payload byte of a framed message, without consuming it —
-/// how a receiver dispatches between handshake, explicit-sequence and
-/// legacy implicit records.
+/// how a receiver dispatches between handshake and explicit-sequence
+/// records.
 pub fn peek_record_type(data: &[u8]) -> Option<u8> {
     if data.len() < 5 {
         return None;
@@ -70,33 +74,41 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 fn seal_explicit(key: &[u8; 32], seq: u64, plaintext: &[u8]) -> Vec<u8> {
-    let nonce = nonce_from_sequence(seq);
-    let ciphertext = aead_seal(key, &nonce, b"perisec-record", plaintext);
-    let mut payload = Vec::with_capacity(9 + ciphertext.len());
-    payload.push(EXPLICIT_RECORD);
-    payload.extend_from_slice(&seq.to_be_bytes());
-    payload.extend_from_slice(&ciphertext);
-    frame(&payload)
+    let payload_len = EXPLICIT_HEADER_LEN + plaintext.len() + AEAD_TAG_LEN;
+    let mut record = Vec::with_capacity(4 + payload_len);
+    record.extend_from_slice(&(payload_len as u32).to_be_bytes());
+    record.push(EXPLICIT_RECORD);
+    record.extend_from_slice(&seq.to_be_bytes());
+    aead_seal_into(
+        key,
+        &nonce_from_sequence(seq),
+        RECORD_AAD,
+        plaintext,
+        &mut record,
+    );
+    record
 }
 
 fn open_explicit_with(key: &[u8; 32], record: &[u8]) -> Result<(u64, Vec<u8>)> {
-    let (payload, _) = unframe(record)?;
-    if payload.len() < 9 + 16 || payload[0] != EXPLICIT_RECORD {
+    let payload = unframe(record)?;
+    if payload.len() < EXPLICIT_HEADER_LEN + AEAD_TAG_LEN || payload[0] != EXPLICIT_RECORD {
         return Err(RelayError::ChannelError {
             reason: "not an explicit-sequence record".to_owned(),
         });
     }
     let seq = u64::from_be_bytes(payload[1..9].try_into().expect("8 bytes"));
     let nonce = nonce_from_sequence(seq);
-    let plaintext = aead_open(key, &nonce, b"perisec-record", &payload[9..]).map_err(|_| {
-        RelayError::ChannelError {
-            reason: "explicit record authentication failed".to_owned(),
-        }
-    })?;
+    let plaintext =
+        aead_open(key, &nonce, RECORD_AAD, &payload[EXPLICIT_HEADER_LEN..]).map_err(|_| {
+            RelayError::ChannelError {
+                reason: "explicit record authentication failed".to_owned(),
+            }
+        })?;
     Ok((seq, plaintext))
 }
 
-fn unframe(data: &[u8]) -> Result<(Vec<u8>, usize)> {
+/// The payload of a framed message.
+fn unframe(data: &[u8]) -> Result<&[u8]> {
     if data.len() < 4 {
         return Err(RelayError::ChannelError {
             reason: "record too short for its header".to_owned(),
@@ -111,7 +123,7 @@ fn unframe(data: &[u8]) -> Result<(Vec<u8>, usize)> {
             ),
         });
     }
-    Ok((data[4..4 + len].to_vec(), 4 + len))
+    Ok(&data[4..4 + len])
 }
 
 /// Client side of the secure channel (runs in the TA, or in the baseline's
@@ -122,8 +134,6 @@ pub struct SecureChannelClient {
     client_random: [u8; RANDOM_LEN],
     send_key: Option<[u8; 32]>,
     recv_key: Option<[u8; 32]>,
-    send_seq: u64,
-    recv_seq: u64,
 }
 
 impl SecureChannelClient {
@@ -144,8 +154,6 @@ impl SecureChannelClient {
             client_random,
             send_key: None,
             recv_key: None,
-            send_seq: 0,
-            recv_seq: 0,
         }
     }
 
@@ -167,7 +175,7 @@ impl SecureChannelClient {
     ///
     /// Returns [`RelayError::ChannelError`] on malformed messages.
     pub fn process_server_hello(&mut self, data: &[u8]) -> Result<()> {
-        let (payload, _) = unframe(data)?;
+        let payload = unframe(data)?;
         if payload.len() != 1 + RANDOM_LEN || payload[0] != SERVER_HELLO {
             return Err(RelayError::ChannelError {
                 reason: "malformed server hello".to_owned(),
@@ -179,46 +187,9 @@ impl SecureChannelClient {
         Ok(())
     }
 
-    /// Protects one application record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelayError::ChannelError`] before the handshake completes.
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<Vec<u8>> {
-        let key = self.send_key.ok_or(RelayError::ChannelError {
-            reason: "channel not established".to_owned(),
-        })?;
-        let nonce = nonce_from_sequence(self.send_seq);
-        self.send_seq += 1;
-        Ok(frame(&aead_seal(
-            &key,
-            &nonce,
-            b"perisec-record",
-            plaintext,
-        )))
-    }
-
-    /// Opens one protected record from the server.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelayError::ChannelError`] on authentication failure or a
-    /// not-yet-established channel.
-    pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>> {
-        let key = self.recv_key.ok_or(RelayError::ChannelError {
-            reason: "channel not established".to_owned(),
-        })?;
-        let (payload, _) = unframe(record)?;
-        let nonce = nonce_from_sequence(self.recv_seq);
-        self.recv_seq += 1;
-        aead_open(&key, &nonce, b"perisec-record", &payload).map_err(|_| RelayError::ChannelError {
-            reason: "record authentication failed".to_owned(),
-        })
-    }
-
-    /// Protects one application record at an *explicit* sequence number,
-    /// without touching the implicit counters. Retransmitting the same
-    /// `(seq, plaintext)` reproduces byte-identical record bytes.
+    /// Protects one application record at an *explicit* sequence number.
+    /// Retransmitting the same `(seq, plaintext)` reproduces byte-identical
+    /// record bytes.
     ///
     /// # Errors
     ///
@@ -252,8 +223,6 @@ pub struct SecureChannelServer {
     server_random: [u8; RANDOM_LEN],
     send_key: Option<[u8; 32]>,
     recv_key: Option<[u8; 32]>,
-    send_seq: u64,
-    recv_seq: u64,
 }
 
 impl SecureChannelServer {
@@ -272,8 +241,6 @@ impl SecureChannelServer {
             server_random,
             send_key: None,
             recv_key: None,
-            send_seq: 0,
-            recv_seq: 0,
         }
     }
 
@@ -288,7 +255,7 @@ impl SecureChannelServer {
     ///
     /// Returns [`RelayError::ChannelError`] on malformed messages.
     pub fn process_client_hello(&mut self, data: &[u8]) -> Result<Vec<u8>> {
-        let (payload, _) = unframe(data)?;
+        let payload = unframe(data)?;
         if payload.len() != 1 + RANDOM_LEN || payload[0] != CLIENT_HELLO {
             return Err(RelayError::ChannelError {
                 reason: "malformed client hello".to_owned(),
@@ -300,42 +267,6 @@ impl SecureChannelServer {
         let mut hello = vec![SERVER_HELLO];
         hello.extend_from_slice(&self.server_random);
         Ok(frame(&hello))
-    }
-
-    /// Opens one protected record from the client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelayError::ChannelError`] on authentication failure.
-    pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>> {
-        let key = self.recv_key.ok_or(RelayError::ChannelError {
-            reason: "channel not established".to_owned(),
-        })?;
-        let (payload, _) = unframe(record)?;
-        let nonce = nonce_from_sequence(self.recv_seq);
-        self.recv_seq += 1;
-        aead_open(&key, &nonce, b"perisec-record", &payload).map_err(|_| RelayError::ChannelError {
-            reason: "record authentication failed".to_owned(),
-        })
-    }
-
-    /// Protects one record towards the client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelayError::ChannelError`] before the handshake completes.
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<Vec<u8>> {
-        let key = self.send_key.ok_or(RelayError::ChannelError {
-            reason: "channel not established".to_owned(),
-        })?;
-        let nonce = nonce_from_sequence(self.send_seq);
-        self.send_seq += 1;
-        Ok(frame(&aead_seal(
-            &key,
-            &nonce,
-            b"perisec-record",
-            plaintext,
-        )))
     }
 
     /// Opens one explicit-sequence record from the client, returning the
@@ -375,6 +306,24 @@ pub fn seal_flops(bytes: usize) -> u64 {
 }
 
 #[cfg(test)]
+impl SecureChannelClient {
+    /// The first record of a channel in the implicit-sequence format it
+    /// no longer speaks: `u32 length || aead_seal(..)` at sequence 0, with
+    /// neither type byte nor carried sequence. The tests use it to check
+    /// that receivers refuse such records.
+    pub(crate) fn legacy_implicit_record(&self, plaintext: &[u8]) -> Vec<u8> {
+        use perisec_optee::crypto::aead_seal;
+        let key = self.send_key.expect("channel established");
+        frame(&aead_seal(
+            &key,
+            &nonce_from_sequence(0),
+            RECORD_AAD,
+            plaintext,
+        ))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -396,30 +345,32 @@ mod tests {
 
     #[test]
     fn records_round_trip_in_both_directions() {
-        let (mut client, mut server) = establish();
+        let (client, server) = establish();
         for i in 0..5u8 {
-            let record = client.seal(&[i; 100]).unwrap();
-            assert_eq!(server.open(&record).unwrap(), vec![i; 100]);
-            let reply = server.seal(&[i ^ 0xff; 32]).unwrap();
-            assert_eq!(client.open(&reply).unwrap(), vec![i ^ 0xff; 32]);
+            let seq = u64::from(i);
+            let record = client.seal_at(seq, &[i; 100]).unwrap();
+            assert_eq!(server.open_explicit(&record).unwrap(), (seq, vec![i; 100]));
+            let reply = server.seal_at(seq, &[i ^ 0xff; 32]).unwrap();
+            assert_eq!(
+                client.open_explicit(&reply).unwrap(),
+                (seq, vec![i ^ 0xff; 32])
+            );
         }
     }
 
     #[test]
     fn ciphertext_hides_plaintext_and_tampering_is_detected() {
-        let (mut client, mut server) = establish();
+        let (client, server) = establish();
         let secret = b"my pin code is four two four two";
-        let record = client.seal(secret).unwrap();
+        let record = client.seal_at(0, secret).unwrap();
         assert!(!record.windows(secret.len()).any(|w| w == secret.as_slice()));
         let mut tampered = record.clone();
         let len = tampered.len();
         tampered[len - 1] ^= 1;
-        assert!(server.open(&tampered).is_err());
-        // The sequence number advanced on the failed attempt; a fresh pair
-        // still interoperates.
-        let (mut c2, mut s2) = establish();
-        let r = c2.seal(b"ok").unwrap();
-        assert_eq!(s2.open(&r).unwrap(), b"ok");
+        assert!(server.open_explicit(&tampered).is_err());
+        // The failed open left the server as it was: the genuine record
+        // still opens.
+        assert_eq!(server.open_explicit(&record).unwrap(), (0, secret.to_vec()));
     }
 
     #[test]
@@ -428,18 +379,21 @@ mod tests {
         let mut server = SecureChannelServer::new([2u8; PSK_LEN], 2);
         let server_hello = server.process_client_hello(&client.client_hello()).unwrap();
         client.process_server_hello(&server_hello).unwrap();
-        let record = client.seal(b"hello").unwrap();
-        assert!(server.open(&record).is_err());
+        let record = client.seal_at(0, b"hello").unwrap();
+        assert!(server.open_explicit(&record).is_err());
+        let reply = server.seal_at(0, b"ack").unwrap();
+        assert!(client.open_explicit(&reply).is_err());
     }
 
     #[test]
     fn usage_before_handshake_is_rejected() {
         let psk = [3u8; PSK_LEN];
         let mut client = SecureChannelClient::new(psk, 1);
-        assert!(client.seal(b"x").is_err());
-        assert!(client.open(b"x").is_err());
+        assert!(client.seal_at(0, b"x").is_err());
+        assert!(client.open_explicit(b"x").is_err());
         let mut server = SecureChannelServer::new(psk, 1);
-        assert!(server.seal(b"x").is_err());
+        assert!(server.seal_at(0, b"x").is_err());
+        assert!(server.open_explicit(b"x").is_err());
         // Malformed hellos.
         assert!(server.process_client_hello(&[0, 0, 0, 1, 9]).is_err());
         assert!(client.process_server_hello(&[1, 2]).is_err());
@@ -479,8 +433,7 @@ mod tests {
         reseq[12] ^= 1;
         assert!(server.open_explicit(&reseq).is_err());
         // Implicit records are not explicit records.
-        let mut c2 = client.clone();
-        let implicit = c2.seal(b"payload").unwrap();
+        let implicit = client.legacy_implicit_record(b"payload");
         assert!(server.open_explicit(&implicit).is_err());
         assert_eq!(peek_record_type(&record), Some(EXPLICIT_RECORD));
         assert_eq!(
