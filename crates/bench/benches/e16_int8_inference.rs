@@ -1,7 +1,8 @@
 //! Criterion bench behind experiment E16: the int8 fast path against the
 //! f32 baseline for the two TA-side classifiers, plus the planned
-//! (allocation-free) MFCC front-end against the allocating one — the
-//! microbenchmark view of the fused-kernel and scratch-plan wins.
+//! (allocation-free) MFCC front-end against the allocating one and the
+//! VAD energies on their own — the microbenchmark view of the
+//! fused-kernel and scratch-plan wins.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -90,6 +91,10 @@ fn bench_mfcc_plan(c: &mut Criterion) {
     });
     group.bench_function("extract_planned", |b| {
         b.iter(|| extractor.extract_into(audio.samples(), &mut plan));
+    });
+    let mut energies = Vec::new();
+    group.bench_function("frame_energies_planned", |b| {
+        b.iter(|| extractor.frame_energies_into(audio.samples(), &mut energies));
     });
     group.finish();
 }

@@ -11,11 +11,24 @@
 //!   dropped and an overrun is latched — the phenomenon that makes the
 //!   secure-world driver's latency budget interesting.
 //!
-//! Samples move in slices. Per transfer the bus fills one chunk buffer it
-//! reuses from its [`SignalSource`]; the controller accepts the part that
-//! fits the FIFO's free space in one copy and counts the rest as
-//! overruns; [`I2sController::drain_into`] appends the oldest samples to
-//! the caller's buffer.
+//! The FIFO models chunk timing and counters; a capture's samples no
+//! longer pass through it. A consumer that drains the FIFO after every
+//! FIFO-sized chunk (the microphone, see [`crate::mic`]) finds it empty
+//! at each chunk boundary, so every chunk is accepted whole and nothing
+//! overruns: the samples are the source's next ones, in order. The bus
+//! therefore reads a whole capture with one [`SignalSource::fill`]
+//! straight into the consumer's buffer and counts the samples as
+//! received, and the wire time is the sum of the chunks' wire times,
+//! each rounded on its own. [`I2sConfig::validate`] refuses a FIFO
+//! shallower than one frame, the one shape in which a chunk would not
+//! fit.
+//!
+//! The per-chunk model stays public, and the tests run it as the oracle
+//! of the direct read: [`I2sBus::transfer_frames`] fills a chunk buffer
+//! it reuses, the controller accepts the part that fits the FIFO's free
+//! space in one copy and counts the rest as overruns, and
+//! [`I2sController::drain_into`] appends the oldest samples to the
+//! caller's buffer.
 
 use std::collections::VecDeque;
 
@@ -67,19 +80,31 @@ impl I2sConfig {
             * self.format.sample_rate_hz as u64
     }
 
+    /// Wire time of `frames` frames carried in FIFO-sized chunks (as many
+    /// frames as the FIFO holds): each chunk's duration, rounded to the
+    /// nanosecond on its own, summed. This is what the
+    /// [`I2sBus::transfer_frames`] calls of a consumer that drains the
+    /// FIFO after every chunk add up to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO cannot hold one frame, a configuration
+    /// [`I2sConfig::validate`] refuses.
+    pub(crate) fn transfer_time(&self, frames: usize) -> SimDuration {
+        let chunk = self.fifo_depth / self.format.channels as usize;
+        self.format.duration_of_frames(chunk) * (frames / chunk) as u64
+            + self.format.duration_of_frames(frames % chunk)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::UnsupportedConfig`] for empty FIFOs, zero
-    /// sample rates or sample widths other than 16 bits (the only width the
-    /// models produce).
+    /// Returns [`DeviceError::UnsupportedConfig`] for a FIFO that cannot
+    /// hold one frame, zero sample rates, channel counts other than 1 or
+    /// 2, or sample widths other than 16 bits (the only width the models
+    /// produce).
     pub fn validate(&self) -> Result<()> {
-        if self.fifo_depth == 0 {
-            return Err(DeviceError::UnsupportedConfig {
-                reason: "fifo depth must be at least 1 sample".to_owned(),
-            });
-        }
         if self.format.sample_rate_hz == 0 {
             return Err(DeviceError::UnsupportedConfig {
                 reason: "sample rate must be non-zero".to_owned(),
@@ -96,6 +121,16 @@ impl I2sConfig {
         if self.format.channels == 0 || self.format.channels > 2 {
             return Err(DeviceError::UnsupportedConfig {
                 reason: format!("i2s carries 1 or 2 channels, got {}", self.format.channels),
+            });
+        }
+        // A shallower FIFO overruns on every frame: a chunk is at least
+        // one frame.
+        if self.fifo_depth < self.format.channels as usize {
+            return Err(DeviceError::UnsupportedConfig {
+                reason: format!(
+                    "fifo depth must hold one frame ({} samples), got {}",
+                    self.format.channels, self.fifo_depth
+                ),
             });
         }
         Ok(())
@@ -261,6 +296,18 @@ impl I2sBus {
         std::mem::replace(&mut self.source, source)
     }
 
+    /// Reads the next `out.len()` samples from the source straight into
+    /// `out` and counts them as received: the samples and counters of
+    /// transferring them chunk by chunk to a consumer that drains each
+    /// chunk as it lands (see the module docs). The caller keeps the
+    /// FIFO empty and the controller enabled, and times the transfer
+    /// with [`I2sConfig::transfer_time`].
+    pub(crate) fn stream_into(&mut self, out: &mut [i16]) {
+        debug_assert!(self.controller.is_enabled() && self.controller.fifo.is_empty());
+        self.source.fill(out);
+        self.controller.received_samples += out.len() as u64;
+    }
+
     /// Transfers `frames` frames across the bus into the controller FIFO.
     ///
     /// Returns the wire time consumed. Samples that overflow the FIFO are
@@ -372,6 +419,51 @@ mod tests {
         let mut c = I2sConfig::microphone_default();
         c.format.channels = 4;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_fifo_shallower_than_a_frame_is_refused() {
+        // A stereo frame is two samples: a one-sample FIFO used to be
+        // accepted and then dropped half of every frame as overruns.
+        let shallow = I2sConfig {
+            format: AudioFormat::hifi_48khz_stereo(),
+            fifo_depth: 1,
+            ..I2sConfig::microphone_default()
+        };
+        assert!(matches!(
+            shallow.validate(),
+            Err(DeviceError::UnsupportedConfig { .. })
+        ));
+        assert!(I2sBus::new(shallow, Box::new(SilenceSource)).is_err());
+        let one_frame = I2sConfig {
+            fifo_depth: 2,
+            ..shallow
+        };
+        assert!(one_frame.validate().is_ok());
+    }
+
+    #[test]
+    fn transfer_time_sums_the_chunks_wire_times() {
+        // 48 kHz stereo through a 64-sample FIFO: 32-frame chunks of
+        // 666,667 ns each, so a 161-frame period is five of them plus one
+        // 20,833 ns frame, not the 3,354,167 ns of 161 frames at once.
+        let config = I2sConfig {
+            format: AudioFormat::hifi_48khz_stereo(),
+            ..I2sConfig::microphone_default()
+        };
+        assert_eq!(config.transfer_time(0), SimDuration::ZERO);
+        assert_eq!(config.transfer_time(32), SimDuration::from_nanos(666_667));
+        assert_eq!(
+            config.transfer_time(161),
+            SimDuration::from_nanos(5 * 666_667 + 20_833)
+        );
+        let mut bus = I2sBus::new(config, Box::new(SilenceSource)).unwrap();
+        bus.controller().enable();
+        let chunked: SimDuration = [32, 32, 32, 32, 32, 1]
+            .iter()
+            .map(|&frames| bus.transfer_frames(frames))
+            .sum();
+        assert_eq!(chunked, config.transfer_time(161));
     }
 
     #[test]

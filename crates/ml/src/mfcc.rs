@@ -13,9 +13,15 @@
 //! are computed once in f64 and rounded to f32; the per-frame arithmetic
 //! is pure single-precision, which halves the scratch bandwidth and
 //! doubles the SIMD lane count on the TA hot path. Frame energies for VAD
-//! are the one exception: the sums of squared i16 samples are **exact i64
+//! are the one exception: the sums of squared i16 samples are **exact
 //! integers**, with a single f64 divide and square root per frame at the
-//! end.
+//! end. Each sample is squared once: the squares are summed per block of
+//! `gcd(frame_len, hop_len)` samples (every frame starts on a block
+//! boundary and spans whole blocks) and each frame adds up its blocks.
+//! Integer addition gives the same sum in any grouping, so every frame's
+//! sum, and so its energy, is the one a per-frame loop makes. A pair of
+//! squares is at most 2^31 and fits a `u32`, which lets the block loop
+//! vectorise (when optimised) as paired multiply-adds widened to `u64`.
 //!
 //! **Eight frames at a time.** Extraction runs frames in groups of eight
 //! (`LANES`), one frame per lane. A group's buffers are a structure of
@@ -323,6 +329,19 @@ fn lane_butterfly(
     }
 }
 
+/// The exact sum of the squares of `block`. A square of an `i16` is at
+/// most 2^30, so a pair of them fits a `u32` (as a multiply-add of 16-bit
+/// lanes makes it), and the pairs add up in `u64`.
+fn sum_of_squares(block: &[i16]) -> u64 {
+    let square = |s: i16| (i32::from(s) * i32::from(s)) as u32;
+    let (pairs, odd) = block.as_chunks::<2>();
+    let pairs: u64 = pairs
+        .iter()
+        .map(|&[a, b]| u64::from(square(a) + square(b)))
+        .sum();
+    pairs + odd.iter().map(|&s| u64::from(square(s))).sum::<u64>()
+}
+
 fn hz_to_mel(hz: f64) -> f64 {
     2595.0 * (1.0 + hz / 700.0).log10()
 }
@@ -442,24 +461,40 @@ impl MfccExtractor {
 
     /// [`MfccExtractor::frame_energies`] into a caller-owned buffer —
     /// allocation-free once the buffer is warm. The per-frame sum of
-    /// squared samples is an exact i64 integer; only the final
-    /// normalization and square root touch floating point.
+    /// squared samples is an exact integer, formed from per-block sums
+    /// (see the module docs); only the final normalization and square
+    /// root touch floating point.
     pub fn frame_energies_into(&self, samples: &[i16], out: &mut Vec<f64>) {
+        let MfccConfig {
+            frame_len, hop_len, ..
+        } = self.config;
         let frames = self.frame_count(samples.len());
-        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        // The gcd of a power of two and the hop, capped at 2^22 samples so
+        // that a block's sum (at most 2^52) is exact in the f64 slot that
+        // holds it.
+        let log_block = hop_len.trailing_zeros().min(frame_len.trailing_zeros());
+        let block = 1usize << log_block.min(22);
+        let (frame_blocks, hop_blocks) = (frame_len / block, hop_len / block);
+        let blocks = frames
+            .checked_sub(1)
+            .map_or(0, |last| last * hop_blocks + frame_blocks);
+        // The block sums go after the energies and are cut off at the end.
         out.clear();
-        out.extend((0..frames).map(|f| {
-            let start = f * self.config.hop_len;
-            let frame = &samples[start..start + self.config.frame_len];
-            let sum_sq: i64 = frame
+        out.resize(frames + blocks, 0.0);
+        let (energies, block_sums) = out.split_at_mut(frames);
+        for (sum, chunk) in block_sums.iter_mut().zip(samples.chunks_exact(block)) {
+            *sum = sum_of_squares(chunk) as f64;
+        }
+        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        for (frame, energy) in energies.iter_mut().enumerate() {
+            let first = frame * hop_blocks;
+            let sum_sq: u64 = block_sums[first..first + frame_blocks]
                 .iter()
-                .map(|&s| {
-                    let v = i64::from(s);
-                    v * v
-                })
+                .map(|&sum| sum as u64)
                 .sum();
-            (sum_sq as f64 / (full_scale * frame.len() as f64)).sqrt()
-        }));
+            *energy = (sum_sq as f64 / (full_scale * frame_len as f64)).sqrt();
+        }
+        out.truncate(frames);
     }
 
     /// Extracts MFCC features: one row per frame, `n_coeffs` columns.
@@ -1003,6 +1038,67 @@ mod tests {
                 re[bin],
                 im[bin]
             );
+        }
+    }
+
+    /// The per-frame loop the block sums replaced, kept as the energy
+    /// oracle: each frame's squares summed in `i64`, then the same divide
+    /// and square root.
+    fn frame_energies_ref(ex: &MfccExtractor, samples: &[i16]) -> Vec<f64> {
+        let full_scale = i16::MAX as f64 * i16::MAX as f64;
+        (0..ex.frame_count(samples.len()))
+            .map(|f| {
+                let start = f * ex.config.hop_len;
+                let frame = &samples[start..start + ex.config.frame_len];
+                let sum_sq: i64 = frame
+                    .iter()
+                    .map(|&s| {
+                        let v = i64::from(s);
+                        v * v
+                    })
+                    .sum();
+                (sum_sq as f64 / (full_scale * frame.len() as f64)).sqrt()
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The block-sum energies equal the per-frame oracle bit for bit,
+        /// for frames of 2 to 1024 samples and hops from 1 to twice the
+        /// frame (so hops that do not divide the frame and hops longer
+        /// than it), over uniform, silent, all-`i16::MIN` and alternating
+        /// full-scale audio. `i16::MIN` squared twice is 2^31, which only
+        /// an unsigned pair sum holds.
+        #[test]
+        fn frame_energies_are_bit_identical_to_the_per_frame_oracle(
+            log_frame in 1u32..11,
+            hop_pick in 0usize..2048,
+            len in 0usize..6001,
+            seed in any::<u64>(),
+            kind in 0u8..4,
+        ) {
+            let frame_len = 1usize << log_frame;
+            let hop_len = hop_pick % (2 * frame_len) + 1;
+            let ex = MfccExtractor::new(MfccConfig {
+                frame_len,
+                hop_len,
+                ..MfccConfig::speech_16khz()
+            });
+            let samples: Vec<i16> = match kind {
+                0 => random_pcm(len, seed, 0),
+                1 => vec![0; len],
+                2 => vec![i16::MIN; len],
+                _ => (0..len).map(|i| if i % 2 == 0 { i16::MAX } else { i16::MIN }).collect(),
+            };
+            let want = frame_energies_ref(&ex, &samples);
+            // A warm buffer holding stale values must not leak into the
+            // result.
+            let mut got = vec![f64::NAN; 7];
+            ex.frame_energies_into(&samples, &mut got);
+            prop_assert_eq!(got.len(), want.len());
+            for (frame, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "frame {}", frame);
+            }
         }
     }
 

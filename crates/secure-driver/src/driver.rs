@@ -6,13 +6,20 @@
 //! time (with the secure compute penalty), and the I/O buffers live in the
 //! TrustZone carve-out, so the untrusted OS cannot observe the raw audio.
 //!
-//! Per period the driver captures into one period-sized sample scratch it
-//! reuses, DMAs the period into the secure I/O buffer, and encodes it onto
-//! the end of the caller's output. A window's costs are summed over its
-//! periods and charged after the last one, once per cost term. The clock
-//! and the energy meter add integer nanoseconds, so this charges exactly
-//! what one charge per period would; nothing reads either of them between
-//! the periods of a window.
+//! A window is captured in runs of up to `RUN_PERIODS` (16) periods. The
+//! microphone reads a run with one fill of its signal source straight
+//! into a sample buffer the driver reuses, which therefore holds a fixed
+//! number of periods, never a whole window. The driver then DMAs each
+//! period of the run into the secure I/O buffer and encodes the run onto
+//! the end of the caller's output in one pass. Every per-period cost is
+//! the one a period-by-period loop adds: each period's wire time (the sum
+//! of its FIFO chunks'), DMA bus time, encode compute, interrupt and
+//! bookkeeping. A window's costs are summed over its periods and charged
+//! after the last one, once per cost term. The clock and the energy meter
+//! add integer nanoseconds, so this charges exactly what one charge per
+//! period would; nothing reads either of them between the periods of a
+//! window. The unit tests keep the period-by-period loop over the
+//! per-chunk FIFO copies as the oracle.
 
 use perisec_devices::audio::AudioFormat;
 use perisec_devices::codec::AudioEncoding;
@@ -72,6 +79,10 @@ pub const PORTED_FUNCTIONS: &[&str] = &[
 
 /// Fixed secure-world CPU cost of the per-period bookkeeping.
 const PER_PERIOD_DRIVER_OVERHEAD: SimDuration = SimDuration::from_micros(5);
+
+/// Periods the driver reads from the microphone at once: its sample
+/// buffer holds at most this many.
+const RUN_PERIODS: usize = 16;
 
 /// Lifecycle state of the secure driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -143,8 +154,8 @@ pub struct SecureI2sDriver {
     period_frames: usize,
     encoding: AudioEncoding,
     io_buffer: Option<SecureBuf>,
-    /// One period's samples, reused across periods.
-    scratch: Vec<i16>,
+    /// A run of up to `RUN_PERIODS` periods' samples, reused across runs.
+    samples: Vec<i16>,
     stats: SecureDriverStats,
 }
 
@@ -169,7 +180,7 @@ impl SecureI2sDriver {
             period_frames: 160,
             encoding: AudioEncoding::PcmLe16,
             io_buffer: None,
-            scratch: Vec::new(),
+            samples: Vec::new(),
             stats: SecureDriverStats::default(),
         }
     }
@@ -299,11 +310,12 @@ impl SecureI2sDriver {
     /// audio to `out`, returning the window's accounting. This is the
     /// loop behind the PTA's `CAPTURE_BATCH`, once per window.
     ///
-    /// Each period is one microphone capture into the driver's scratch,
-    /// one DMA transfer into the secure I/O buffer and one encode onto
-    /// `out`. The window's costs are charged after its last period: the
-    /// wire and DMA busy time once per component, each secure CPU term
-    /// once at its sum over the periods, and the periods' secure
+    /// The window is captured in runs of up to 16 periods: one microphone
+    /// read of the run into the driver's sample buffer, one DMA transfer
+    /// per period into the secure I/O buffer and one encode of the run
+    /// onto `out`. The window's costs are charged after its last period:
+    /// the wire and DMA busy time once per component, each secure CPU
+    /// term once at its sum over the periods, and the periods' secure
     /// interrupts in one count. `cpu_time` is the clock time that elapses
     /// across the window.
     ///
@@ -327,11 +339,14 @@ impl SecureI2sDriver {
         let cpu_before = self.platform.clock().now();
         let mut tally = WindowTally::default();
         let mut outcome = Ok(());
-        for _ in 0..periods {
-            if let Err(e) = self.capture_period(out, &mut tally) {
+        let mut left = periods;
+        while left > 0 {
+            let run = left.min(RUN_PERIODS);
+            if let Err(e) = self.capture_run(run, out, &mut tally) {
                 outcome = Err(e);
                 break;
             }
+            left -= run;
         }
         self.charge_window(&tally);
         if let Err(e) = outcome {
@@ -352,37 +367,52 @@ impl SecureI2sDriver {
         Ok(report)
     }
 
-    /// One period: capture, DMA into the secure I/O buffer, encode onto
-    /// `out`. Adds the period's costs to `tally` without charging them.
-    fn capture_period(&mut self, out: &mut Vec<u8>, tally: &mut WindowTally) -> TeeResult<()> {
-        // 1. One period arrives over the wire.
-        self.scratch.clear();
-        let wire = self
+    /// `run` periods: one microphone read into the sample buffer, a DMA
+    /// transfer of each period into the secure I/O buffer, and one encode
+    /// of the run onto `out`. Adds the periods' costs to `tally` without
+    /// charging them.
+    fn capture_run(
+        &mut self,
+        run: usize,
+        out: &mut Vec<u8>,
+        tally: &mut WindowTally,
+    ) -> TeeResult<()> {
+        let period_samples = self.period_frames * self.format().channels as usize;
+        let run_samples = run * period_samples;
+        if self.samples.len() < run_samples {
+            self.samples.resize(run_samples, 0);
+        }
+        let samples = &mut self.samples[..run_samples];
+
+        // 1. The run arrives over the wire.
+        tally.wire_time += self
             .mic
-            .capture_into(self.period_frames, &mut self.scratch)
+            .capture_periods_into(run, self.period_frames, samples)
             .map_err(device_error)?;
 
-        // 2. DMA moves it into the secure I/O buffer.
+        // 2. DMA moves each period into the secure I/O buffer. The driver
+        //    "securely processes (e.g., encoding an audio signal)" each
+        //    period: charged as secure compute over the period's samples,
+        //    converted to time per period because the conversion rounds.
         let io = self
             .io_buffer
             .as_mut()
             .expect("configured driver has io buffer");
-        let transfer = self
-            .dma
-            .transfer(&self.scratch, io.as_mut_slice())
-            .map_err(device_error)?;
+        let encode_flops = period_samples as u64;
+        let encode_time = self.platform.cost().compute(encode_flops, true);
+        for period in samples.chunks_exact(period_samples) {
+            let transfer = self
+                .dma
+                .transfer(period, io.as_mut_slice())
+                .map_err(device_error)?;
+            tally.periods += 1;
+            tally.samples += encode_flops;
+            tally.dma_time += transfer.bus_time;
+            tally.encode_time += encode_time;
+        }
 
-        // 3. The driver "securely processes (e.g., encoding an audio
-        //    signal)" the period: charged as secure compute over the
-        //    period's samples, converted to time per period because the
-        //    conversion rounds.
-        self.encoding.encode_into(&self.scratch, out);
-        let encode_flops = self.scratch.len() as u64;
-        tally.periods += 1;
-        tally.samples += encode_flops;
-        tally.wire_time += wire;
-        tally.dma_time += transfer.bus_time;
-        tally.encode_time += self.platform.cost().compute(encode_flops, true);
+        // 3. The run is encoded in one pass.
+        self.encoding.encode_into(samples, out);
         Ok(())
     }
 
@@ -420,8 +450,240 @@ fn device_error(e: perisec_devices::DeviceError) -> TeeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perisec_devices::signal::SineSource;
+    use perisec_devices::i2s::{I2sBus, I2sConfig};
+    use perisec_devices::mic::MicStats;
+    use perisec_devices::signal::{PlaybackSource, SignalSource, SineSource};
     use perisec_tz::world::World;
+    use proptest::prelude::*;
+
+    /// The microphone's per-chunk copy loop through the FIFO, kept as the
+    /// oracle of its direct read: a bus of its own, fed the same signal,
+    /// with the statistics that loop kept.
+    struct ChunkLoopMic {
+        bus: I2sBus,
+        stats: MicStats,
+    }
+
+    impl ChunkLoopMic {
+        fn new(config: I2sConfig, source: Box<dyn SignalSource>) -> Self {
+            let mut bus = I2sBus::new(config, source).unwrap();
+            bus.controller().enable();
+            ChunkLoopMic {
+                bus,
+                stats: MicStats::default(),
+            }
+        }
+
+        fn capture_into(&mut self, frames: usize, out: &mut Vec<i16>) -> SimDuration {
+            let channels = self.bus.config().format.channels as usize;
+            let chunk_frames = (self.bus.config().fifo_depth / channels).max(1);
+            out.reserve(frames * channels);
+            let mut elapsed = SimDuration::ZERO;
+            let mut remaining = frames;
+            while remaining > 0 {
+                let n = remaining.min(chunk_frames);
+                elapsed += self.bus.transfer_frames(n);
+                self.bus.controller().drain_into(out, n * channels);
+                remaining -= n;
+            }
+            self.stats.frames_captured += frames as u64;
+            self.stats.chunks += 1;
+            self.stats.overrun_samples = self.bus.controller_ref().overrun_samples();
+            elapsed
+        }
+    }
+
+    impl SecureI2sDriver {
+        /// The period-by-period window loop the runs replaced, kept as
+        /// their oracle, with every period captured through `mic`'s chunk
+        /// loop rather than the driver's own microphone.
+        fn capture_window_ref(
+            &mut self,
+            mic: &mut ChunkLoopMic,
+            periods: usize,
+            out: &mut Vec<u8>,
+        ) -> SecureCaptureReport {
+            assert_eq!(self.state, SecureDriverState::Running);
+            let start = out.len();
+            let cpu_before = self.platform.clock().now();
+            let mut tally = WindowTally::default();
+            for _ in 0..periods {
+                self.capture_period(mic, out, &mut tally);
+            }
+            self.charge_window(&tally);
+            let report = SecureCaptureReport {
+                wire_time: tally.wire_time,
+                cpu_time: self.platform.clock().elapsed_since(cpu_before),
+                periods,
+                encoded_bytes: out.len() - start,
+                secure_irqs: tally.periods,
+            };
+            self.stats.frames_captured += tally.samples / u64::from(self.format().channels);
+            self.stats.periods += periods as u64;
+            self.stats.secure_irqs += report.secure_irqs;
+            self.stats.bytes_delivered += report.encoded_bytes as u64;
+            report
+        }
+
+        /// One period: capture, DMA into the secure I/O buffer, encode
+        /// onto `out`. Adds the period's costs to `tally`.
+        fn capture_period(
+            &mut self,
+            mic: &mut ChunkLoopMic,
+            out: &mut Vec<u8>,
+            tally: &mut WindowTally,
+        ) {
+            self.samples.clear();
+            let wire = mic.capture_into(self.period_frames, &mut self.samples);
+            let io = self.io_buffer.as_mut().unwrap();
+            let transfer = self.dma.transfer(&self.samples, io.as_mut_slice()).unwrap();
+            self.encoding.encode_into(&self.samples, out);
+            let encode_flops = self.samples.len() as u64;
+            tally.periods += 1;
+            tally.samples += encode_flops;
+            tally.wire_time += wire;
+            tally.dma_time += transfer.bus_time;
+            tally.encode_time += self.platform.cost().compute(encode_flops, true);
+        }
+    }
+
+    /// A configured, running driver on a fresh platform, and the platform.
+    fn running_driver(
+        platform: fn() -> Platform,
+        config: I2sConfig,
+        source: Box<dyn SignalSource>,
+        period_frames: usize,
+        encoding: AudioEncoding,
+    ) -> (SecureI2sDriver, Platform) {
+        let platform = platform();
+        let mic = Microphone::new("mic", config, source).unwrap();
+        let mut driver = SecureI2sDriver::new(platform.clone(), mic);
+        driver.configure(period_frames, encoding).unwrap();
+        driver.start().unwrap();
+        (driver, platform)
+    }
+
+    /// Captures `windows` with the run capture and with the oracle, on
+    /// twin platforms fed the same clip, and checks after every window
+    /// that everything either side can observe agrees.
+    fn same_windows(
+        platform: fn() -> Platform,
+        config: I2sConfig,
+        period_frames: usize,
+        encoding: AudioEncoding,
+        windows: &[usize],
+        clip: &[i16],
+    ) -> std::result::Result<(), String> {
+        let playback = || Box::new(PlaybackSource::new(clip.to_vec(), "clip"));
+        let (mut runs, runs_platform) =
+            running_driver(platform, config, playback(), period_frames, encoding);
+        let (mut oracle, oracle_platform) = running_driver(
+            platform,
+            config,
+            Box::new(SineSource::new(440.0, 16_000, 1.0)),
+            period_frames,
+            encoding,
+        );
+        let mut mic = ChunkLoopMic::new(config, playback());
+        for (index, &periods) in windows.iter().enumerate() {
+            let (mut got, mut want) = (vec![0xA5u8; 5], vec![0xA5u8; 5]);
+            let report = runs.capture_window_into(periods, &mut got).unwrap();
+            let oracle_report = oracle.capture_window_ref(&mut mic, periods, &mut want);
+            prop_assert_eq!(&got, &want, "encoded bytes of window {}", index);
+            prop_assert_eq!(report, oracle_report, "report of window {}", index);
+            let io = |d: &SecureI2sDriver| d.io_buffer.as_ref().unwrap().as_slice().to_vec();
+            prop_assert_eq!(io(&runs), io(&oracle), "samples in the I/O buffer");
+            prop_assert_eq!(runs.mic.stats(), mic.stats);
+            let (c, o) = (runs.mic.controller(), mic.bus.controller_ref());
+            prop_assert_eq!(c.received_samples(), o.received_samples());
+            prop_assert_eq!(c.overrun_samples(), o.overrun_samples());
+            prop_assert_eq!(c.fifo_level(), o.fifo_level());
+            prop_assert_eq!(runs.dma.transfer_count(), oracle.dma.transfer_count());
+            prop_assert_eq!(runs.dma.bytes_moved(), oracle.dma.bytes_moved());
+            prop_assert_eq!(runs.stats(), oracle.stats());
+            prop_assert_eq!(
+                runs_platform.stats().snapshot(),
+                oracle_platform.stats().snapshot()
+            );
+            let (energy, oracle_energy) = (
+                runs_platform.energy_report(),
+                oracle_platform.energy_report(),
+            );
+            for (component, share) in &energy.per_component {
+                prop_assert_eq!(
+                    share.busy,
+                    oracle_energy.per_component[component].busy,
+                    "{:?} busy",
+                    component
+                );
+            }
+            prop_assert_eq!(energy.total_mj.to_bits(), oracle_energy.total_mj.to_bits());
+            prop_assert_eq!(runs_platform.clock().now(), oracle_platform.clock().now());
+            // The sample buffer holds one run at most, never the window.
+            prop_assert!(runs.samples.len() <= RUN_PERIODS * period_frames * 2);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The run capture against the period-by-period chunk loop: every
+        /// FIFO from one frame to 128 samples, 16 kHz mono and 48 kHz
+        /// stereo, periods of 1 to 400 frames and always of 161 (whose
+        /// 48 kHz chunks and encode compute round), windows of 1 to 20
+        /// periods (so one run, or a full run and a partial one), both
+        /// encodings and both secure compute penalties, fed a clip that
+        /// runs dry anywhere in the windows, mid-frame included.
+        #[test]
+        fn run_capture_matches_the_period_by_period_chunk_loop(
+            stereo in any::<bool>(),
+            depth_pick in 0usize..128,
+            period_pick in 1usize..401,
+            windows in proptest::collection::vec(1usize..21, 1..4),
+            dry_at in 0.0f64..1.0,
+            mulaw in any::<bool>(),
+            constrained in any::<bool>(),
+            seed in any::<u16>(),
+        ) {
+            let format = if stereo {
+                AudioFormat::hifi_48khz_stereo()
+            } else {
+                AudioFormat::speech_16khz_mono()
+            };
+            let channels = format.channels as usize;
+            let config = I2sConfig {
+                format,
+                fifo_depth: channels + depth_pick % (129 - channels),
+                ..I2sConfig::microphone_default()
+            };
+            let encoding = if mulaw { AudioEncoding::MuLaw } else { AudioEncoding::PcmLe16 };
+            let platform = if constrained {
+                Platform::constrained_mcu
+            } else {
+                Platform::jetson_agx_xavier
+            };
+            for period_frames in [period_pick, 161] {
+                let total = windows.iter().sum::<usize>() * period_frames * channels;
+                let clip: Vec<i16> = (0..(total as f64 * dry_at) as usize)
+                    .map(|i| (i as u16).wrapping_mul(40_503).wrapping_add(seed) as i16)
+                    .collect();
+                same_windows(platform, config, period_frames, encoding, &windows, &clip)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_window_reuses_a_buffer_of_one_run() {
+        let platform = Platform::jetson_agx_xavier();
+        let mut d = secure_driver(&platform);
+        d.configure(160, AudioEncoding::PcmLe16).unwrap();
+        d.start().unwrap();
+        let (encoded, report) = d.capture_periods(272).unwrap();
+        assert_eq!(report.periods, 272);
+        assert_eq!(encoded.len(), 272 * 160 * 2);
+        assert_eq!(d.samples.len(), RUN_PERIODS * 160);
+        assert_eq!(d.mic_mut().stats().chunks, 272);
+        assert_eq!(d.dma.transfer_count(), 272);
+    }
 
     fn secure_driver(platform: &Platform) -> SecureI2sDriver {
         let mic =
