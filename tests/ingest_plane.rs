@@ -15,8 +15,9 @@ use perisec::ingest::{IngestPlane, IngestPlaneConfig, ShardFaultSpec};
 use perisec::relay::attest::{
     encode_attest_request, encode_ingest_record, SessionIngest, ATTEST_SEQ_BASE,
 };
-use perisec::relay::avs::AvsEvent;
-use perisec::relay::cloud::ReceivedEvent;
+use perisec::relay::avs::{AvsDirective, AvsEvent};
+use perisec::relay::cloud::{CloudReport, MockCloudService, ReceivedEvent};
+use perisec::relay::netsim::NetworkService;
 use perisec::relay::{measurement_of, IngestReply, SecureChannelClient, MEASUREMENT_LEN, PSK_LEN};
 use perisec::telemetry::{HealthConfig, TelemetryConfig};
 use perisec::tz::time::SimDuration;
@@ -358,6 +359,152 @@ fn fault_free_reference(ta: [u8; MEASUREMENT_LEN], records: u64) -> Vec<Received
         ));
     }
     plane.session_report(0).events
+}
+
+// ----- the direct cloud and a 1-shard plane, arrival for arrival ----------
+
+/// What an engine answered to one arrival: the AVS directive of an
+/// accepted or redelivered record, or a refusal (silence from the
+/// direct cloud, a typed `Backpressure` from a shard).
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Directive(AvsDirective),
+    Refused,
+}
+
+/// The event sealed at `seq`: every kind the commit path records
+/// differently, and the same bytes on every redelivery of `seq`.
+fn parity_event(seq: u64) -> AvsEvent {
+    match seq % 5 {
+        0 => event(seq),
+        1 => AvsEvent::Recognize {
+            dialog_id: seq,
+            audio: vec![seq as u8; 1 + (seq % 7) as usize],
+        },
+        2 => AvsEvent::FrameVerdict {
+            dialog_id: seq,
+            frames: 4,
+            probability_milli: (seq * 37 % 1000) as u16,
+        },
+        3 => AvsEvent::Batch(vec![event(seq), AvsEvent::Ping, event(seq + 1000)]),
+        _ => AvsEvent::Ping,
+    }
+}
+
+/// Feeds `schedule` (one sequence number per arrival) to a direct
+/// `MockCloudService`.
+fn direct_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
+    let cloud = MockCloudService::new(PSK);
+    let mut client = SecureChannelClient::new(PSK, 1000);
+    let hello = cloud.handle(0, &client.client_hello());
+    client
+        .process_server_hello(&hello)
+        .expect("server hello authenticates");
+    let answers = schedule
+        .iter()
+        .map(|&seq| {
+            let wire = client
+                .seal_at(seq, &parity_event(seq).encode())
+                .expect("seal");
+            let reply = cloud.handle(0, &wire);
+            if reply.is_empty() {
+                return Answer::Refused;
+            }
+            let (acked, plain) = client.open_explicit(&reply).expect("reply seals");
+            assert_eq!(acked, seq);
+            Answer::Directive(AvsDirective::decode(&plain).expect("directive"))
+        })
+        .collect();
+    (answers, cloud.report())
+}
+
+/// Feeds `schedule` to an attested session of a fault-free 1-shard plane
+/// at the default queue cap.
+fn plane_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
+    let ta = measurement_of("parity-ta");
+    let plane = IngestPlane::new(IngestPlaneConfig::new(1, 1).accepting(vec![ta]));
+    let mut wire = WireSession::connect(&plane, 0, 0);
+    assert!(matches!(
+        wire.attest(ta, 1),
+        IngestReply::AttestGrant { epoch: 1 }
+    ));
+    let answers = schedule
+        .iter()
+        .map(|&seq| match wire.send(seq, 1, &parity_event(seq)) {
+            Some(IngestReply::Ack(directive)) => {
+                Answer::Directive(AvsDirective::decode(&directive).expect("directive"))
+            }
+            Some(IngestReply::Backpressure { .. }) => Answer::Refused,
+            other => panic!("unexpected reply to seq {seq}: {other:?}"),
+        })
+        .collect();
+    (answers, plane.session_report(0))
+}
+
+/// A splitmix64 stream for building arrival schedules from one seed.
+struct Splitmix(u64);
+
+impl Splitmix {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
+
+    fn shuffled(&mut self, seqs: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut seqs: Vec<u64> = seqs.collect();
+        for i in (1..seqs.len()).rev() {
+            seqs.swap(i, self.below(i as u64 + 1) as usize);
+        }
+        seqs
+    }
+}
+
+proptest! {
+    /// The two exactly-once engines agree under any reordering: a
+    /// permutation of `0..n` with duplicates spliced in gets the same
+    /// directive at every arrival and the same committed report.
+    #[test]
+    fn direct_cloud_and_plane_agree_under_any_arrival_order(seed in any::<u64>()) {
+        let mut rng = Splitmix(seed);
+        let n = 1 + rng.below(40);
+        let mut schedule = rng.shuffled(0..n);
+        for _ in 0..rng.below(n + 1) {
+            let at = rng.below(schedule.len() as u64 + 1) as usize;
+            let seq = rng.below(n);
+            schedule.insert(at, seq);
+        }
+        let (direct, direct_report) = direct_answers(&schedule);
+        let (plane, plane_report) = plane_answers(&schedule);
+        prop_assert!(direct.iter().all(|a| *a != Answer::Refused));
+        prop_assert_eq!(&direct, &plane, "answers differ for {:?}", schedule);
+        prop_assert_eq!(direct_report.committed_records, n);
+        prop_assert_eq!(&direct_report, &plane_report, "reports differ for {:?}", schedule);
+    }
+
+    /// Past the stash bound the two engines refuse the same arrivals:
+    /// more than 256 records arrive ahead of the commit point, then the
+    /// gap fills and every sequence is sent again.
+    #[test]
+    fn direct_cloud_and_plane_refuse_the_same_arrivals_past_the_stash_bound(
+        seed in any::<u64>()
+    ) {
+        let mut rng = Splitmix(seed);
+        let ahead = 257 + rng.below(40);
+        let mut schedule = rng.shuffled(1..=ahead);
+        schedule.push(0);
+        schedule.extend(rng.shuffled(1..=ahead));
+        schedule.extend(0..=ahead);
+        let (direct, direct_report) = direct_answers(&schedule);
+        let (plane, plane_report) = plane_answers(&schedule);
+        let refused = direct.iter().filter(|a| **a == Answer::Refused).count() as u64;
+        prop_assert!(refused >= ahead - 256, "{} refusals of {} ahead", refused, ahead);
+        prop_assert_eq!(&direct, &plane);
+        prop_assert_eq!(direct_report.committed_records, ahead + 1);
+        prop_assert_eq!(&direct_report, &plane_report);
+    }
 }
 
 #[test]
