@@ -37,40 +37,23 @@ use perisec_relay::avs::AvsEvent;
 use perisec_relay::tls::{seal_flops, SecureChannelClient, PSK_LEN};
 use perisec_tz::time::SimDuration;
 
-/// Knobs of the relay retry state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelayRetryConfig {
-    /// Base ack timeout — the wait before the first retransmission.
-    pub ack_timeout: SimDuration,
-    /// Cap of the exponential backoff between retransmission rounds.
-    pub max_backoff: SimDuration,
-    /// Transmission rounds an opportunistic flush may spend before it
-    /// defers the leftovers to the next batch.
-    pub flush_rounds: u32,
-    /// Bound on the in-TA unacked buffer; a send into a full buffer
-    /// first drains it with a blocking flush.
-    pub unacked_capacity: usize,
-    /// Transmission rounds a *blocking* flush (buffer full, or `close`)
-    /// may spend before erroring loudly — the give-up point on a dead
-    /// network.
-    pub hard_rounds: u32,
-    /// After this many consecutive fruitless rounds, replay the
-    /// handshake to heal a corrupted-hello key mismatch.
-    pub rekey_after: u32,
-}
-
-impl Default for RelayRetryConfig {
-    fn default() -> Self {
-        RelayRetryConfig {
-            ack_timeout: SimDuration::from_millis(2),
-            max_backoff: SimDuration::from_millis(64),
-            flush_rounds: 4,
-            unacked_capacity: 8,
-            hard_rounds: 512,
-            rekey_after: 8,
-        }
-    }
-}
+/// Base ack timeout — the wait before the first retransmission.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(2);
+/// Cap of the exponential backoff between retransmission rounds.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(64);
+/// Transmission rounds an opportunistic flush may spend before it
+/// defers the leftovers to the next batch.
+const FLUSH_ROUNDS: u32 = 4;
+/// Bound on the in-TA unacked buffer; a send into a full buffer first
+/// drains it with a blocking flush.
+const UNACKED_CAPACITY: usize = 8;
+/// Transmission rounds a *blocking* flush (buffer full, or `close`) may
+/// spend before erroring loudly — the give-up point on a dead network.
+/// The baseline relay stage gives up after as many.
+pub(crate) const HARD_ROUNDS: u32 = 512;
+/// After this many consecutive fruitless rounds, replay the handshake
+/// to heal a corrupted-hello key mismatch.
+const REKEY_AFTER: u32 = 8;
 
 /// Deterministic retry jitter: a splitmix64-style hash of the retry
 /// coordinates, so no two records (or rounds) back off in lockstep yet
@@ -86,17 +69,12 @@ fn jitter_hash(socket: u64, seq: u64, attempt: u64) -> u64 {
 }
 
 /// The backoff interval before retransmission `attempt` of `seq` on
-/// `socket`: `min(ack_timeout · 2^attempt, max_backoff)` plus
+/// `socket`: `min(ACK_TIMEOUT · 2^attempt, MAX_BACKOFF)` plus
 /// deterministic jitter of up to a quarter of the interval. Shared with
 /// the baseline relay stage so both paths back off identically.
-pub(crate) fn backoff_interval(
-    retry: &RelayRetryConfig,
-    socket: u64,
-    seq: u64,
-    attempt: u32,
-) -> SimDuration {
+pub(crate) fn backoff_interval(socket: u64, seq: u64, attempt: u32) -> SimDuration {
     let exp = attempt.min(16);
-    let backoff = (retry.ack_timeout * (1u64 << exp)).min(retry.max_backoff);
+    let backoff = (ACK_TIMEOUT * (1u64 << exp)).min(MAX_BACKOFF);
     let jitter = SimDuration::from_nanos(
         jitter_hash(socket, seq, u64::from(attempt)) % (backoff.as_nanos() / 4 + 1),
     );
@@ -130,7 +108,6 @@ struct IngestSession {
 pub(crate) struct TaCloudChannel {
     cloud_host: String,
     psk: [u8; PSK_LEN],
-    retry: RelayRetryConfig,
     channel: Option<(u64, SecureChannelClient)>,
     next_seq: u64,
     unacked: VecDeque<UnackedRecord>,
@@ -140,12 +117,11 @@ pub(crate) struct TaCloudChannel {
 }
 
 impl TaCloudChannel {
-    /// Creates the (not yet connected) channel with default retry knobs.
+    /// Creates the (not yet connected) channel.
     pub(crate) fn new(cloud_host: impl Into<String>, psk: [u8; PSK_LEN]) -> Self {
         TaCloudChannel {
             cloud_host: cloud_host.into(),
             psk,
-            retry: RelayRetryConfig::default(),
             channel: None,
             next_seq: 0,
             unacked: VecDeque::new(),
@@ -153,12 +129,6 @@ impl TaCloudChannel {
             reported_retries: 0,
             ingest: None,
         }
-    }
-
-    /// Overrides the retry knobs (builder style, used by the TAs'
-    /// `with_retry` constructors).
-    pub(crate) fn set_retry(&mut self, retry: RelayRetryConfig) {
-        self.retry = retry;
     }
 
     /// Switches the channel into attested-ingest mode (builder style,
@@ -191,16 +161,10 @@ impl TaCloudChannel {
     }
 
     /// Waits out one backoff interval on the virtual clock.
-    fn backoff_wait(
-        env: &TaEnv<'_>,
-        retry: &RelayRetryConfig,
-        socket: u64,
-        seq: u64,
-        attempt: u32,
-    ) {
+    fn backoff_wait(env: &TaEnv<'_>, socket: u64, seq: u64, attempt: u32) {
         env.platform()
             .clock()
-            .advance(backoff_interval(retry, socket, seq, attempt));
+            .advance(backoff_interval(socket, seq, attempt));
     }
 
     /// Establishes the channel (and, in ingest mode, a live attestation
@@ -224,7 +188,7 @@ impl TaCloudChannel {
         }
         let (socket, client) = self.channel.as_mut().expect("just connected");
         let socket = *socket;
-        for round in 0..self.retry.hard_rounds {
+        for round in 0..HARD_ROUNDS {
             env.net_send(socket, &client.client_hello())?;
             let reply = env.net_recv(socket, 4096)?;
             if !reply.is_empty() && client.process_server_hello(&reply).is_ok() {
@@ -233,12 +197,12 @@ impl TaCloudChannel {
             self.retries += 1;
             env.tracer().count("relay.retries", 1);
             let _span = env.tracer().span("relay.retry");
-            Self::backoff_wait(env, &self.retry, socket, 0, round);
+            Self::backoff_wait(env, socket, 0, round);
         }
         Err(TeeError::Communication {
             reason: format!(
                 "relay handshake to {} exhausted {} retry rounds",
-                self.cloud_host, self.retry.hard_rounds
+                self.cloud_host, HARD_ROUNDS
             ),
         })
     }
@@ -256,7 +220,7 @@ impl TaCloudChannel {
             return Ok(());
         }
         ingest.counter += 1;
-        for round in 0..self.retry.hard_rounds {
+        for round in 0..HARD_ROUNDS {
             let (socket, client) = self.channel.as_mut().expect("channel ensured");
             let socket = *socket;
             let seq = ATTEST_SEQ_BASE + ingest.counter;
@@ -294,13 +258,10 @@ impl TaCloudChannel {
             self.retries += 1;
             env.tracer().count("relay.retries", 1);
             let _span = env.tracer().span("relay.retry");
-            Self::backoff_wait(env, &self.retry, socket, seq, round);
+            Self::backoff_wait(env, socket, seq, round);
         }
         Err(TeeError::Communication {
-            reason: format!(
-                "ingest attestation exhausted {} retry rounds",
-                self.retry.hard_rounds
-            ),
+            reason: format!("ingest attestation exhausted {} retry rounds", HARD_ROUNDS),
         })
     }
 
@@ -374,19 +335,15 @@ impl TaCloudChannel {
     }
 
     /// Drains the unacked buffer. Opportunistic (`blocking == false`)
-    /// flushes spend at most `flush_rounds` rounds and then defer the
-    /// leftovers; blocking flushes spend up to `hard_rounds` and then
+    /// flushes spend at most `FLUSH_ROUNDS` rounds and then defer the
+    /// leftovers; blocking flushes spend up to `HARD_ROUNDS` and then
     /// fail loudly.
     fn flush(&mut self, env: &TaEnv<'_>, blocking: bool) -> TeeResult<()> {
         if self.unacked.is_empty() {
             return Ok(());
         }
         self.ensure(env)?;
-        let rounds = if blocking {
-            self.retry.hard_rounds
-        } else {
-            self.retry.flush_rounds
-        };
+        let rounds = if blocking { HARD_ROUNDS } else { FLUSH_ROUNDS };
         let mut fruitless = 0u32;
         for round in 0..rounds {
             let before = self.unacked.len();
@@ -400,11 +357,8 @@ impl TaCloudChannel {
                 let head = self.unacked.front().expect("checked non-empty");
                 let (socket, _) = self.channel.as_ref().expect("channel ensured");
                 let socket = *socket;
-                Self::backoff_wait(env, &self.retry, socket, head.seq, head.attempts);
-                if fruitless > 0
-                    && self.retry.rekey_after > 0
-                    && fruitless.is_multiple_of(self.retry.rekey_after)
-                {
+                Self::backoff_wait(env, socket, head.seq, head.attempts);
+                if fruitless > 0 && fruitless.is_multiple_of(REKEY_AFTER) {
                     // Nothing has been acked for a while: suspect a
                     // corrupted handshake and replay it (the cloud
                     // re-derives the same keys idempotently).
@@ -454,7 +408,7 @@ impl TaCloudChannel {
     /// a verdict or growing without bound.
     pub(crate) fn send_event(&mut self, env: &TaEnv<'_>, event: &AvsEvent) -> TeeResult<()> {
         self.ensure(env)?;
-        if self.unacked.len() >= self.retry.unacked_capacity.max(1) {
+        if self.unacked.len() >= UNACKED_CAPACITY {
             self.flush(env, true)?;
         }
         let seq = self.next_seq;
@@ -475,7 +429,7 @@ impl TaCloudChannel {
     /// # Errors
     ///
     /// Returns the blocking flush's error if the network stayed dead for
-    /// `hard_rounds` rounds.
+    /// `HARD_ROUNDS` rounds.
     pub(crate) fn drain(&mut self, env: &TaEnv<'_>) -> TeeResult<()> {
         self.flush(env, true)
     }
@@ -486,7 +440,7 @@ impl TaCloudChannel {
     /// # Errors
     ///
     /// Returns the blocking flush's error if the network stayed dead for
-    /// `hard_rounds` rounds.
+    /// `HARD_ROUNDS` rounds.
     pub(crate) fn close(&mut self, env: &TaEnv<'_>) -> TeeResult<()> {
         let result = self.flush(env, true);
         if let Some((socket, _)) = self.channel.take() {

@@ -68,7 +68,7 @@ pub mod cmd {
     /// scenario has stepped to completion, so records an opportunistic
     /// flush deferred under network faults are retired before the
     /// device's report is assembled. No parameters; errors if the
-    /// network stays dead for the whole `hard_rounds` budget.
+    /// network stays dead for the whole `HARD_ROUNDS` budget.
     pub const FLUSH_RELAY: u32 = 4;
 }
 
@@ -291,13 +291,6 @@ impl<W: WindowFilter> FilterTa<W> {
             channel: TaCloudChannel::new(cloud_host, psk),
             stats: FilterStats::default(),
         }
-    }
-
-    /// Overrides the relay retry/backoff policy (builder-style).
-    #[must_use]
-    pub fn with_retry(mut self, retry: crate::RelayRetryConfig) -> Self {
-        self.channel.set_retry(retry);
-        self
     }
 
     /// Switches the relay to attested-ingest mode (builder-style): the

@@ -69,7 +69,6 @@ pub mod stage;
 pub mod vision_ta;
 
 pub use batcher::AdaptiveBatcher;
-pub use cloud_channel::RelayRetryConfig;
 pub use executor::{
     DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StealRecord,
     StepOutcome,

@@ -62,7 +62,6 @@ use perisec_workload::vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
 
 use crate::batcher::AdaptiveBatcher;
-use crate::cloud_channel::RelayRetryConfig;
 use crate::filter_ta::{
     cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, FilterTaModels, SpeechFilter,
     MAX_BATCH_WINDOWS,
@@ -155,9 +154,6 @@ pub struct PipelineConfig {
     /// fault schedule is a pure function of `(seed, device, send
     /// sequence)`, so it replays identically at every worker count.
     pub faults: Option<FaultSpec>,
-    /// Retry/backoff policy of the TA-side relay (and of the baseline's
-    /// normal-world relay).
-    pub retry: RelayRetryConfig,
     /// When set, the pipeline routes its cloud traffic through this
     /// session of a fleet-shared sharded ingest plane instead of a
     /// pipeline-local [`MockCloudService`]: the filter TA attests its
@@ -184,7 +180,6 @@ impl Default for PipelineConfig {
             quant_mode: QuantMode::default(),
             telemetry: TelemetryConfig::default(),
             faults: None,
-            retry: RelayRetryConfig::default(),
             ingest: None,
         }
     }
@@ -231,8 +226,6 @@ pub struct CameraPipelineConfig {
     pub telemetry: TelemetryConfig,
     /// Deterministic network chaos (see [`PipelineConfig::faults`]).
     pub faults: Option<FaultSpec>,
-    /// Retry/backoff policy of the vision TA's relay.
-    pub retry: RelayRetryConfig,
     /// Sharded-ingest session routing (see [`PipelineConfig::ingest`]).
     pub ingest: Option<IngestHook>,
 }
@@ -250,7 +243,6 @@ impl Default for CameraPipelineConfig {
             degrade: None,
             telemetry: TelemetryConfig::default(),
             faults: None,
-            retry: RelayRetryConfig::default(),
             ingest: None,
         }
     }
@@ -803,8 +795,7 @@ impl SensorPath for AudioPath {
             config.policy,
             default_cloud_host(),
             default_psk(),
-        )
-        .with_retry(config.retry);
+        );
         if config.ingest.is_some() {
             // Plane-routed relay: the TA attests its own measurement
             // before the shard will accept records.
@@ -905,8 +896,7 @@ fn install_camera(
         config.policy,
         default_cloud_host(),
         default_psk(),
-    )
-    .with_retry(config.retry);
+    );
     if config.ingest.is_some() {
         vision_ta = vision_ta.with_ingest(perisec_relay::measurement_of(
             crate::vision_ta::VISION_TA_NAME,
@@ -1842,8 +1832,7 @@ impl BaselinePipeline {
             MockCloudService::HOST,
             default_psk(),
             config.encoding,
-        )
-        .with_retry(config.retry);
+        );
         Ok(BaselinePipeline {
             config,
             platform,

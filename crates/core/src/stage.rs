@@ -26,12 +26,11 @@ use perisec_tz::time::{SimDuration, SimInstant};
 use perisec_workload::scenario::{CameraScenarioEvent, ScenarioEvent};
 use perisec_workload::synth::SpeechSynthesizer;
 
-use crate::cloud_channel::backoff_interval;
+use crate::cloud_channel::{backoff_interval, HARD_ROUNDS};
 use crate::filter_ta::{cmd as filter_cmd, decode_batch_verdicts, encode_batch_request};
 use crate::policy::FilterDecision;
 use crate::report::LatencyBreakdown;
 use crate::source::{SharedPlayback, SharedSceneQueue};
-use crate::RelayRetryConfig;
 use crate::{CoreError, Result};
 
 /// One stage of a pipeline: a named transformation over batch work items.
@@ -262,7 +261,7 @@ impl SecureFilterStage {
     /// # Errors
     ///
     /// Propagates the TA's flush failure — the network stayed dead for
-    /// the whole `hard_rounds` retry budget.
+    /// the whole `HARD_ROUNDS` retry budget.
     pub fn drain_relay(&mut self) -> Result<()> {
         self.client
             .invoke(&self.session, filter_cmd::FLUSH_RELAY, TeeParams::new())
@@ -502,7 +501,6 @@ pub struct CloudRelayStage {
     cloud_host: &'static str,
     psk: [u8; PSK_LEN],
     encoding: AudioEncoding,
-    retry: RelayRetryConfig,
     next_seq: u64,
     channel: Option<(Transport, SecureChannelClient)>,
     breakdown: LatencyBreakdown,
@@ -523,18 +521,10 @@ impl CloudRelayStage {
             cloud_host,
             psk,
             encoding,
-            retry: RelayRetryConfig::default(),
             next_seq: 0,
             channel: None,
             breakdown: LatencyBreakdown::default(),
         }
-    }
-
-    /// Overrides the relay retry/backoff policy (builder-style).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RelayRetryConfig) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Takes the accumulated breakdown, resetting the stage.
@@ -557,7 +547,7 @@ impl CloudRelayStage {
             self.channel = Some((transport, SecureChannelClient::new(self.psk, socket)));
         }
         let (transport, client) = self.channel.as_mut().expect("just connected");
-        for round in 0..self.retry.hard_rounds {
+        for round in 0..HARD_ROUNDS {
             transport
                 .send(&client.client_hello())
                 .map_err(CoreError::from)?;
@@ -565,17 +555,14 @@ impl CloudRelayStage {
             if !hello.is_empty() && client.process_server_hello(&hello).is_ok() {
                 return Ok(());
             }
-            self.platform.clock().advance(backoff_interval(
-                &self.retry,
-                transport.socket(),
-                0,
-                round,
-            ));
+            self.platform
+                .clock()
+                .advance(backoff_interval(transport.socket(), 0, round));
         }
         Err(CoreError::Relay(perisec_relay::RelayError::ChannelError {
             reason: format!(
                 "baseline handshake to {} exhausted {} retry rounds",
-                self.cloud_host, self.retry.hard_rounds
+                self.cloud_host, HARD_ROUNDS
             ),
         }))
     }
@@ -586,7 +573,7 @@ impl CloudRelayStage {
     fn send_acked(&mut self, event_bytes: &[u8]) -> Result<()> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        for attempt in 0..self.retry.hard_rounds {
+        for attempt in 0..HARD_ROUNDS {
             let (transport, channel) = self.channel.as_mut().expect("channel ensured");
             let record = channel.seal_at(seq, event_bytes).map_err(CoreError::from)?;
             transport.send(&record).map_err(CoreError::from)?;
@@ -601,12 +588,12 @@ impl CloudRelayStage {
             let socket = transport.socket();
             self.platform
                 .clock()
-                .advance(backoff_interval(&self.retry, socket, seq, attempt));
+                .advance(backoff_interval(socket, seq, attempt));
         }
         Err(CoreError::Relay(perisec_relay::RelayError::Transport {
             reason: format!(
                 "baseline relay record {seq} exhausted {} retry rounds",
-                self.retry.hard_rounds
+                HARD_ROUNDS
             ),
         }))
     }

@@ -9,9 +9,10 @@
 //!   in virtual time as a pure function of a seed (the shard-level
 //!   sibling of the link layer's `FaultSpec`);
 //! * `shard` — the journaled, attestation-gated per-session ingest
-//!   state machine: volatile channel/stash tier rebuilt from an
-//!   append-only journal on every crash, commit logic shared
-//!   byte-for-byte with the direct `MockCloudService`;
+//!   state machine: each session commits through the direct
+//!   `MockCloudService`'s own `CommitWindow`, behind an epoch fence;
+//!   the volatile channel/window tier is rebuilt from an append-only
+//!   journal on every crash;
 //! * [`plane`] — [`IngestPlane`]: round-robin session→shard placement
 //!   (`session % shards`), plus per-shard telemetry folds, health
 //!   reports and the per-shard commit counts E21's balance gate reads.

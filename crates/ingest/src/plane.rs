@@ -8,13 +8,12 @@ use perisec_relay::attest::MEASUREMENT_LEN;
 use perisec_relay::cloud::CloudReport;
 use perisec_relay::tls::PSK_LEN;
 use perisec_telemetry::{
-    Alert, AlertKind, FleetHealth, FleetHealthReport, FleetTelemetry, HealthConfig, HealthMachine,
-    HealthState,
+    Alert, AlertKind, FleetHealth, FleetHealthReport, FleetTelemetry, HealthConfig, HealthState,
 };
 use perisec_tz::time::{SimDuration, SimInstant};
 
 use crate::fault::ShardFaultSpec;
-use crate::shard::{IngestShard, ShardConfig, ShardCounters};
+use crate::shard::{IngestShard, ShardCounters};
 
 /// Configuration of an [`IngestPlane`].
 #[derive(Debug, Clone)]
@@ -23,7 +22,7 @@ pub struct IngestPlaneConfig {
     pub shards: usize,
     /// Number of sessions the plane will serve.
     pub sessions: usize,
-    /// The device-provisioned PSK.
+    /// The device-provisioned PSK (the same one the direct cloud uses).
     pub psk: [u8; PSK_LEN],
     /// TA measurements the plane attests.
     pub accept: Vec<[u8; MEASUREMENT_LEN]>,
@@ -32,14 +31,11 @@ pub struct IngestPlaneConfig {
     pub queue_cap: usize,
     /// The shard crash schedule.
     pub faults: ShardFaultSpec,
-    /// Modeled per-commit service cost (drives the commit-latency
-    /// series).
-    pub service_cost_ns: u64,
 }
 
 impl IngestPlaneConfig {
     /// A fault-free plane over `shards` shards and `sessions` sessions
-    /// with the workspace-default PSK and service cost.
+    /// with the workspace-default PSK.
     pub fn new(shards: usize, sessions: usize) -> Self {
         IngestPlaneConfig {
             shards,
@@ -48,7 +44,6 @@ impl IngestPlaneConfig {
             accept: Vec::new(),
             queue_cap: 256,
             faults: ShardFaultSpec::none(0),
-            service_cost_ns: 20_000,
         }
     }
 
@@ -82,7 +77,7 @@ impl IngestPlaneConfig {
 /// any replay — agrees which shard owns which session, and a shard's
 /// crash schedule affects exactly the sessions placed on it.
 pub struct IngestPlane {
-    config: IngestPlaneConfig,
+    config: Arc<IngestPlaneConfig>,
     shards: Vec<IngestShard>,
 }
 
@@ -108,17 +103,9 @@ impl IngestPlane {
             config.sessions > 0,
             "ingest plane needs at least one session"
         );
+        let config = Arc::new(config);
         let shards = (0..config.shards)
-            .map(|shard| {
-                IngestShard::new(ShardConfig {
-                    shard,
-                    psk: config.psk,
-                    accept: config.accept.clone(),
-                    queue_cap: config.queue_cap,
-                    faults: config.faults,
-                    service_cost_ns: config.service_cost_ns,
-                })
-            })
+            .map(|index| IngestShard::new(index, Arc::clone(&config)))
             .collect();
         Arc::new(IngestPlane { config, shards })
     }
@@ -183,67 +170,16 @@ impl IngestPlane {
         fleet
     }
 
-    /// One shard's health report: per-tenant SLO machines over the
-    /// commit-latency series, plus shard-down/recovered journal entries
-    /// derived from the crash schedule. Deterministic — it reads only
-    /// durable session state and the pure crash schedule.
+    /// One shard's health report: each session judged by the fleet
+    /// plane's detectors (SLOs over the commit-latency series, the
+    /// backpressure threshold) as one epoch at virtual time zero, plus
+    /// shard-down/recovered journal entries derived from the crash
+    /// schedule. Deterministic — it reads only durable session state and
+    /// the pure crash schedule.
     pub fn shard_health(&self, shard: usize, config: &HealthConfig) -> FleetHealthReport {
         let mut health = FleetHealth::new(config.window);
         for (session, telemetry) in self.shards[shard].session_telemetry() {
-            let device = session as usize;
-            health.ingest_epoch(0, device, &telemetry);
-            let mut alerts = Vec::new();
-            let mut machine = HealthMachine::new(config);
-            let mut breached = false;
-            for spec in &config.slos {
-                let Some(histogram) = telemetry.histograms.get(spec.span) else {
-                    continue;
-                };
-                if histogram.count() < config.min_samples {
-                    continue;
-                }
-                let p = histogram.percentile(spec.q());
-                if p > spec.budget {
-                    breached = true;
-                    alerts.push(Alert {
-                        device,
-                        epoch: 0,
-                        at: SimInstant::EPOCH,
-                        kind: AlertKind::SloBreach,
-                        span: Some(spec.span),
-                        detail: format!(
-                            "{} ns over budget {} ns",
-                            p.as_nanos(),
-                            spec.budget.as_nanos()
-                        ),
-                    });
-                }
-            }
-            if config.backpressure_threshold > 0 {
-                if let Some(&rejections) = telemetry.counters.get("ingest.backpressure") {
-                    if rejections >= config.backpressure_threshold {
-                        alerts.push(Alert {
-                            device,
-                            epoch: 0,
-                            at: SimInstant::EPOCH,
-                            kind: AlertKind::Backpressure,
-                            span: None,
-                            detail: format!("{rejections} ingest backpressure rejections"),
-                        });
-                    }
-                }
-            }
-            if let Some((from, to)) = machine.step(breached) {
-                alerts.push(Alert {
-                    device,
-                    epoch: 0,
-                    at: SimInstant::EPOCH,
-                    kind: AlertKind::StateChange { from, to },
-                    span: None,
-                    detail: format!("{from} -> {to}"),
-                });
-            }
-            health.finish_device(device, machine.state(), alerts);
+            health.judge_run(config, session as usize, &telemetry);
         }
         // The shard itself journals its crash windows under a pseudo
         // device id just past the session space, so downtime is part of

@@ -4,54 +4,41 @@
 //! A shard splits every session's state into two tiers, mirroring what a
 //! real enclave-hosted ingest node can and cannot keep through a crash:
 //!
-//! * **volatile** — the secure-channel server, the out-of-order stash's
-//!   working set, and the "has this session attested to *this*
-//!   incarnation" bit. Lost on every crash.
+//! * **volatile** — the secure-channel server, the session's
+//!   [`CommitWindow`] (commit point and stash of decoded events), and
+//!   the "has this session attested to *this* incarnation" bit. Lost on
+//!   every crash.
 //! * **durable** — the append-only journal (hello, attestation grants,
-//!   stashed arrivals, commits), the committed-decision report, and the
-//!   rollback-protected monotonic counter / epoch pair. Survives
-//!   crashes; the journal is the single source the volatile tier is
-//!   rebuilt from.
+//!   stashed arrivals, commits), the re-ack table, the committed-decision
+//!   report, and the rollback-protected monotonic counter / epoch pair.
+//!   Survives crashes; the journal is the single source the volatile
+//!   tier is rebuilt from.
 //!
-//! The commit path is byte-for-byte the direct `MockCloudService`
-//! discipline (shared `record_event_into` / `ack_for_event`), with two
-//! additions: acceptance is gated on the session's epoch, and every
-//! accepted arrival is journaled *before* it is acked — so an ack is a
-//! durable promise that survives the shard, and redelivered records are
-//! re-acked from the journal without re-recording.
+//! Dedup, stash and in-order commit are the direct `MockCloudService`'s
+//! own [`CommitWindow`]. Around it a shard adds only what is its own:
+//! acceptance is gated on the session's epoch, every accepted arrival is
+//! journaled *before* it is acked — so an ack is a durable promise that
+//! survives the shard, and redelivered records are re-acked from the
+//! journal without re-recording — and refusals are typed replies.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use perisec_relay::attest::{
-    decode_attest_request, decode_ingest_record, IngestReply, ATTEST_SEQ_BASE, MEASUREMENT_LEN,
+    decode_attest_request, decode_ingest_record, IngestReply, ATTEST_SEQ_BASE,
 };
 use perisec_relay::avs::AvsEvent;
-use perisec_relay::cloud::{ack_for_event, record_event_into, CloudReport};
-use perisec_relay::tls::{
-    peek_record_type, SecureChannelServer, CLIENT_HELLO, EXPLICIT_RECORD, PSK_LEN,
-};
+use perisec_relay::cloud::{ack_for_event, CloudReport, CommitWindow};
+use perisec_relay::tls::{peek_record_type, SecureChannelServer, CLIENT_HELLO, EXPLICIT_RECORD};
 use perisec_telemetry::{DeviceTelemetry, LogHistogram};
 use perisec_tz::time::SimDuration;
 
-use crate::fault::ShardFaultSpec;
+use crate::plane::IngestPlaneConfig;
 
-/// Static configuration one shard runs with.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardConfig {
-    /// This shard's index in the plane.
-    pub shard: usize,
-    /// The device-provisioned PSK (the same one the direct cloud uses).
-    pub psk: [u8; PSK_LEN],
-    /// TA measurements the shard attests.
-    pub accept: Vec<[u8; MEASUREMENT_LEN]>,
-    /// Most records a session may stash ahead of the commit point before
-    /// the shard answers with a typed backpressure rejection.
-    pub queue_cap: usize,
-    /// The crash schedule.
-    pub faults: ShardFaultSpec,
-    /// Modeled per-commit service cost, for the commit-latency series.
-    pub service_cost_ns: u64,
-}
+/// Modeled service cost of one commit, for the commit-latency series: a
+/// commit that still has `d` records stashed behind it is recorded as
+/// `(d + 1)` of these.
+const SERVICE_COST_NS: u64 = 20_000;
 
 /// One durable journal entry. Replaying the journal in order rebuilds
 /// every volatile structure a crash destroys.
@@ -63,7 +50,8 @@ enum JournalEntry {
     /// An attestation grant: the monotonic counter accepted and the
     /// epoch issued for it.
     Attest { counter: u64, epoch: u64 },
-    /// An arrival accepted into the stash (acked, not yet committed).
+    /// An accepted arrival's event bytes (acked; committed at once or
+    /// stashed).
     Stashed { seq: u64, event: Vec<u8> },
     /// A commit: the sequence retired and the full reply plaintext its
     /// redeliveries are re-acked with.
@@ -75,12 +63,11 @@ enum JournalEntry {
 struct SessionState {
     // Volatile tier.
     channel: Option<SecureChannelServer>,
-    stash: BTreeMap<u64, Vec<u8>>,
+    window: CommitWindow,
     attested: bool,
     built_incarnation: u64,
     // Durable tier.
     journal: Vec<JournalEntry>,
-    next_commit: u64,
     acks: HashMap<u64, Vec<u8>>,
     last_counter: u64,
     epoch: u64,
@@ -97,11 +84,10 @@ impl SessionState {
     fn new(incarnation: u64) -> Self {
         SessionState {
             channel: None,
-            stash: BTreeMap::new(),
+            window: CommitWindow::default(),
             attested: false,
             built_incarnation: incarnation,
             journal: Vec::new(),
-            next_commit: 0,
             acks: HashMap::new(),
             last_counter: 0,
             epoch: 0,
@@ -116,23 +102,22 @@ impl SessionState {
 
     /// Crash recovery: drops the volatile tier and replays the journal.
     /// The channel comes back from the journaled hello (same
-    /// deterministic keys), the stash from `Stashed` entries not yet
-    /// superseded by a `Committed` one, and the dedup window
-    /// (`next_commit` + re-ack table) from the `Committed` entries. The
-    /// attested bit is *not* restored — that is the rollback fence: the
-    /// session must re-prove itself to the new incarnation before any
-    /// new record is accepted.
-    fn rebuild(&mut self, psk: [u8; PSK_LEN], session: u64, incarnation: u64) {
+    /// deterministic keys), the re-ack table from the `Committed`
+    /// entries, and the window resumes past the last commit with the
+    /// `Stashed` arrivals still waiting beyond it. The attested bit is
+    /// *not* restored — that is the rollback fence: the session must
+    /// re-prove itself to the new incarnation before any new record is
+    /// accepted.
+    fn rebuild(&mut self, config: &IngestPlaneConfig, session: u64, incarnation: u64) {
         self.channel = None;
-        self.stash.clear();
         self.attested = false;
         self.built_incarnation = incarnation;
-        self.next_commit = 0;
         self.acks.clear();
+        let mut next_commit = 0;
         for entry in &self.journal {
             match entry {
                 JournalEntry::Hello(hello) => {
-                    let mut server = SecureChannelServer::new(psk, session);
+                    let mut server = SecureChannelServer::new(config.psk, session);
                     if server.process_client_hello(hello).is_ok() {
                         self.channel = Some(server);
                     }
@@ -144,28 +129,38 @@ impl SessionState {
                     self.last_counter = self.last_counter.max(*counter);
                     self.epoch = self.epoch.max(*epoch);
                 }
-                JournalEntry::Stashed { seq, event } => {
-                    self.stash.insert(*seq, event.clone());
-                }
+                JournalEntry::Stashed { .. } => {}
                 JournalEntry::Committed { seq, ack } => {
-                    self.stash.remove(seq);
                     self.acks.insert(*seq, ack.clone());
-                    self.next_commit = self.next_commit.max(seq + 1);
+                    next_commit = next_commit.max(seq + 1);
                 }
             }
         }
+        // Only arrivals still waiting for their gap are decoded again.
+        let waiting = self.journal.iter().filter_map(|entry| match entry {
+            JournalEntry::Stashed { seq, event } if *seq >= next_commit => {
+                let event = AvsEvent::decode(event).expect("journaled events decoded on arrival");
+                Some((*seq, event))
+            }
+            _ => None,
+        });
+        self.window = CommitWindow::resume(next_commit, waiting);
     }
 }
 
 /// One shard of the ingest plane.
 pub(crate) struct IngestShard {
-    config: ShardConfig,
+    /// This shard's index in the plane.
+    index: usize,
+    /// The plane's configuration, shared by all its shards.
+    config: Arc<IngestPlaneConfig>,
     sessions: parking_lot::Mutex<HashMap<u64, SessionState>>,
 }
 
 impl IngestShard {
-    pub(crate) fn new(config: ShardConfig) -> Self {
+    pub(crate) fn new(index: usize, config: Arc<IngestPlaneConfig>) -> Self {
         IngestShard {
+            index,
             config,
             sessions: parking_lot::Mutex::new(HashMap::new()),
         }
@@ -176,16 +171,16 @@ impl IngestShard {
     /// or the record failed authentication — in either case the device
     /// backs off and retries.
     pub(crate) fn handle(&self, session: u64, now_ns: u64, request: &[u8]) -> Vec<u8> {
-        if self.config.faults.is_down(self.config.shard, now_ns) {
+        if self.config.faults.is_down(self.index, now_ns) {
             return Vec::new();
         }
-        let incarnation = self.config.faults.incarnation(self.config.shard, now_ns);
+        let incarnation = self.config.faults.incarnation(self.index, now_ns);
         let mut sessions = self.sessions.lock();
         let state = sessions
             .entry(session)
             .or_insert_with(|| SessionState::new(incarnation));
         if state.built_incarnation < incarnation {
-            state.rebuild(self.config.psk, session, incarnation);
+            state.rebuild(&self.config, session, incarnation);
         }
 
         if peek_record_type(request) == Some(CLIENT_HELLO) {
@@ -275,34 +270,24 @@ impl IngestShard {
                 IngestReply::AttestReject
             }
         };
-        seal_reply(state, seq, &reply)
+        seal(state, seq, &reply.encode())
     }
 
-    /// The epoch-fenced, journaled version of the direct cloud's
-    /// exactly-once ingest.
+    /// The session's [`CommitWindow`] behind the epoch fence, with every
+    /// accepted arrival and every commit journaled.
     fn handle_record(&self, state: &mut SessionState, seq: u64, plaintext: &[u8]) -> Vec<u8> {
         let Some((epoch, event_bytes)) = decode_ingest_record(plaintext) else {
             state.report.rejected_records += 1;
             return Vec::new();
         };
         // Redelivery of something already durable: re-ack from the
-        // journal (committed) or recompute from the stash (accepted but
-        // not yet committed). Deliberately epoch-agnostic — the promise
-        // was already made; only the ack needs retransmitting.
-        if seq < state.next_commit || state.stash.contains_key(&seq) {
-            state.report.redelivered_records += 1;
-            let ack = match state.acks.get(&seq) {
-                Some(ack) => ack.clone(),
-                None => match state.stash.get(&seq).map(|b| AvsEvent::decode(b)) {
-                    Some(Ok(event)) => IngestReply::Ack(ack_for_event(&event).encode()).encode(),
-                    _ => return Vec::new(),
-                },
-            };
-            return state
-                .channel
-                .as_ref()
-                .and_then(|c| c.seal_at(seq, &ack).ok())
-                .unwrap_or_default();
+        // journal (committed) or from the stash (accepted but not yet
+        // committed). Deliberately epoch-agnostic — the promise was
+        // already made; only the ack needs retransmitting.
+        if state.window.redelivered(seq, &mut state.report) {
+            let ack = state.acks.get(&seq).cloned();
+            let ack = ack.or_else(|| state.window.stashed(seq).map(ingest_ack));
+            return ack.map(|ack| seal(state, seq, &ack)).unwrap_or_default();
         }
         // The rollback fence: no new promise without a live attestation
         // for this incarnation, and none for a superseded epoch.
@@ -315,51 +300,50 @@ impl IngestShard {
             } else {
                 IngestReply::NeedAttest
             };
-            return seal_reply(state, seq, &reply);
-        }
-        if seq != state.next_commit {
-            if state.stash.len() >= self.config.queue_cap {
-                state.backpressure_rejects += 1;
-                let reply = IngestReply::Backpressure {
-                    depth: state.stash.len() as u64,
-                };
-                return seal_reply(state, seq, &reply);
-            }
-            state.report.out_of_order_records += 1;
+            return seal(state, seq, &reply.encode());
         }
         let Ok(event) = AvsEvent::decode(event_bytes) else {
             state.report.rejected_records += 1;
             return Vec::new();
         };
-        let ack = IngestReply::Ack(ack_for_event(&event).encode()).encode();
+        if state.window.is_full(seq, self.config.queue_cap) {
+            state.backpressure_rejects += 1;
+            let reply = IngestReply::Backpressure {
+                depth: state.window.depth() as u64,
+            };
+            return seal(state, seq, &reply.encode());
+        }
+        let ack = ingest_ack(&event);
         // Journal the arrival before acking it: the ack below is a
         // durable promise, so redelivery after a crash must find it.
         state.journal.push(JournalEntry::Stashed {
             seq,
             event: event_bytes.to_vec(),
         });
-        state.stash.insert(seq, event_bytes.to_vec());
-        while let Some(ready) = state.stash.remove(&state.next_commit) {
-            if let Ok(ready_event) = AvsEvent::decode(&ready) {
-                record_event_into(&mut state.report, &ready_event, true);
-                state.report.committed_records += 1;
-                let committed_ack = IngestReply::Ack(ack_for_event(&ready_event).encode()).encode();
-                state.journal.push(JournalEntry::Committed {
-                    seq: state.next_commit,
-                    ack: committed_ack.clone(),
-                });
-                state.acks.insert(state.next_commit, committed_ack);
-                state.commit_hist.record(SimDuration::from_nanos(
-                    self.config.service_cost_ns * (state.stash.len() as u64 + 1),
-                ));
-            }
-            state.next_commit += 1;
-        }
-        state
-            .channel
-            .as_ref()
-            .and_then(|c| c.seal_at(seq, &ack).ok())
-            .unwrap_or_default()
+        let SessionState {
+            window,
+            journal,
+            acks,
+            report,
+            commit_hist,
+            ..
+        } = state;
+        window.accept(seq, event, report, |committed, event, depth| {
+            let committed_ack = if committed == seq {
+                ack.clone()
+            } else {
+                ingest_ack(event)
+            };
+            journal.push(JournalEntry::Committed {
+                seq: committed,
+                ack: committed_ack.clone(),
+            });
+            acks.insert(committed, committed_ack);
+            commit_hist.record(SimDuration::from_nanos(
+                SERVICE_COST_NS * (depth as u64 + 1),
+            ));
+        });
+        seal(state, seq, &ack)
     }
 
     /// The committed report of one session.
@@ -457,10 +441,16 @@ pub struct ShardCounters {
     pub rejected: u64,
 }
 
-fn seal_reply(state: &SessionState, seq: u64, reply: &IngestReply) -> Vec<u8> {
+/// The reply plaintext acknowledging `event`.
+fn ingest_ack(event: &AvsEvent) -> Vec<u8> {
+    IngestReply::Ack(ack_for_event(event).encode()).encode()
+}
+
+/// Seals a reply plaintext at `seq` on the session's channel.
+fn seal(state: &SessionState, seq: u64, reply: &[u8]) -> Vec<u8> {
     state
         .channel
         .as_ref()
-        .and_then(|c| c.seal_at(seq, &reply.encode()).ok())
+        .and_then(|c| c.seal_at(seq, reply).ok())
         .unwrap_or_default()
 }

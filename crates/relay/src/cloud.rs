@@ -1,12 +1,18 @@
-//! The mock cloud service.
+//! The mock cloud service and the exactly-once commit core.
 //!
-//! Plays the role of the untrusted cloud provider (Amazon/Google in the
-//! paper): terminates the relay's secure channel, decodes AVS events, and
-//! — crucially for the privacy experiments — records exactly what it
-//! received. Whatever appears in [`CloudReport`] is, by definition, what
-//! has been exposed to the untrusted party.
+//! [`MockCloudService`] plays the role of the untrusted cloud provider
+//! (Amazon/Google in the paper): terminates the relay's secure channel,
+//! decodes AVS events, and — crucially for the privacy experiments —
+//! records exactly what it received. Whatever appears in [`CloudReport`]
+//! is, by definition, what has been exposed to the untrusted party.
+//!
+//! [`CommitWindow`] is the one commit discipline every cloud-side engine
+//! runs: `(session, seq)` dedup, a bounded stash of decoded events, and
+//! in-order commit into the session's report. The direct cloud runs one
+//! window per connection; each session of an ingest shard runs one too,
+//! with its epoch fence, journal and typed replies around it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -79,15 +85,92 @@ impl CloudReport {
     }
 }
 
+/// The exactly-once, in-order commit state of one session.
+///
+/// Every sequence below the commit point has been recorded exactly once;
+/// decoded events that arrived ahead of it wait in a bounded stash until
+/// the gap fills, so the decision log is in send order however the
+/// network reordered arrivals. An arrival *at* the commit point commits
+/// without entering the stash. The window counts what it sees into the
+/// session's [`CloudReport`]: `redelivered_records`,
+/// `out_of_order_records` and `committed_records`.
+#[derive(Debug, Default)]
+pub struct CommitWindow {
+    next_commit: u64,
+    stash: BTreeMap<u64, AvsEvent>,
+}
+
+impl CommitWindow {
+    /// A window resumed from a journal: every sequence below
+    /// `next_commit` committed, and `waiting` — the accepted arrivals
+    /// beyond it — stashed.
+    pub fn resume(next_commit: u64, waiting: impl IntoIterator<Item = (u64, AvsEvent)>) -> Self {
+        CommitWindow {
+            next_commit,
+            stash: waiting.into_iter().collect(),
+        }
+    }
+
+    /// Whether `seq` was accepted before — committed, or stashed until
+    /// its gap fills — and so only needs re-acking. A redelivery is
+    /// counted in `report`.
+    pub fn redelivered(&self, seq: u64, report: &mut CloudReport) -> bool {
+        let again = seq < self.next_commit || self.stash.contains_key(&seq);
+        report.redelivered_records += u64::from(again);
+        again
+    }
+
+    /// The stashed event at `seq`, if it waits for a gap to fill.
+    pub fn stashed(&self, seq: u64) -> Option<&AvsEvent> {
+        self.stash.get(&seq)
+    }
+
+    /// Records waiting in the stash.
+    pub fn depth(&self) -> usize {
+        self.stash.len()
+    }
+
+    /// Whether accepting `seq` would stash it past `cap` waiting
+    /// records. An arrival at the commit point never waits.
+    pub fn is_full(&self, seq: u64, cap: usize) -> bool {
+        seq != self.next_commit && self.stash.len() >= cap
+    }
+
+    /// Accepts a fresh arrival (neither a redelivery nor refused by
+    /// [`CommitWindow::is_full`]). One ahead of the commit point is
+    /// stashed and counted out of order; one at it commits, followed by
+    /// every stashed successor it unblocks. Each commit is recorded in
+    /// `report` and then passed to `on_commit` as `(seq, event, depth)`,
+    /// `depth` being the records still stashed after it.
+    pub fn accept(
+        &mut self,
+        seq: u64,
+        event: AvsEvent,
+        report: &mut CloudReport,
+        mut on_commit: impl FnMut(u64, &AvsEvent, usize),
+    ) {
+        if seq != self.next_commit {
+            report.out_of_order_records += 1;
+            self.stash.insert(seq, event);
+            return;
+        }
+        let mut ready = event;
+        loop {
+            record_event_into(report, &ready, true);
+            report.committed_records += 1;
+            on_commit(self.next_commit, &ready, self.stash.len());
+            self.next_commit += 1;
+            match self.stash.remove(&self.next_commit) {
+                Some(next) => ready = next,
+                None => break,
+            }
+        }
+    }
+}
+
 struct ConnectionState {
     channel: SecureChannelServer,
-    /// The next explicit sequence this session will commit. Everything
-    /// below it has been recorded exactly once.
-    next_commit: u64,
-    /// Records that arrived ahead of `next_commit`, held until the gap
-    /// fills so commits (and therefore cloud decisions) happen in send
-    /// order regardless of network reordering.
-    stash: BTreeMap<u64, Vec<u8>>,
+    window: CommitWindow,
 }
 
 /// The mock cloud service. Register it on a [`crate::NetworkFabric`] under
@@ -95,13 +178,13 @@ struct ConnectionState {
 ///
 /// Before the handshake it accepts plaintext events (the baseline's
 /// unprotected relay). After it, only explicit-sequence records
-/// ([`crate::SecureChannelClient::seal_at`]) carry events; any other
-/// record is rejected and counted.
+/// ([`crate::SecureChannelClient::seal_at`]) carry events, committed
+/// through one [`CommitWindow`] per connection; any other record is
+/// rejected and counted.
 pub struct MockCloudService {
     psk: [u8; PSK_LEN],
-    connections: Mutex<std::collections::HashMap<u64, ConnectionState>>,
+    connections: Mutex<HashMap<u64, ConnectionState>>,
     report: Mutex<CloudReport>,
-    response_text: String,
 }
 
 impl std::fmt::Debug for MockCloudService {
@@ -120,9 +203,8 @@ impl MockCloudService {
     pub fn new(psk: [u8; PSK_LEN]) -> Arc<Self> {
         Arc::new(MockCloudService {
             psk,
-            connections: Mutex::new(std::collections::HashMap::new()),
+            connections: Mutex::new(HashMap::new()),
             report: Mutex::new(CloudReport::default()),
-            response_text: "okay".to_owned(),
         })
     }
 
@@ -135,41 +217,11 @@ impl MockCloudService {
     pub fn reset(&self) {
         *self.report.lock() = CloudReport::default();
     }
-
-    fn record_event(&self, event: &AvsEvent, encrypted: bool) {
-        record_event_into(&mut self.report.lock(), event, encrypted);
-    }
-
-    fn ack_for(event: &AvsEvent) -> AvsDirective {
-        ack_for_event(event)
-    }
-
-    fn speak_for(&self, event: &AvsEvent) -> AvsDirective {
-        match event {
-            AvsEvent::Recognize { dialog_id, .. } | AvsEvent::TextMessage { dialog_id, .. } => {
-                AvsDirective::Speak {
-                    dialog_id: *dialog_id,
-                    text: self.response_text.clone(),
-                }
-            }
-            AvsEvent::FrameVerdict { dialog_id, .. } => AvsDirective::Ack {
-                dialog_id: *dialog_id,
-            },
-            AvsEvent::Ping => AvsDirective::Ack {
-                dialog_id: u64::MAX,
-            },
-            AvsEvent::Batch(_) => AvsDirective::BatchAck {
-                dialog_ids: dialog_ids_of(event),
-            },
-        }
-    }
 }
 
 /// Records one decoded event into a report — the single definition of
-/// "what the cloud learns" from a committed record, shared by the direct
-/// mock cloud and the sharded ingest plane so their decision logs cannot
-/// drift apart.
-pub fn record_event_into(report: &mut CloudReport, event: &AvsEvent, encrypted: bool) {
+/// "what the cloud learns" from a committed record or a plaintext event.
+fn record_event_into(report: &mut CloudReport, event: &AvsEvent, encrypted: bool) {
     match event {
         AvsEvent::Recognize { dialog_id, audio } => {
             report.application_bytes += audio.len() as u64;
@@ -246,47 +298,33 @@ pub fn ack_for_event(event: &AvsEvent) -> AvsDirective {
 }
 
 impl MockCloudService {
-    /// Exactly-once, in-order ingest of one explicit-sequence record.
+    /// Exactly-once, in-order ingest of one explicit-sequence record
+    /// through the connection's [`CommitWindow`].
     ///
     /// Already-accepted sequences are re-acked without recording (the
     /// first ack evidently got lost — at-least-once delivery becomes
-    /// exactly-once decisions). Records ahead of the commit point are
-    /// stashed until the gap fills, so the decision log is in send order
-    /// no matter how the network reordered arrivals.
+    /// exactly-once decisions). A record that would overfill the stash
+    /// gets silence, so the device retries once the gap has filled.
     fn ingest_explicit(&self, state: &mut ConnectionState, request: &[u8]) -> Vec<u8> {
+        let mut report = self.report.lock();
         let (seq, plaintext) = match state.channel.open_explicit(request) {
             Ok(opened) => opened,
             Err(_) => {
-                self.report.lock().rejected_records += 1;
+                report.rejected_records += 1;
                 return Vec::new();
             }
         };
         let Ok(event) = AvsEvent::decode(&plaintext) else {
-            self.report.lock().rejected_records += 1;
+            report.rejected_records += 1;
             return Vec::new();
         };
-        let ack = Self::ack_for(&event).encode();
-        if seq < state.next_commit || state.stash.contains_key(&seq) {
-            // Redelivery: the record is already durable here; only the
-            // ack needs retransmitting. seal_at reproduces it exactly.
-            self.report.lock().redelivered_records += 1;
-            return state.channel.seal_at(seq, &ack).unwrap_or_default();
-        }
-        if seq != state.next_commit {
-            if state.stash.len() >= STASH_CAP {
-                // Refuse to stash further ahead; silence makes the
-                // device retry once the gap has been filled.
+        // seal_at reproduces a redelivery's ack exactly.
+        let ack = ack_for_event(&event).encode();
+        if !state.window.redelivered(seq, &mut report) {
+            if state.window.is_full(seq, STASH_CAP) {
                 return Vec::new();
             }
-            self.report.lock().out_of_order_records += 1;
-        }
-        state.stash.insert(seq, plaintext);
-        while let Some(ready) = state.stash.remove(&state.next_commit) {
-            if let Ok(ready_event) = AvsEvent::decode(&ready) {
-                self.record_event(&ready_event, true);
-                self.report.lock().committed_records += 1;
-            }
-            state.next_commit += 1;
+            state.window.accept(seq, event, &mut report, |_, _, _| {});
         }
         state.channel.seal_at(seq, &ack).unwrap_or_default()
     }
@@ -297,8 +335,7 @@ impl NetworkService for MockCloudService {
         let mut connections = self.connections.lock();
         let state = connections.entry(conn).or_insert_with(|| ConnectionState {
             channel: SecureChannelServer::new(self.psk, conn),
-            next_commit: 0,
-            stash: BTreeMap::new(),
+            window: CommitWindow::default(),
         });
         if state.channel.is_established() && peek_record_type(request) == Some(CLIENT_HELLO) {
             // A retransmitted hello (the device lost our ServerHello, or
@@ -319,14 +356,14 @@ impl NetworkService for MockCloudService {
             if let Ok(server_hello) = state.channel.process_client_hello(request) {
                 return server_hello;
             }
+            let mut report = self.report.lock();
             return match AvsEvent::decode(request) {
                 Ok(event) => {
-                    self.record_event(&event, false);
-                    let _ = self.speak_for(&event);
-                    Self::ack_for(&event).encode()
+                    record_event_into(&mut report, &event, false);
+                    ack_for_event(&event).encode()
                 }
                 Err(_) => {
-                    self.report.lock().rejected_records += 1;
+                    report.rejected_records += 1;
                     Vec::new()
                 }
             };

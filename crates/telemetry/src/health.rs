@@ -402,11 +402,17 @@ impl FleetHealth {
         self.alerts.extend(alerts);
     }
 
-    /// Folds one epoch's telemetry delta for a device — the external
-    /// entry point planes that run their own epoch accounting (the
-    /// sharded ingest plane) use to feed a health accumulator directly.
-    pub fn ingest_epoch(&mut self, epoch: u64, device: usize, delta: &DeviceTelemetry) {
-        self.absorb_epoch(epoch, device, delta);
+    /// Judges a device's whole-run telemetry as one epoch ending at
+    /// [`SimInstant::EPOCH`], through the same detectors and state
+    /// machine as a [`DeviceHealthMonitor`], and records the verdict —
+    /// the entry point of planes that cut no epochs of their own (the
+    /// sharded ingest plane's sessions).
+    pub fn judge_run(&mut self, config: &HealthConfig, device: usize, telemetry: &DeviceTelemetry) {
+        self.absorb_epoch(0, device, telemetry);
+        let mut detectors = Detectors::new(config);
+        let mut alerts = Vec::new();
+        detectors.evaluate(config, device, 0, SimInstant::EPOCH, telemetry, &mut alerts);
+        self.complete_device(device, detectors.machine.state(), alerts);
     }
 
     /// Records a device's final state and its alert journal — the

@@ -68,9 +68,15 @@ impl WireSession {
 
     /// Sends one record; `None` means the shard was down (empty reply).
     fn send(&mut self, seq: u64, epoch: u64, event: &AvsEvent) -> Option<IngestReply> {
+        self.send_bytes(seq, epoch, &event.encode())
+    }
+
+    /// Sends one record carrying `event_bytes` verbatim; `None` means an
+    /// empty reply (shard down, or the record was rejected).
+    fn send_bytes(&mut self, seq: u64, epoch: u64, event_bytes: &[u8]) -> Option<IngestReply> {
         let wire = self
             .client
-            .seal_at(seq, &encode_ingest_record(epoch, &event.encode()))
+            .seal_at(seq, &encode_ingest_record(epoch, event_bytes))
             .expect("seal");
         let reply = self.plane.handle(self.session, self.now_ns, &wire);
         if reply.is_empty() {
@@ -206,6 +212,99 @@ fn backpressure_is_typed_and_surfaces_in_shard_health() {
         "{}",
         health.to_table()
     );
+}
+
+#[test]
+fn undecodable_records_are_rejected_before_they_are_counted_or_queued() {
+    // Authenticated, correctly framed, but no AVS event.
+    const GARBAGE: &[u8] = &[0xff, 0x00, 0x13];
+    let ta = measurement_of("test-ta");
+    let plane = IngestPlane::new(
+        IngestPlaneConfig::new(1, 1)
+            .accepting(vec![ta])
+            .with_queue_cap(1),
+    );
+    let mut wire = WireSession::connect(&plane, 0, 0);
+    assert!(matches!(
+        wire.attest(ta, 1),
+        IngestReply::AttestGrant { epoch: 1 }
+    ));
+
+    // Ahead of the commit point (0): a rejection, not an out-of-order
+    // arrival — the direct cloud's count for the same record.
+    assert!(wire.send_bytes(1, 1, GARBAGE).is_none());
+    let report = plane.session_report(0);
+    assert_eq!(report.rejected_records, 1);
+    assert_eq!(report.out_of_order_records, 0);
+
+    // With the one-record queue full, a gapped undecodable record is
+    // still a rejection, not a typed backpressure reply.
+    assert!(matches!(
+        wire.send(2, 1, &event(2)),
+        Some(IngestReply::Ack(_))
+    ));
+    assert!(wire.send_bytes(3, 1, GARBAGE).is_none());
+    let report = plane.session_report(0);
+    assert_eq!(report.rejected_records, 2);
+    assert_eq!(report.out_of_order_records, 1);
+    assert_eq!(plane.counters().backpressure_rejects, 0);
+
+    // The direct cloud counts the first record the same way.
+    let cloud = MockCloudService::new(PSK);
+    let mut client = SecureChannelClient::new(PSK, 1000);
+    let hello = cloud.handle(0, &client.client_hello());
+    client
+        .process_server_hello(&hello)
+        .expect("server hello authenticates");
+    assert!(cloud
+        .handle(0, &client.seal_at(1, GARBAGE).expect("seal"))
+        .is_empty());
+    let direct = cloud.report();
+    assert_eq!(
+        (direct.rejected_records, direct.out_of_order_records),
+        (1, 0)
+    );
+}
+
+#[test]
+fn a_rebuilt_shard_resumes_its_window_from_the_journal() {
+    let ta = measurement_of("test-ta");
+    let plane = IngestPlane::new(
+        IngestPlaneConfig::new(1, 1)
+            .accepting(vec![ta])
+            .with_faults(ShardFaultSpec::single(5, 1_000, 1_000)),
+    );
+    let mut wire = WireSession::connect(&plane, 0, 0);
+    assert!(matches!(
+        wire.attest(ta, 1),
+        IngestReply::AttestGrant { epoch: 1 }
+    ));
+    // Before the crash: seq 0 commits, seq 2 waits for seq 1.
+    for seq in [0, 2] {
+        assert!(matches!(
+            wire.send(seq, 1, &event(seq)),
+            Some(IngestReply::Ack(_))
+        ));
+    }
+    // After the restart the session re-attests; the waiting seq 2 is a
+    // redelivery, and seq 1 commits it in order.
+    wire.now_ns = 3_000;
+    assert!(matches!(
+        wire.attest(ta, 2),
+        IngestReply::AttestGrant { epoch: 2 }
+    ));
+    for seq in [2, 1, 0] {
+        assert!(matches!(
+            wire.send(seq, 2, &event(seq)),
+            Some(IngestReply::Ack(_))
+        ));
+    }
+    let report = plane.session_report(0);
+    assert_eq!(report.committed_records, 3);
+    assert_eq!(report.out_of_order_records, 1);
+    assert_eq!(report.redelivered_records, 2);
+    let order: Vec<u64> = report.events.iter().map(|e| e.dialog_id).collect();
+    assert_eq!(order, vec![0, 1, 2]);
 }
 
 #[test]
