@@ -1,6 +1,6 @@
 //! Criterion bench behind experiment E7: host-time cost of the simulated
 //! TEE transition primitives (world switch, SMC, PTA dispatch, supplicant
-//! RPC) — complements the virtual-time table produced by `exp_e7`.
+//! RPC) — complements the virtual-time table of `experiments e7`.
 
 use std::sync::Arc;
 

@@ -2,12 +2,12 @@
 //! frame budgets actually go, which eval windows the int8 path decides
 //! differently from f32, and the raw kernel throughputs. Run with
 //! `cargo run --release -p perisec-bench --example profile_int8` while
-//! tuning the integer kernels; `exp_e16` remains the record of truth.
+//! tuning the integer kernels; `experiments e16` remains the record of truth.
 //!
 //! This harness times *host* nanoseconds with ad-hoc loops. For
 //! *virtual-time* stage/TA/TEE breakdowns — where the simulated budget
 //! goes rather than where the host CPU goes — use the telemetry plane
-//! instead: `TelemetryConfig::tracing()` on a pipeline, or `exp_e18`
+//! instead: `TelemetryConfig::tracing()` on a pipeline, or `experiments e18`
 //! for the fleet-scale fold and chrome-trace export.
 
 use std::time::Instant;
@@ -42,7 +42,7 @@ fn main() {
     let vision = models.vision().expect("frame classifier");
     let vision_int8 = models.vision_int8().expect("quantizes");
 
-    // Same eval set as exp_e16 Part 1/3.
+    // Same eval set as E16 Part 1/3.
     let vocabulary = Vocabulary::smart_home();
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, 0x16E6);
     let (eval, _) = generator.train_test_split(192, 1);
@@ -143,7 +143,7 @@ fn main() {
         std::hint::black_box(&out);
     });
 
-    println!("== accuracy (same eval as exp_e16 Part 3) ==");
+    println!("== accuracy (same eval as E16 Part 3) ==");
     let acc_f32 = classifier.evaluate(&eval).expect("eval").accuracy();
     let mut int8_correct = 0usize;
     let mut disagreements = Vec::new();

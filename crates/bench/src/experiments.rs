@@ -1,5 +1,8 @@
-//! The experiments of the evaluation (E1–E10 from DESIGN.md §5, plus the
-//! batching/fleet/vision extensions E11–E13).
+//! The experiments of the evaluation: E1–E10 measure what the paper
+//! promises, E11–E21 the batching, fleet, vision, executor, int8,
+//! telemetry, health, chaos and ingest-plane extensions. Each returns an
+//! [`Outcome`]; E11, E13–E16 and E18–E21 check their own gates on the
+//! values they computed.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -27,6 +30,35 @@ use perisec_workload::corpus::{to_training_examples, CorpusGenerator};
 use perisec_workload::scenario::Scenario;
 use perisec_workload::vocab::Vocabulary;
 
+/// What one experiment produced.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The markdown report.
+    pub markdown: String,
+    /// Files to write to the working directory, as `(name, contents)`.
+    pub files: Vec<(&'static str, String)>,
+    /// One line per gate the run failed; empty when every gate held.
+    pub failed: Vec<String>,
+}
+
+impl Outcome {
+    /// Records `what` as a failed gate unless the gate holds.
+    fn gate(&mut self, holds: bool, what: impl Into<String>) {
+        if !holds {
+            self.failed.push(what.into());
+        }
+    }
+}
+
+impl From<String> for Outcome {
+    fn from(markdown: String) -> Self {
+        Outcome {
+            markdown,
+            ..Outcome::default()
+        }
+    }
+}
+
 /// A steady test tone used by the driver-level experiments (the content of
 /// the audio does not matter for throughput/scaling measurements).
 fn sine_source() -> Box<dyn perisec_devices::signal::SignalSource> {
@@ -34,7 +66,7 @@ fn sine_source() -> Box<dyn perisec_devices::signal::SignalSource> {
 }
 
 /// E1 — TCB reduction: traced per-task function sets vs the full driver.
-pub fn run_e1_tcb() -> String {
+pub fn run_e1_tcb() -> Outcome {
     let platform = Platform::jetson_agx_xavier();
     let mic = Microphone::speech_mic("mic", sine_source()).expect("valid mic config");
     let tracer = FunctionTracer::new();
@@ -86,12 +118,12 @@ pub fn run_e1_tcb() -> String {
         "\nSecure-driver port covers the traced record task: {}",
         if gap.is_empty() { "yes" } else { "NO (gap!)" }
     );
-    out
+    out.into()
 }
 
 /// E2 — capture throughput (CPU cost per captured byte), secure vs
 /// baseline driver, across period sizes.
-pub fn run_e2_throughput() -> String {
+pub fn run_e2_throughput() -> Outcome {
     let mut out = String::from("## E2 — capture throughput vs period size\n\n");
     out.push_str("| period (frames) | buffer (bytes) | baseline MB/s of CPU | secure MB/s of CPU | overhead |\n|---|---|---|---|---|\n");
     for &period_frames in &[64usize, 160, 320, 640, 1280, 2560] {
@@ -129,11 +161,11 @@ pub fn run_e2_throughput() -> String {
             baseline_tput / secure_tput
         );
     }
-    out
+    out.into()
 }
 
 /// E3 — end-to-end latency breakdown per utterance, secure vs baseline.
-pub fn run_e3_latency() -> String {
+pub fn run_e3_latency() -> Outcome {
     let scenario = Scenario::mixed(10, 0.5, SimDuration::from_secs(10), 0xE3);
     let mut secure = SecurePipeline::new(PipelineConfig::default()).expect("secure pipeline");
     let secure_report = secure.run_scenario(&scenario).expect("secure run");
@@ -183,11 +215,11 @@ pub fn run_e3_latency() -> String {
         baseline_report.tz.supplicant_rpcs,
         secure_report.tz.supplicant_rpcs,
     );
-    out
+    out.into()
 }
 
 /// E4 — classifier quality per architecture.
-pub fn run_e4_accuracy() -> String {
+pub fn run_e4_accuracy() -> Outcome {
     let vocabulary = Vocabulary::smart_home();
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, 0xE4);
     let (train, test) = generator.train_test_split(300, 120);
@@ -210,11 +242,11 @@ pub fn run_e4_accuracy() -> String {
             classifier.flops_per_inference(8)
         );
     }
-    out
+    out.into()
 }
 
 /// E5 — model memory vs the TEE secure-RAM budget, f32 vs int8.
-pub fn run_e5_model_memory() -> String {
+pub fn run_e5_model_memory() -> Outcome {
     let vocabulary = Vocabulary::smart_home();
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, 0xE5);
     let (train, test) = generator.train_test_split(200, 100);
@@ -254,11 +286,11 @@ pub fn run_e5_model_memory() -> String {
             );
         }
     }
-    out
+    out.into()
 }
 
 /// E6 — energy per utterance and average power, secure vs baseline.
-pub fn run_e6_power() -> String {
+pub fn run_e6_power() -> Outcome {
     let scenario = Scenario::mixed(20, 0.4, SimDuration::from_secs(3), 0xE6);
     let mut secure = SecurePipeline::new(PipelineConfig::default()).expect("secure pipeline");
     let secure_report = secure.run_scenario(&scenario).expect("secure run");
@@ -301,12 +333,12 @@ pub fn run_e6_power() -> String {
             .energy
             .component_mj(perisec_tz::power::Component::CpuSecureWorld),
     );
-    out
+    out.into()
 }
 
 /// E7 — world-switch and TEE-dispatch microbenchmarks (virtual-time cost of
 /// each primitive).
-pub fn run_e7_worldswitch() -> String {
+pub fn run_e7_worldswitch() -> Outcome {
     let mut out =
         String::from("## E7 — TEE transition microbenchmarks (virtual time per operation)\n\n");
     out.push_str("| operation | cost |\n|---|---|\n");
@@ -392,11 +424,11 @@ pub fn run_e7_worldswitch() -> String {
         "| TA command dispatch (model parameter) | {} |",
         cost.ta_dispatch
     );
-    out
+    out.into()
 }
 
 /// E8 — privacy leakage under different policies, secure vs baseline.
-pub fn run_e8_leakage() -> String {
+pub fn run_e8_leakage() -> Outcome {
     let scenario = Scenario::mixed(24, 0.5, SimDuration::from_secs(5), 0xE8);
     let mut out = String::from("## E8 — sensitive utterances leaked to the cloud\n\n");
     out.push_str("| pipeline / policy | utterances | sensitive | reached cloud | sensitive leaked | leakage rate |\n|---|---|---|---|---|---|\n");
@@ -452,12 +484,12 @@ pub fn run_e8_leakage() -> String {
             100.0 * report.cloud.leakage_rate()
         );
     }
-    out
+    out.into()
 }
 
 /// E9 — scalability: aggregate throughput and processing latency as the
 /// number of concurrent capture streams grows.
-pub fn run_e9_scalability() -> String {
+pub fn run_e9_scalability() -> Outcome {
     let mut out = String::from("## E9 — scaling the number of peripheral streams\n\n");
     out.push_str("| streams | total periods | secure CPU time | aggregate capture MB/s | secure RAM in use (KiB) |\n|---|---|---|---|---|\n");
     for &streams in &[1usize, 2, 4, 8, 16] {
@@ -487,12 +519,12 @@ pub fn run_e9_scalability() -> String {
             platform.secure_ram().bytes_in_use() / 1024
         );
     }
-    out
+    out.into()
 }
 
 /// E10 — secure image and runtime secure-memory footprint, full vs pruned
 /// driver and per-model.
-pub fn run_e10_footprint() -> String {
+pub fn run_e10_footprint() -> Outcome {
     let catalog = DriverCatalog::tegra_audio_stack();
     let full = PrunedImage::build(&catalog, &PruneStrategy::KeepAll);
     let ported: BTreeSet<String> = PORTED_FUNCTIONS.iter().map(|s| s.to_string()).collect();
@@ -551,12 +583,12 @@ pub fn run_e10_footprint() -> String {
             classifier.memory_bytes_f32() / 1024
         );
     }
-    out
+    out.into()
 }
 
 /// E11 — TEE-transition amortization: world switches, SMCs and supplicant
 /// RPCs per utterance as the pipeline batch size sweeps up.
-pub fn run_e11_batch_sweep() -> String {
+pub fn run_e11_batch_sweep() -> Outcome {
     let mut out = String::from(
         "## E11 — batched world transitions (per-utterance TEE cost vs batch size)\n\n",
     );
@@ -567,6 +599,7 @@ pub fn run_e11_batch_sweep() -> String {
     let models = SharedModels::train(Architecture::Cnn, 60, 0xE11).expect("train");
     let scenario = Scenario::mixed(16, 0.25, SimDuration::from_secs(2), 0xE11);
     let utterances = scenario.len() as f64;
+    let mut outcome = Outcome::default();
     for batch in [1usize, 2, 4, 8, 16] {
         let mut pipeline = SecurePipeline::with_models(
             PipelineConfig {
@@ -577,21 +610,23 @@ pub fn run_e11_batch_sweep() -> String {
         )
         .expect("pipeline");
         let report = pipeline.run_scenario(&scenario).expect("run");
+        let leaked = report.cloud.leaked_sensitive_utterances();
         let _ = writeln!(
             out,
-            "| {batch} | {:.2} | {:.2} | {:.2} | {} |",
+            "| {batch} | {:.2} | {:.2} | {:.2} | {leaked} |",
             report.tz.smc_calls as f64 / utterances,
             report.tz.world_switches as f64 / utterances,
             report.tz.supplicant_rpcs as f64 / utterances,
-            report.cloud.leaked_sensitive_utterances(),
         );
+        outcome.gate(leaked == 0, format!("batch {batch}: {leaked} leaked"));
     }
-    out
+    outcome.markdown = out;
+    outcome
 }
 
 /// E12 — fleet throughput: M concurrent device pipelines sharing one
 /// trained model set.
-pub fn run_e12_fleet() -> String {
+pub fn run_e12_fleet() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
 
     let mut out =
@@ -627,13 +662,13 @@ pub fn run_e12_fleet() -> String {
             host_elapsed.as_secs_f64() * 1000.0,
         );
     }
-    out
+    out.into()
 }
 
 /// E13 — the vision pipeline: camera batch sweep (per-event TEE cost and
 /// privacy outcome as the batch grows), a mixed audio+camera fleet off one
 /// shared model set, and the camera path's TCB accounting.
-pub fn run_e13_vision() -> String {
+pub fn run_e13_vision() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SecureCameraPipeline};
     use perisec_secure_driver::PORTED_CAMERA_FUNCTIONS;
@@ -653,6 +688,7 @@ pub fn run_e13_vision() -> String {
     let scenario = CameraScenario::mixed_scenes(16, 0.4, SimDuration::from_secs(2), 0xE13);
     let events = scenario.len() as f64;
     let neutral = scenario.len() - scenario.sensitive_count();
+    let mut outcome = Outcome::default();
     for batch in [1usize, 2, 4, 8] {
         let mut pipeline = SecureCameraPipeline::with_models(
             CameraPipelineConfig {
@@ -663,23 +699,27 @@ pub fn run_e13_vision() -> String {
         )
         .expect("camera pipeline");
         let report = pipeline.run_scenario(&scenario).expect("camera run");
-        let payload_bytes: usize = report
+        let payload: usize = report
             .cloud
             .report
             .events
             .iter()
             .map(|e| e.audio_bytes)
             .sum();
+        let leaked = report.cloud.leaked_sensitive_utterances();
         let _ = writeln!(
             out,
-            "| {batch} | {:.2} | {:.2} | {} | {} | {}/{} | {} |",
+            "| {batch} | {:.2} | {:.2} | {} | {leaked} | {}/{} | {payload} |",
             report.tz.smc_calls as f64 / events,
             report.tz.world_switches as f64 / events,
             scenario.sensitive_count(),
-            report.cloud.leaked_sensitive_utterances(),
             report.cloud.received_utterances(),
             neutral,
-            payload_bytes,
+        );
+        outcome.gate(leaked == 0, format!("batch {batch}: {leaked} leaked"));
+        outcome.gate(
+            payload == 0,
+            format!("batch {batch}: {payload} payload bytes"),
         );
     }
 
@@ -737,7 +777,8 @@ pub fn run_e13_vision() -> String {
         camera_catalog.total_loc(),
         100.0 * camera_task.loc_fraction(camera_catalog.total_loc()),
     );
-    out
+    outcome.markdown = out;
+    outcome
 }
 
 /// E14 — the multi-core TEE scheduler: one high-fps camera sharded
@@ -745,7 +786,7 @@ pub fn run_e13_vision() -> String {
 /// model dedup. The sweep shows the frame budget flipping from missed to
 /// met as sessions are added, at identical privacy outcomes and strictly
 /// lower secure-RAM residency than without dedup.
-pub fn run_e14_shard_sweep() -> String {
+pub fn run_e14_shard_sweep() -> Outcome {
     use perisec_core::pipeline::{CameraPipelineConfig, SecureCameraPipeline, SharedModels};
     use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
     use perisec_core::pool::TeePoolConfig;
@@ -794,6 +835,7 @@ pub fn run_e14_shard_sweep() -> String {
          |---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     let mut utilization_lines = String::new();
+    let mut outcome = Outcome::default();
     for shards in [1usize, 2, 4] {
         let mut pipeline = ShardedVisionPipeline::with_models(
             ShardedCameraConfig {
@@ -808,7 +850,7 @@ pub fn run_e14_shard_sweep() -> String {
         )
         .expect("sharded pipeline");
         let run = pipeline.run_scenario(&scenario).expect("sharded run");
-        let payload_bytes: usize = run
+        let payload: usize = run
             .report
             .cloud
             .report
@@ -816,17 +858,16 @@ pub fn run_e14_shard_sweep() -> String {
             .iter()
             .map(|e| e.audio_bytes)
             .sum();
+        let leaked = run.report.cloud.leaked_sensitive_utterances();
+        let ram_dedup_kib = run.secure_ram.in_use_bytes / 1024;
+        let ram_plain_kib = run.secure_ram.bytes_without_dedup() / 1024;
         let _ = writeln!(
             out,
-            "| {shards} | {:.2} | {:.2} | {} | {}/{} | {} | {} | {} | {} | {} | {} |",
+            "| {shards} | {:.2} | {:.2} | {leaked} | {}/{} | {payload} | {ram_dedup_kib} | {ram_plain_kib} | {} | {} | {} |",
             run.report.tz.smc_calls as f64 / events,
             run.report.tz.world_switches as f64 / events,
-            run.report.cloud.leaked_sensitive_utterances(),
             run.report.cloud.received_utterances(),
             neutral,
-            payload_bytes,
-            run.secure_ram.in_use_bytes / 1024,
-            run.secure_ram.bytes_without_dedup() / 1024,
             run.report.virtual_time,
             if run.kept_up(deadline) {
                 "met"
@@ -838,6 +879,15 @@ pub fn run_e14_shard_sweep() -> String {
             } else {
                 "DIVERGED"
             },
+        );
+        outcome.gate(leaked == 0, format!("{shards} shards: {leaked} leaked"));
+        outcome.gate(
+            payload == 0,
+            format!("{shards} shards: {payload} payload bytes"),
+        );
+        outcome.gate(
+            shards < 2 || ram_dedup_kib < ram_plain_kib,
+            format!("{shards} shards: RAM {ram_dedup_kib} KiB with dedup, {ram_plain_kib} without"),
         );
         let _ = writeln!(
             utilization_lines,
@@ -885,7 +935,8 @@ pub fn run_e14_shard_sweep() -> String {
             run.report.latency.p99_end_to_end(),
         );
     }
-    out
+    outcome.markdown = out;
+    outcome
 }
 
 /// Strong counts of the shared model `Arc`s a resident device stack holds
@@ -909,7 +960,7 @@ fn model_handle_counts(models: &perisec_core::pipeline::SharedModels) -> Vec<usi
 /// byte-identical across worker counts, a 10k+ device mega-fleet on 8
 /// workers, and the session scheduler's work-stealing pass on a ragged
 /// high-fps mix.
-pub fn run_e15_fleet_executor() -> String {
+pub fn run_e15_fleet_executor() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
     use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
@@ -942,6 +993,7 @@ pub fn run_e15_fleet_executor() -> String {
             models.clone(),
         )
     };
+    let mut outcome = Outcome::default();
     let mut identical_at_1024 = false;
     for devices in [256usize, 1024] {
         // Two one-frame windows per device.
@@ -949,15 +1001,25 @@ pub fn run_e15_fleet_executor() -> String {
         let (pooled, stats) = fleet(devices, 8)
             .run_mixed_stats(&[], &cameras)
             .expect("executor fleet");
+        let leaked = pooled.leaked_sensitive_utterances();
+        let payload = pooled.total_payload_bytes();
         let _ = writeln!(
             out,
-            "| {devices} | {} | {:.0} | {} | {} | {} | {} |",
+            "| {devices} | {} | {:.0} | {} | {} | {leaked} | {payload} |",
             stats.workers,
             stats.host_millis,
             stats.peak_resident,
             stats.steals.len(),
-            pooled.leaked_sensitive_utterances(),
-            pooled.total_payload_bytes(),
+        );
+        let (resident, workers) = (stats.peak_resident, stats.workers);
+        outcome.gate(leaked == 0, format!("{devices} devices: {leaked} leaked"));
+        outcome.gate(
+            payload == 0,
+            format!("{devices} devices: {payload} payload B"),
+        );
+        outcome.gate(
+            resident <= workers,
+            format!("{devices} devices: {resident} stacks resident on {workers} workers"),
         );
         if devices == 1024 {
             let serial = fleet(devices, 1)
@@ -975,6 +1037,7 @@ pub fn run_e15_fleet_executor() -> String {
             "NO (bug!)"
         },
     );
+    outcome.gate(identical_at_1024, "reports differ between 1 and 8 workers");
 
     // Part 2: the 10k-device mega fleet — mixed audio+camera, all on 8
     // workers, residency bounded by the pool.
@@ -1017,16 +1080,24 @@ pub fn run_e15_fleet_executor() -> String {
         .zip(&handles_before)
         .map(|(after, before)| after.saturating_sub(*before))
         .sum();
-    let _ = writeln!(
-        out,
-        "| {} | {audio_devices} | {camera_devices} | {} | {} | {} | {} | {} | {:.0} |",
+    let (devices, leaked, payload) = (
         mega.device_count(),
-        stats.workers,
-        mega.total_utterances(),
         mega.leaked_sensitive_utterances(),
         mega.total_payload_bytes(),
-        stats.peak_resident,
+    );
+    let (resident, workers) = (stats.peak_resident, stats.workers);
+    let _ = writeln!(
+        out,
+        "| {devices} | {audio_devices} | {camera_devices} | {workers} | {} | {leaked} | {payload} | {resident} | {:.0} |",
+        mega.total_utterances(),
         stats.host_millis,
+    );
+    outcome.gate(devices >= 10_000, format!("mega fleet: {devices} devices"));
+    outcome.gate(leaked == 0, format!("mega fleet: {leaked} leaked"));
+    outcome.gate(payload == 0, format!("mega fleet: {payload} payload bytes"));
+    outcome.gate(
+        resident <= workers,
+        format!("mega fleet: {resident} stacks resident on {workers} workers"),
     );
     let _ = writeln!(
         out,
@@ -1045,6 +1116,7 @@ pub fn run_e15_fleet_executor() -> String {
             format!("NO ({held} model handles still held)")
         },
     );
+    outcome.gate(held == 0, format!("{held} model handles still held"));
 
     // Part 3: the session scheduler's work-stealing pass on a ragged
     // high-fps mix — an idle TEE core steals queued windows from a
@@ -1072,16 +1144,17 @@ pub fn run_e15_fleet_executor() -> String {
         )
         .expect("sharded pipeline");
         let run = pipeline.run_scenario(&ragged).expect("ragged run");
+        let placement = if stealing { "work-stealing" } else { "greedy" };
+        let leaked = run.report.cloud.leaked_sensitive_utterances();
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} |",
-            if stealing { "work-stealing" } else { "greedy" },
+            "| {placement} | {} | {} | {} | {} | {leaked} |",
             run.stolen_windows,
             run.report.latency.p95_end_to_end(),
             run.report.latency.p99_end_to_end(),
             run.report.virtual_time,
-            run.report.cloud.leaked_sensitive_utterances(),
         );
+        outcome.gate(leaked == 0, format!("{placement}: {leaked} leaked"));
         p99.push(run.report.latency.p99_end_to_end());
     }
     let _ = writeln!(
@@ -1090,15 +1163,16 @@ pub fn run_e15_fleet_executor() -> String {
          at identical cloud outcomes.",
         p99[0], p99[1],
     );
-    out
+    outcome.markdown = out;
+    outcome
 }
 
 /// E16 — the int8 inference fast path: per-window / per-frame host cost
 /// of the fused integer kernels against the f32 baseline, accuracy delta,
 /// cloud-decision parity, secure-RAM residency, and both modes swept over
-/// the E15 mega-fleet. Returns the markdown report **and** the
-/// `BENCH_E16.json` payload that seeds the perf trajectory.
-pub fn run_e16_int8_inference() -> (String, String) {
+/// the E15 mega-fleet. Its outcome carries the `BENCH_E16.json` record
+/// that seeds the perf trajectory.
+pub fn run_e16_int8_inference() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SecurePipeline, SharedModels};
     use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
@@ -1203,6 +1277,15 @@ pub fn run_e16_int8_inference() -> (String, String) {
     let ns_frame_int8 = started.elapsed().as_nanos() as f64 / (reps * frames.len()) as f64;
     let frame_speedup = ns_frame_f32 / ns_frame_int8.max(1.0);
 
+    let mut outcome = Outcome::default();
+    outcome.gate(
+        window_speedup >= 2.5,
+        format!("window speedup {window_speedup:.2}x"),
+    );
+    outcome.gate(
+        frame_speedup >= 1.4,
+        format!("frame speedup {frame_speedup:.2}x"),
+    );
     out.push_str("| metric | f32 | int8 | speedup |\n|---|---|---|---|\n");
     let _ = writeln!(
         out,
@@ -1246,6 +1329,14 @@ pub fn run_e16_int8_inference() -> (String, String) {
     let _ = writeln!(
         out,
         "| frame CNN accuracy | {vis_acc_f32:.3} | {vis_acc_int8:.3} | delta {vision_delta_points:.1} pt |"
+    );
+    outcome.gate(
+        accuracy_delta_points <= 1.0,
+        format!("classifier accuracy delta {accuracy_delta_points:.2} pt"),
+    );
+    outcome.gate(
+        vision_delta_points <= 1.0,
+        format!("frame CNN accuracy delta {vision_delta_points:.2} pt"),
     );
 
     // Part 4: resident model bytes and secure-RAM occupancy per mode.
@@ -1308,6 +1399,16 @@ pub fn run_e16_int8_inference() -> (String, String) {
         "| 2-shard vision pool secure RAM (B) | {pool_ram_f32} | {pool_ram_int8} | {:.2}x smaller |",
         pool_ram_f32 as f64 / pool_ram_int8 as f64
     );
+    for (row, f32_bytes, int8_bytes) in [
+        ("classifier resident bytes", resident_f32, resident_int8),
+        ("audio pipeline secure RAM", ram_f32, ram_int8),
+        ("vision pool secure RAM", pool_ram_f32, pool_ram_int8),
+    ] {
+        outcome.gate(
+            int8_bytes < f32_bytes,
+            format!("{row}: int8 {int8_bytes} B, f32 {f32_bytes} B"),
+        );
+    }
 
     // E17: the kernel-variant sweep — the retained scalar oracles against
     // the runtime-dispatched kernels (AVX2 intrinsics on capable hosts,
@@ -1463,21 +1564,26 @@ pub fn run_e16_int8_inference() -> (String, String) {
             .run_mixed(&audio_scenarios, &camera_scenarios)
             .expect("mega fleet runs");
         fleet_ms[i] = started.elapsed().as_secs_f64() * 1000.0;
-        let _ = writeln!(
-            out,
-            "| {mode} | {} | {} | {} | {} | {:.0} |",
+        let (devices, leaked, payload) = (
             report.device_count(),
-            report.total_utterances(),
             report.leaked_sensitive_utterances(),
             report.total_payload_bytes(),
+        );
+        let _ = writeln!(
+            out,
+            "| {mode} | {devices} | {} | {leaked} | {payload} | {:.0} |",
+            report.total_utterances(),
             fleet_ms[i],
         );
+        outcome.gate(devices >= 10_000, format!("{mode}: {devices} devices"));
+        outcome.gate(leaked == 0, format!("{mode}: {leaked} leaked"));
+        outcome.gate(payload == 0, format!("{mode}: {payload} payload bytes"));
         // Keep only the decision summary: retaining the first mode's full
         // 10k-device report while the second mode runs would skew the
         // second run's allocator behaviour.
         summaries.push(FleetSummary {
-            devices: report.device_count(),
-            leaked: report.leaked_sensitive_utterances(),
+            devices,
+            leaked,
             received_ids: report
                 .devices()
                 .iter()
@@ -1488,6 +1594,7 @@ pub fn run_e16_int8_inference() -> (String, String) {
     let leaked_int8 = summaries[0].leaked;
     let leaked_f32 = summaries[1].leaked;
     let decisions_identical = summaries[0].received_ids == summaries[1].received_ids;
+    outcome.gate(decisions_identical, "int8 and f32 cloud decisions differ");
     let _ = writeln!(
         out,
         "\nPer-window classifier inference speedup {window_speedup:.2}x (the acceptance metric); \
@@ -1532,7 +1639,9 @@ pub fn run_e16_int8_inference() -> (String, String) {
         int8_ms = fleet_ms[0],
         f32_ms = fleet_ms[1],
     );
-    (out, json)
+    outcome.markdown = out;
+    outcome.files.push(("BENCH_E16.json", json));
+    outcome
 }
 
 /// E18 — the fleet telemetry plane: virtual-time span tracing, bounded
@@ -1542,9 +1651,8 @@ pub fn run_e16_int8_inference() -> (String, String) {
 /// telemetry on and off, at every worker count) and the fold's
 /// worker-count invariance, deep-dives one device into a chrome trace,
 /// and runs the plane over the E15 mega fleet with flat metric memory.
-/// Returns the markdown report **and** the `TRACE_E18.json` chrome-trace
-/// payload CI checks in.
-pub fn run_e18_telemetry() -> (String, String) {
+/// Its outcome carries the committed `TRACE_E18.json` chrome trace.
+pub fn run_e18_telemetry() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
     use perisec_telemetry::export::{chrome_trace_json, folded_stacks};
@@ -1621,6 +1729,9 @@ pub fn run_e18_telemetry() -> (String, String) {
         .map(perisec_telemetry::LogHistogram::count)
         .sum();
     let identical = off_json == on_json;
+    let mut outcome = Outcome::default();
+    outcome.gate(overhead_pct <= 5.0, format!("overhead {overhead_pct:.2}%"));
+    outcome.gate(identical, "telemetry changed the fleet report");
     let _ = writeln!(out, "| off | {off_ms:.0} | — | 0 |");
     let _ = writeln!(out, "| metrics | {on_ms:.0} | {span_events} | 0 |");
     let _ = writeln!(
@@ -1683,6 +1794,8 @@ pub fn run_e18_telemetry() -> (String, String) {
             if report_ok { "yes" } else { "NO (bug!)" },
             if fold_ok { "yes" } else { "NO (bug!)" },
         );
+        outcome.gate(report_ok, format!("{workers} workers: report on != off"));
+        outcome.gate(fold_ok, format!("{workers} workers: fold != 1-worker fold"));
     }
     let _ = writeln!(
         out,
@@ -1737,6 +1850,7 @@ pub fn run_e18_telemetry() -> (String, String) {
         telemetry.dropped_spans,
         if trace_parses { "yes" } else { "NO (bug!)" },
     );
+    outcome.gate(trace_parses, "the chrome trace does not parse");
     let folded = folded_stacks(&telemetry.spans);
     let mut stacks: Vec<&str> = folded.lines().collect();
     stacks.sort_by_key(|line| {
@@ -1796,41 +1910,48 @@ pub fn run_e18_telemetry() -> (String, String) {
         .values()
         .map(perisec_telemetry::LogHistogram::count)
         .sum();
-    let _ = writeln!(
-        out,
-        "| {} | {} | {mega_events} | {} | {} | {} | {} |",
+    let (devices, dropped, metrics_bytes, leaked) = (
         mega.device_count(),
-        stats.workers,
         mega_telemetry.dropped_spans,
         mega_telemetry.metrics_memory_bytes(),
-        mega_telemetry.traces.len(),
         mega.leaked_sensitive_utterances(),
     );
+    let _ = writeln!(
+        out,
+        "| {devices} | {} | {mega_events} | {dropped} | {metrics_bytes} | {} | {leaked} |",
+        stats.workers,
+        mega_telemetry.traces.len(),
+    );
+    outcome.gate(devices >= 10_000, format!("mega fleet: {devices} devices"));
+    outcome.gate(dropped == 0, format!("mega fleet: {dropped} dropped spans"));
+    outcome.gate(
+        metrics_bytes <= 65_536,
+        format!("mega fleet: {metrics_bytes} metrics bytes"),
+    );
+    outcome.gate(leaked == 0, format!("mega fleet: {leaked} leaked"));
     let _ = writeln!(
         out,
         "\nMega-fleet metrics memory: {} bytes for {} devices ({} span events) — \
          per-name histograms, flat in the device count. The executor ran {} step \
          slices and parked idle {} times.",
-        mega_telemetry.metrics_memory_bytes(),
-        mega.device_count(),
-        mega_events,
-        stats.step_slices,
-        stats.idle_parks,
+        metrics_bytes, devices, mega_events, stats.step_slices, stats.idle_parks,
     );
-    (out, trace_json)
+    outcome.markdown = out;
+    outcome.files.push(("TRACE_E18.json", trace_json));
+    outcome
 }
 
 /// E19 — the live fleet health plane: virtual-time epoch snapshots, SLO
 /// hysteresis, deterministic anomaly alerts, and the plane's overhead.
 ///
-/// Four claims, each with an awk-checkable line:
+/// Four claims, each gated:
 /// 1. A healthy fleet produces an **empty** alert journal.
 /// 2. Injected degradation fires the same alerts at the same virtual
 ///    timestamps no matter the worker count (journal byte-identity).
 /// 3. The functional `FleetReport` is byte-identical with the plane on
 ///    or off — health observes, it never steers the workload.
 /// 4. The plane's host overhead stays within the 5% telemetry gate.
-pub fn run_e19_health_plane() -> String {
+pub fn run_e19_health_plane() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, DegradeSpec, SharedModels};
     use perisec_telemetry::{HealthConfig, HealthState, SloSpec};
@@ -1889,10 +2010,15 @@ pub fn run_e19_health_plane() -> String {
         census.critical,
         census.alerts.len(),
     );
+    let healthy_alerts = census.alerts.len();
     let _ = writeln!(
         out,
-        "\nHealthy-fleet alert journal entries: {} (gate: 0).",
-        census.alerts.len()
+        "\nHealthy-fleet alert journal entries: {healthy_alerts} (gate: 0)."
+    );
+    let mut outcome = Outcome::default();
+    outcome.gate(
+        healthy_alerts == 0,
+        format!("healthy fleet: {healthy_alerts} alerts"),
     );
 
     // Part 2: injected degradation — after 2 s of virtual time every
@@ -1953,7 +2079,15 @@ pub fn run_e19_health_plane() -> String {
             health.transitions_to(HealthState::Degraded),
             if identical { "yes" } else { "NO (bug!)" },
         );
+        outcome.gate(
+            identical,
+            format!("{workers} workers: journal != 1-worker journal"),
+        );
     }
+    outcome.gate(
+        degraded_transitions >= 1,
+        "injected degradation fired no Degraded transition",
+    );
     let _ = writeln!(
         out,
         "\nDegraded transitions under injected degradation: {degraded_transitions} (gate: >= 1)."
@@ -1980,15 +2114,13 @@ pub fn run_e19_health_plane() -> String {
     let report_off = degraded_fleet(2, None)
         .run_mixed(&degraded_audio, &[])
         .expect("health-off fleet");
+    let unperturbed = report_on.to_json() == report_off.to_json();
     let _ = writeln!(
         out,
         "\nReports byte-identical with the health plane on: {}.",
-        if report_on.to_json() == report_off.to_json() {
-            "yes"
-        } else {
-            "NO (bug!)"
-        },
+        if unperturbed { "yes" } else { "NO (bug!)" },
     );
+    outcome.gate(unperturbed, "the health plane changed the fleet report");
 
     // Part 4: the plane's host cost on a 1024-device verdict-only camera
     // fleet — paired best-of-5 rounds after an unmeasured warm-up, the
@@ -2047,13 +2179,19 @@ pub fn run_e19_health_plane() -> String {
         out,
         "Payload tripwire alerts on the verdict-only camera fleet: {tripwire_alerts} (gate: 0).",
     );
-    out
+    outcome.gate(overhead_pct <= 5.0, format!("overhead {overhead_pct:.2}%"));
+    outcome.gate(
+        tripwire_alerts == 0,
+        format!("{tripwire_alerts} payload tripwire alerts"),
+    );
+    outcome.markdown = out;
+    outcome
 }
 
 /// E20 — fault-tolerant sealed relay: deterministic network chaos,
 /// virtual-time retry/backoff, replay-safe idempotent cloud ingest.
 ///
-/// Four claims, each with an awk-checkable line:
+/// Three claims, each gated:
 /// 1. Under 10% drop plus duplication, reordering, corruption and one
 ///    outage window, the cloud's committed decision stream is
 ///    **byte-identical** to the fault-free run at every worker count —
@@ -2065,7 +2203,7 @@ pub fn run_e19_health_plane() -> String {
 ///    host schedule.
 /// 3. A zero-rate `FaultSpec` is a no-op — wiring the chaos plane in
 ///    costs nothing when every rate is zero.
-pub fn run_e20_fault_tolerance() -> String {
+pub fn run_e20_fault_tolerance() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
     use perisec_relay::netsim::FaultSpec;
@@ -2157,6 +2295,7 @@ pub fn run_e20_fault_tolerance() -> String {
     let mut max_duplicated = 0usize;
     let mut total_redelivered = 0u64;
     let mut total_rejected = 0u64;
+    let mut outcome = Outcome::default();
     for workers in [1usize, 2, 8] {
         let (report, _, _, census) = fleet(Some(faults), workers)
             .run_mixed_health(&audio, &cameras)
@@ -2197,7 +2336,20 @@ pub fn run_e20_fault_tolerance() -> String {
             if matches_reference { "yes" } else { "NO" },
             if matches_serial { "yes" } else { "NO" },
         );
+        outcome.gate(
+            matches_reference,
+            format!("{workers} workers: decisions != fault-free"),
+        );
+        outcome.gate(
+            matches_serial,
+            format!("{workers} workers: journal != 1-worker journal"),
+        );
     }
+    outcome.gate(max_lost == 0, format!("{max_lost} verdicts lost"));
+    outcome.gate(max_duplicated == 0, format!("{max_duplicated} duplicates"));
+    outcome.gate(total_redelivered >= 1, "no redelivered record");
+    outcome.gate(total_rejected >= 1, "no rejected record");
+    outcome.gate(min_storms >= 1, "no retry-storm alert");
     let _ = writeln!(
         out,
         "\nCloud decisions byte-identical to the fault-free run at every worker \
@@ -2249,16 +2401,15 @@ pub fn run_e20_fault_tolerance() -> String {
         PipelineFleet::with_models(quiet_config(Some(FaultSpec::none(0xE20))), models.clone())
             .run_mixed(&quiet_audio, &[])
             .expect("disarmed-chaos fleet");
+    let disarmed_is_noop = plain.to_json() == disarmed.to_json();
     let _ = writeln!(
         out,
         "Zero-rate FaultSpec leaves the report byte-identical: {}.",
-        if plain.to_json() == disarmed.to_json() {
-            "yes"
-        } else {
-            "NO"
-        }
+        if disarmed_is_noop { "yes" } else { "NO" }
     );
-    out
+    outcome.gate(disarmed_is_noop, "a zero-rate FaultSpec changed the report");
+    outcome.markdown = out;
+    outcome
 }
 
 /// E21 — the attested sharded ingest plane. Three parts:
@@ -2273,7 +2424,7 @@ pub fn run_e20_fault_tolerance() -> String {
 ///    record survives exactly once.
 /// 3. Shard scaling: the modeled service throughput grows with the
 ///    shard count because commit work parallelises across journals.
-pub fn run_e21_ingest_plane() -> String {
+pub fn run_e21_ingest_plane() -> Outcome {
     use std::sync::Arc;
 
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
@@ -2341,6 +2492,7 @@ pub fn run_e21_ingest_plane() -> String {
     let mut total_redelivered = 0u64;
     let mut max_lost = 0usize;
     let mut max_duplicated = 0usize;
+    let mut outcome = Outcome::default();
     for workers in [1usize, 2, 8] {
         let plane = IngestPlane::new(
             IngestPlaneConfig::new(2, devices)
@@ -2382,7 +2534,15 @@ pub fn run_e21_ingest_plane() -> String {
             counters.attest_grants,
             if matches_reference { "yes" } else { "NO" },
         );
+        outcome.gate(
+            matches_reference,
+            format!("{workers} workers: decisions != direct"),
+        );
     }
+    outcome.gate(max_lost == 0, format!("{max_lost} verdicts lost"));
+    outcome.gate(max_duplicated == 0, format!("{max_duplicated} duplicates"));
+    outcome.gate(min_stale >= 1, "no stale-epoch reject in the drill");
+    outcome.gate(total_redelivered >= 1, "no redelivered record");
     let _ = writeln!(
         out,
         "\nCloud decisions byte-identical to the direct path at every worker count: {}.",
@@ -2510,6 +2670,7 @@ pub fn run_e21_ingest_plane() -> String {
     let elapsed = started.elapsed();
     let counters = mega.counters();
     let expected = SESSIONS * RECORDS;
+    let committed = mega.total_committed();
     out.push_str(&format!(
         "\n### Mega-fleet: {SESSIONS} wire-level sessions, 8 shards, two crash \
          windows per shard\n\n"
@@ -2521,8 +2682,7 @@ pub fn run_e21_ingest_plane() -> String {
     );
     let _ = writeln!(
         out,
-        "Committed exactly once: {} of {expected} (gate: all, no loss, no dup).",
-        mega.total_committed()
+        "Committed exactly once: {committed} of {expected} (gate: all, no loss, no dup)."
     );
     let _ = writeln!(
         out,
@@ -2534,6 +2694,13 @@ pub fn run_e21_ingest_plane() -> String {
         "Mega-fleet attest grants: {} (gate: >= {SESSIONS}).",
         counters.attest_grants
     );
+    outcome.gate(SESSIONS == 100_000, format!("{SESSIONS} sessions"));
+    outcome.gate(
+        expected == 200_000 && committed == expected,
+        format!("mega fleet: {committed} of {expected} records committed"),
+    );
+    let stale = counters.stale_epoch_rejects;
+    outcome.gate(stale >= 1, "no stale-epoch reject in the mega fleet");
 
     // --- Part 3: shard balance ------------------------------------------
     // Wire-level load against 4 shards. The busiest shard's commit work
@@ -2591,7 +2758,9 @@ pub fn run_e21_ingest_plane() -> String {
     }
     let per_shard = plane.committed_per_shard();
     let total = plane.total_committed();
+    let sent = SCALE_SESSIONS * SCALE_RECORDS;
     let busiest = per_shard.iter().copied().max().unwrap_or(0);
+    let balance = busiest as f64 * SCALE_SHARDS as f64 / total.max(1) as f64;
     out.push_str("\n### Shard balance: records committed per shard\n\n");
     out.push_str("| shard | committed records |\n|---|---|\n");
     for (shard, committed) in per_shard.iter().enumerate() {
@@ -2599,43 +2768,19 @@ pub fn run_e21_ingest_plane() -> String {
     }
     let _ = writeln!(
         out,
-        "\nCommitted across {SCALE_SHARDS} shards: {total} of {}.",
-        SCALE_SESSIONS * SCALE_RECORDS
+        "\nCommitted across {SCALE_SHARDS} shards: {total} of {sent}."
     );
     let _ = writeln!(
         out,
-        "Shard balance at {SCALE_SHARDS} shards, busiest / mean committed: {:.2} (gate: <= 2.0).",
-        busiest as f64 * SCALE_SHARDS as f64 / total.max(1) as f64
+        "Shard balance at {SCALE_SHARDS} shards, busiest / mean committed: {balance:.2} (gate: <= 2.0)."
     );
-    out
-}
-
-/// Runs every experiment and concatenates the tables (used by the
-/// `experiments` binary and by EXPERIMENTS.md generation).
-pub fn run_all() -> String {
-    [
-        run_e1_tcb(),
-        run_e2_throughput(),
-        run_e3_latency(),
-        run_e4_accuracy(),
-        run_e5_model_memory(),
-        run_e6_power(),
-        run_e7_worldswitch(),
-        run_e8_leakage(),
-        run_e9_scalability(),
-        run_e10_footprint(),
-        run_e11_batch_sweep(),
-        run_e12_fleet(),
-        run_e13_vision(),
-        run_e14_shard_sweep(),
-        run_e15_fleet_executor(),
-        run_e16_int8_inference().0,
-        run_e18_telemetry().0,
-        run_e19_health_plane(),
-        run_e20_fault_tolerance(),
-        run_e21_ingest_plane(),
-    ]
-    .join("\n")
+    outcome.gate(
+        sent == 6_400 && total == sent,
+        format!("{total} of {sent} records committed across {SCALE_SHARDS} shards"),
+    );
+    outcome.gate(balance <= 2.0, format!("shard balance {balance:.2}"));
+    outcome.markdown = out;
+    outcome
 }
 
 #[cfg(test)]
@@ -2646,16 +2791,16 @@ mod tests {
     fn fast_experiments_produce_tables() {
         // Only the cheap experiments are exercised in unit tests; the full
         // set runs through the `experiments` binary and integration tests.
-        let e1 = run_e1_tcb();
+        let e1 = run_e1_tcb().markdown;
         assert!(e1.contains("| record |"));
         assert!(e1.contains("yes"));
-        let e2 = run_e2_throughput();
+        let e2 = run_e2_throughput().markdown;
         assert!(e2.lines().count() > 6);
-        let e7 = run_e7_worldswitch();
+        let e7 = run_e7_worldswitch().markdown;
         assert!(e7.contains("SMC round trip"));
-        let e9 = run_e9_scalability();
+        let e9 = run_e9_scalability().markdown;
         assert!(e9.contains("| 16 |"));
         let e10_header = "## E10";
-        assert!(run_e10_footprint().contains(e10_header));
+        assert!(run_e10_footprint().markdown.contains(e10_header));
     }
 }

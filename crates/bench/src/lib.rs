@@ -2,9 +2,10 @@
 //!
 //! The paper contains no measured evaluation ("We are yet to perform
 //! concrete experiments", §III); this crate operationalizes the evaluation
-//! it promises. Each `run_eN` function reproduces one experiment from the
-//! index in DESIGN.md §5 and returns a formatted table; the `exp_eN`
-//! binaries print them, and EXPERIMENTS.md records the results.
+//! it promises. Each `run_eN` function runs one experiment and returns an
+//! [`Outcome`]: its markdown tables, the files it writes and the gates it
+//! failed. The `experiments` binary runs them by id (`experiments e11
+//! e14`), and exits non-zero if a gate failed.
 //!
 //! Criterion benches (under `benches/`) cover the microbenchmark side:
 //! world-switch primitives, capture throughput, crypto, and ML inference.

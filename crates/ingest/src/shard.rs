@@ -280,6 +280,12 @@ impl IngestShard {
             state.report.rejected_records += 1;
             return Vec::new();
         };
+        // An event that does not decode is rejected at any seq, as the
+        // direct cloud rejects it: never re-acked as a redelivery.
+        let Ok(event) = AvsEvent::decode(event_bytes) else {
+            state.report.rejected_records += 1;
+            return Vec::new();
+        };
         // Redelivery of something already durable: re-ack from the
         // journal (committed) or from the stash (accepted but not yet
         // committed). Deliberately epoch-agnostic — the promise was
@@ -302,10 +308,6 @@ impl IngestShard {
             };
             return seal(state, seq, &reply.encode());
         }
-        let Ok(event) = AvsEvent::decode(event_bytes) else {
-            state.report.rejected_records += 1;
-            return Vec::new();
-        };
         if state.window.is_full(seq, self.config.queue_cap) {
             state.backpressure_rejects += 1;
             let reply = IngestReply::Backpressure {

@@ -46,7 +46,7 @@
 //! classification head is trained with Adam. This preserves what the
 //! evaluation needs — three architecturally distinct classifiers whose
 //! accuracy, latency and memory can be compared inside the TEE — without
-//! external artifacts. DESIGN.md documents this substitution.
+//! external artifacts.
 
 // Unsafe is denied crate-wide and allowed back only for the `quant::x86`
 // intrinsic kernels and their runtime-dispatch call sites. Everything

@@ -17,8 +17,8 @@
 //! * [`memory`] — secure-RAM residency accounting for co-resident TA
 //!   sessions, including the model-dedup saving the multi-core scheduler
 //!   relies on;
-//! * [`report`] — serializable reports and markdown tables for
-//!   EXPERIMENTS.md.
+//! * [`report`] — serializable reports and the markdown tables experiment
+//!   E1 prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

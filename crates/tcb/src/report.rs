@@ -26,7 +26,7 @@ impl TcbReport {
         self.full_image.loc as f64 / self.pruned_image.loc as f64
     }
 
-    /// Renders the per-task table as markdown (used by EXPERIMENTS.md).
+    /// Renders the per-task table as markdown (experiment E1 prints it).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str("| task | functions | loc | % of driver |\n");

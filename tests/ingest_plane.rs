@@ -87,6 +87,10 @@ impl WireSession {
     }
 }
 
+/// Authenticated, correctly framed record bytes that decode to no AVS
+/// event.
+const GARBAGE: &[u8] = &[0xff, 0x00, 0x13];
+
 fn event(dialog_id: u64) -> AvsEvent {
     AvsEvent::TextMessage {
         dialog_id,
@@ -216,8 +220,6 @@ fn backpressure_is_typed_and_surfaces_in_shard_health() {
 
 #[test]
 fn undecodable_records_are_rejected_before_they_are_counted_or_queued() {
-    // Authenticated, correctly framed, but no AVS event.
-    const GARBAGE: &[u8] = &[0xff, 0x00, 0x13];
     let ta = measurement_of("test-ta");
     let plane = IngestPlane::new(
         IngestPlaneConfig::new(1, 1)
@@ -464,7 +466,7 @@ fn fault_free_reference(ta: [u8; MEASUREMENT_LEN], records: u64) -> Vec<Received
 
 /// What an engine answered to one arrival: the AVS directive of an
 /// accepted or redelivered record, or a refusal (silence from the
-/// direct cloud, a typed `Backpressure` from a shard).
+/// direct cloud, a typed `Backpressure` or silence from a shard).
 #[derive(Debug, PartialEq)]
 enum Answer {
     Directive(AvsDirective),
@@ -490,9 +492,20 @@ fn parity_event(seq: u64) -> AvsEvent {
     }
 }
 
-/// Feeds `schedule` (one sequence number per arrival) to a direct
-/// `MockCloudService`.
-fn direct_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
+/// One arrival: a sequence number, and whether it carries [`GARBAGE`]
+/// in place of `parity_event(seq)`.
+type Arrival = (u64, bool);
+
+fn arrival_bytes(&(seq, garbage): &Arrival) -> Vec<u8> {
+    if garbage {
+        GARBAGE.to_vec()
+    } else {
+        parity_event(seq).encode()
+    }
+}
+
+/// Feeds `schedule` to a direct `MockCloudService`.
+fn direct_answers(schedule: &[Arrival]) -> (Vec<Answer>, CloudReport) {
     let cloud = MockCloudService::new(PSK);
     let mut client = SecureChannelClient::new(PSK, 1000);
     let hello = cloud.handle(0, &client.client_hello());
@@ -501,10 +514,9 @@ fn direct_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
         .expect("server hello authenticates");
     let answers = schedule
         .iter()
-        .map(|&seq| {
-            let wire = client
-                .seal_at(seq, &parity_event(seq).encode())
-                .expect("seal");
+        .map(|arrival| {
+            let seq = arrival.0;
+            let wire = client.seal_at(seq, &arrival_bytes(arrival)).expect("seal");
             let reply = cloud.handle(0, &wire);
             if reply.is_empty() {
                 return Answer::Refused;
@@ -519,7 +531,7 @@ fn direct_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
 
 /// Feeds `schedule` to an attested session of a fault-free 1-shard plane
 /// at the default queue cap.
-fn plane_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
+fn plane_answers(schedule: &[Arrival]) -> (Vec<Answer>, CloudReport) {
     let ta = measurement_of("parity-ta");
     let plane = IngestPlane::new(IngestPlaneConfig::new(1, 1).accepting(vec![ta]));
     let mut wire = WireSession::connect(&plane, 0, 0);
@@ -529,13 +541,15 @@ fn plane_answers(schedule: &[u64]) -> (Vec<Answer>, CloudReport) {
     ));
     let answers = schedule
         .iter()
-        .map(|&seq| match wire.send(seq, 1, &parity_event(seq)) {
-            Some(IngestReply::Ack(directive)) => {
-                Answer::Directive(AvsDirective::decode(&directive).expect("directive"))
-            }
-            Some(IngestReply::Backpressure { .. }) => Answer::Refused,
-            other => panic!("unexpected reply to seq {seq}: {other:?}"),
-        })
+        .map(
+            |arrival| match wire.send_bytes(arrival.0, 1, &arrival_bytes(arrival)) {
+                Some(IngestReply::Ack(directive)) => {
+                    Answer::Directive(AvsDirective::decode(&directive).expect("directive"))
+                }
+                Some(IngestReply::Backpressure { .. }) | None => Answer::Refused,
+                other => panic!("unexpected reply to {arrival:?}: {other:?}"),
+            },
+        )
         .collect();
     (answers, plane.session_report(0))
 }
@@ -563,21 +577,29 @@ impl Splitmix {
 
 proptest! {
     /// The two exactly-once engines agree under any reordering: a
-    /// permutation of `0..n` with duplicates spliced in gets the same
-    /// directive at every arrival and the same committed report.
+    /// permutation of `0..n` with duplicates and undecodable records
+    /// spliced in gets the same answer at every arrival and the same
+    /// committed report. Only the undecodable arrivals are refused,
+    /// including those at an already-accepted seq.
     #[test]
     fn direct_cloud_and_plane_agree_under_any_arrival_order(seed in any::<u64>()) {
         let mut rng = Splitmix(seed);
         let n = 1 + rng.below(40);
-        let mut schedule = rng.shuffled(0..n);
-        for _ in 0..rng.below(n + 1) {
-            let at = rng.below(schedule.len() as u64 + 1) as usize;
-            let seq = rng.below(n);
-            schedule.insert(at, seq);
+        let mut schedule: Vec<Arrival> =
+            rng.shuffled(0..n).into_iter().map(|seq| (seq, false)).collect();
+        for garbage in [false, true] {
+            for _ in 0..rng.below(n + 1) {
+                let at = rng.below(schedule.len() as u64 + 1) as usize;
+                let seq = rng.below(n);
+                schedule.insert(at, (seq, garbage));
+            }
         }
         let (direct, direct_report) = direct_answers(&schedule);
         let (plane, plane_report) = plane_answers(&schedule);
-        prop_assert!(direct.iter().all(|a| *a != Answer::Refused));
+        prop_assert!(direct
+            .iter()
+            .zip(&schedule)
+            .all(|(answer, &(_, garbage))| (*answer == Answer::Refused) == garbage));
         prop_assert_eq!(&direct, &plane, "answers differ for {:?}", schedule);
         prop_assert_eq!(direct_report.committed_records, n);
         prop_assert_eq!(&direct_report, &plane_report, "reports differ for {:?}", schedule);
@@ -596,6 +618,7 @@ proptest! {
         schedule.push(0);
         schedule.extend(rng.shuffled(1..=ahead));
         schedule.extend(0..=ahead);
+        let schedule: Vec<Arrival> = schedule.into_iter().map(|seq| (seq, false)).collect();
         let (direct, direct_report) = direct_answers(&schedule);
         let (plane, plane_report) = plane_answers(&schedule);
         let refused = direct.iter().filter(|a| **a == Answer::Refused).count() as u64;
