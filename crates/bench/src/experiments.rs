@@ -1003,19 +1003,17 @@ pub fn run_e15_fleet_executor() -> Outcome {
             .expect("executor fleet");
         let leaked = pooled.leaked_sensitive_utterances();
         let payload = pooled.total_payload_bytes();
+        let (resident, workers) = (stats.peak_resident, stats.workers);
         let _ = writeln!(
             out,
-            "| {devices} | {} | {:.0} | {} | {} | {leaked} | {payload} |",
-            stats.workers,
+            "| {devices} | {workers} | {:.0} | {resident} | {} | {leaked} | {payload} |",
             stats.host_millis,
-            stats.peak_resident,
             stats.steals.len(),
         );
-        let (resident, workers) = (stats.peak_resident, stats.workers);
         outcome.gate(leaked == 0, format!("{devices} devices: {leaked} leaked"));
         outcome.gate(
             payload == 0,
-            format!("{devices} devices: {payload} payload B"),
+            format!("{devices} devices: {payload} payload bytes"),
         );
         outcome.gate(
             resident <= workers,
