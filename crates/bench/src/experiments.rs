@@ -2570,6 +2570,7 @@ pub fn run_e21_ingest_plane() -> Outcome {
     // whenever the restarted shard fences its epoch.
     const SESSIONS: u64 = 100_000;
     const RECORDS: u64 = 2;
+    const _: () = assert!(SESSIONS == 100_000 && SESSIONS * RECORDS == 200_000);
     const SPACING_NS: u64 = 10_000;
     let ta = measurement_of(FILTER_TA_NAME);
     let mega = IngestPlane::new(
@@ -2692,9 +2693,8 @@ pub fn run_e21_ingest_plane() -> Outcome {
         "Mega-fleet attest grants: {} (gate: >= {SESSIONS}).",
         counters.attest_grants
     );
-    outcome.gate(SESSIONS == 100_000, format!("{SESSIONS} sessions"));
     outcome.gate(
-        expected == 200_000 && committed == expected,
+        committed == expected,
         format!("mega fleet: {committed} of {expected} records committed"),
     );
     let stale = counters.stale_epoch_rejects;
@@ -2709,6 +2709,7 @@ pub fn run_e21_ingest_plane() -> Outcome {
     const SCALE_SHARDS: usize = 4;
     const SCALE_SESSIONS: u64 = 16;
     const SCALE_RECORDS: u64 = 400;
+    const _: () = assert!(SCALE_SESSIONS * SCALE_RECORDS == 6_400);
     fn mega_handshake(
         plane: &std::sync::Arc<perisec_ingest::IngestPlane>,
         session: u64,
@@ -2773,7 +2774,7 @@ pub fn run_e21_ingest_plane() -> Outcome {
         "Shard balance at {SCALE_SHARDS} shards, busiest / mean committed: {balance:.2} (gate: <= 2.0)."
     );
     outcome.gate(
-        sent == 6_400 && total == sent,
+        total == sent,
         format!("{total} of {sent} records committed across {SCALE_SHARDS} shards"),
     );
     outcome.gate(balance <= 2.0, format!("shard balance {balance:.2}"));

@@ -251,6 +251,19 @@ fn undecodable_records_are_rejected_before_they_are_counted_or_queued() {
     assert_eq!(report.out_of_order_records, 1);
     assert_eq!(plane.counters().backpressure_rejects, 0);
 
+    // At the already-accepted seq 2, under a superseded epoch, and on a
+    // session that never attested, it is the same silent rejection: no
+    // re-ack, no StaleEpoch or NeedAttest reply, and no fence reject.
+    assert!(wire.send_bytes(2, 1, GARBAGE).is_none());
+    assert!(wire.send_bytes(4, 0, GARBAGE).is_none());
+    let mut unattested = WireSession::connect(&plane, 1, 0);
+    assert!(unattested.send_bytes(0, 0, GARBAGE).is_none());
+    let report = plane.session_report(0);
+    assert_eq!(report.rejected_records, 4);
+    assert_eq!(report.redelivered_records, 0);
+    assert_eq!(plane.session_report(1).rejected_records, 1);
+    assert_eq!(plane.counters().stale_epoch_rejects, 0);
+
     // The direct cloud counts the first record the same way.
     let cloud = MockCloudService::new(PSK);
     let mut client = SecureChannelClient::new(PSK, 1000);
@@ -466,7 +479,8 @@ fn fault_free_reference(ta: [u8; MEASUREMENT_LEN], records: u64) -> Vec<Received
 
 /// What an engine answered to one arrival: the AVS directive of an
 /// accepted or redelivered record, or a refusal (silence from the
-/// direct cloud, a typed `Backpressure` or silence from a shard).
+/// direct cloud; from a shard, a typed `Backpressure` for a well-formed
+/// record and silence for an undecodable one).
 #[derive(Debug, PartialEq)]
 enum Answer {
     Directive(AvsDirective),
@@ -546,7 +560,10 @@ fn plane_answers(schedule: &[Arrival]) -> (Vec<Answer>, CloudReport) {
                 Some(IngestReply::Ack(directive)) => {
                     Answer::Directive(AvsDirective::decode(&directive).expect("directive"))
                 }
-                Some(IngestReply::Backpressure { .. }) | None => Answer::Refused,
+                // A well-formed record is refused only with a typed
+                // Backpressure, an undecodable one only with silence.
+                Some(IngestReply::Backpressure { .. }) if !arrival.1 => Answer::Refused,
+                None if arrival.1 => Answer::Refused,
                 other => panic!("unexpected reply to {arrival:?}: {other:?}"),
             },
         )
