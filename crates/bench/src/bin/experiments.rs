@@ -5,10 +5,17 @@
 //! `TRACE_E18.json`) to the working directory, and each gate it failed to
 //! stderr. The exit status is 1 if any gate failed, and 2, before anything
 //! runs, if an id is unknown.
+//!
+//! `experiments loc` runs no experiment: it prints one JSON object mapping
+//! each crate under `crates/` to its non-test lines ([`loc`]).
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use perisec_bench::*;
+
+/// The id of the line-count record, which is not an experiment.
+const LOC: &str = "loc";
 
 type Experiment = (&'static str, fn() -> Outcome);
 
@@ -37,11 +44,29 @@ const EXPERIMENTS: [Experiment; 20] = [
 
 fn main() -> ExitCode {
     let ids: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let known = |id: &String| EXPERIMENTS.iter().any(|(name, _)| name == id);
+    let known = |id: &String| id == LOC || EXPERIMENTS.iter().any(|(name, _)| name == id);
     if let Some(unknown) = ids.iter().find(|id| !known(id)) {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!("unknown experiment {unknown}; known: {}", names.join(" "));
+        eprintln!(
+            "unknown experiment {unknown}; known: {} {LOC}",
+            names.join(" ")
+        );
         return ExitCode::from(2);
+    }
+    if ids.iter().any(|id| id == LOC) {
+        let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("the bench crate sits in the crates directory");
+        match loc::crate_lines(crates_dir) {
+            Ok(counts) => println!(
+                "{}",
+                serde_json::to_string(&counts).expect("a map of counts serializes")
+            ),
+            Err(e) => {
+                eprintln!("{LOC}: reading {}: {e}", crates_dir.display());
+                return ExitCode::FAILURE;
+            }
+        }
     }
     let mut any_failed = false;
     for (name, run) in EXPERIMENTS {

@@ -1,7 +1,11 @@
 //! Neural-network layers.
 //!
-//! Forward passes for every layer the three classifier architectures need,
-//! plus backpropagation for the dense layers used in the trainable head.
+//! Forward passes for every layer the three classifier architectures need.
+//! The trainable head's backward pass is fused into
+//! [`crate::head::ClassifierHead::train`] ([`crate::head`] gives the order
+//! it keeps); the batched dense backward it replaced, `dense_backward`,
+//! stays at the end of this module, compiled for tests only, as that
+//! loop's oracle.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,41 +83,6 @@ impl Dense {
     pub fn flops(&self, n: usize) -> u64 {
         (n * self.weights.rows() * self.weights.cols()) as u64
     }
-}
-
-/// Gradients of a dense layer produced by [`dense_backward`].
-#[derive(Debug, Clone)]
-pub struct DenseGrad {
-    /// Gradient with respect to the weights.
-    pub d_weights: Matrix,
-    /// Gradient with respect to the bias.
-    pub d_bias: Vec<f32>,
-    /// Gradient with respect to the input (propagated upstream).
-    pub d_input: Matrix,
-}
-
-/// Backward pass of a dense layer.
-///
-/// `input` is the forward input (`n x in`), `d_output` is the gradient of
-/// the loss with respect to the layer output (`n x out`).
-///
-/// # Errors
-///
-/// Returns [`MlError::ShapeMismatch`] on inconsistent shapes.
-pub fn dense_backward(layer: &Dense, input: &Matrix, d_output: &Matrix) -> Result<DenseGrad> {
-    let d_weights = input.transpose().matmul(d_output)?;
-    let mut d_bias = vec![0.0f32; layer.bias.len()];
-    for r in 0..d_output.rows() {
-        for (c, grad) in d_bias.iter_mut().enumerate().take(d_output.cols()) {
-            *grad += d_output.get(r, c);
-        }
-    }
-    let d_input = d_output.matmul(&layer.weights.transpose())?;
-    Ok(DenseGrad {
-        d_weights,
-        d_bias,
-        d_input,
-    })
 }
 
 /// Token embedding table.
@@ -380,6 +349,48 @@ impl SelfAttention {
         // Four projections plus two len x len matmuls.
         (4 * len * dim * dim + 2 * len * len * dim) as u64
     }
+}
+
+/// Gradients of a dense layer produced by [`dense_backward`].
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct DenseGrad {
+    /// Gradient with respect to the weights.
+    pub d_weights: Matrix,
+    /// Gradient with respect to the bias.
+    pub d_bias: Vec<f32>,
+    /// Gradient with respect to the input (propagated upstream).
+    pub d_input: Matrix,
+}
+
+/// Backward pass of a dense layer: the batched oracle of the fused
+/// backward pass in [`crate::head::ClassifierHead::train`].
+///
+/// `input` is the forward input (`n x in`), `d_output` is the gradient of
+/// the loss with respect to the layer output (`n x out`).
+///
+/// # Errors
+///
+/// Returns [`MlError::ShapeMismatch`] on inconsistent shapes.
+#[cfg(test)]
+pub(crate) fn dense_backward(
+    layer: &Dense,
+    input: &Matrix,
+    d_output: &Matrix,
+) -> Result<DenseGrad> {
+    let d_weights = input.transpose().matmul(d_output)?;
+    let mut d_bias = vec![0.0f32; layer.bias.len()];
+    for r in 0..d_output.rows() {
+        for (c, grad) in d_bias.iter_mut().enumerate().take(d_output.cols()) {
+            *grad += d_output.get(r, c);
+        }
+    }
+    let d_input = d_output.matmul(&layer.weights.transpose())?;
+    Ok(DenseGrad {
+        d_weights,
+        d_bias,
+        d_input,
+    })
 }
 
 #[cfg(test)]

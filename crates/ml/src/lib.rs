@@ -12,12 +12,12 @@
 //!
 //! * [`tensor`] — a small dense-matrix type with the operations the models
 //!   need;
-//! * [`layers`] — dense layers (with backprop), embeddings, 1-D
-//!   convolutions, single-head self-attention, layer norm and pooling;
+//! * [`layers`] — dense layers, embeddings, 1-D convolutions, single-head
+//!   self-attention, layer norm and pooling;
 //! * [`models`] — the three feature extractors the paper names: a text CNN,
 //!   a Transformer encoder, and a hybrid CNN→Transformer;
 //! * [`head`] — the trainable classification head (dense-ReLU-dense,
-//!   Adam + binary cross-entropy);
+//!   Adam + binary cross-entropy, backpropagated in one fused pass);
 //! * [`classifier`] — [`classifier::SensitiveClassifier`], which combines
 //!   an extractor and a head, trains on a labelled token corpus, predicts,
 //!   and reports quality metrics and resource footprints;

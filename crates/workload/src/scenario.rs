@@ -92,7 +92,7 @@ impl Scenario {
                 let mut generator = CorpusGenerator::new(
                     Vocabulary::smart_home(),
                     sensitive_fraction,
-                    seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    device_seed(seed, device),
                 );
                 Scenario::from_utterances(
                     format!("fleet-device-{device}"),
@@ -230,6 +230,27 @@ impl CameraScenario {
         spacing: SimDuration,
         seed: u64,
     ) -> Self {
+        CameraScenario::seeded_scenes(
+            format!("scenes-{n}x{:.0}pct", sensitive_fraction * 100.0),
+            n,
+            sensitive_fraction,
+            2,
+            spacing,
+            seed,
+        )
+    }
+
+    /// The scene mix of [`CameraScenario::mixed_scenes`] for `seed`, with
+    /// `frames` frames per event, built under its final `name`: the
+    /// fan-outs format one name per device rather than three.
+    fn seeded_scenes(
+        name: String,
+        n: usize,
+        sensitive_fraction: f64,
+        frames: usize,
+        spacing: SimDuration,
+        seed: u64,
+    ) -> Self {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -248,12 +269,7 @@ impl CameraScenario {
                 }
             })
             .collect();
-        CameraScenario::from_scenes(
-            format!("scenes-{n}x{:.0}pct", sensitive_fraction * 100.0),
-            scenes,
-            2,
-            spacing,
-        )
+        CameraScenario::from_scenes(name, scenes, frames, spacing)
     }
 
     /// A high-fps capture stream: the camera delivers `frames_per_event`
@@ -275,20 +291,21 @@ impl CameraScenario {
         sensitive_fraction: f64,
         seed: u64,
     ) -> Self {
-        let frames_per_event = frames_per_event.max(1);
-        let fps = fps.max(1);
-        let spacing =
-            SimDuration::from_nanos(frames_per_event as u64 * 1_000_000_000 / u64::from(fps));
-        let mut scenario = CameraScenario::mixed_scenes(n, sensitive_fraction, spacing, seed);
-        for event in &mut scenario.events {
-            event.frames = frames_per_event;
-        }
-        scenario.name = format!("high-fps-{fps}x{frames_per_event}");
-        scenario
+        let (frames_per_event, fps, spacing) = high_fps_cadence(frames_per_event, fps);
+        CameraScenario::seeded_scenes(
+            format!("high-fps-{fps}x{frames_per_event}"),
+            n,
+            sensitive_fraction,
+            frames_per_event,
+            spacing,
+            seed,
+        )
     }
 
     /// Fan-out for a high-fps camera fleet: `devices` schedules derived
     /// from `seed`, each distinct but reproducible, all at the same rate.
+    /// Device `d` gets [`CameraScenario::high_fps`] of its own seed, named
+    /// with a `-device-{d}` suffix.
     pub fn fleet_high_fps(
         devices: usize,
         n: usize,
@@ -297,17 +314,17 @@ impl CameraScenario {
         sensitive_fraction: f64,
         seed: u64,
     ) -> Vec<CameraScenario> {
+        let (frames_per_event, fps, spacing) = high_fps_cadence(frames_per_event, fps);
         (0..devices)
             .map(|device| {
-                let mut scenario = CameraScenario::high_fps(
+                CameraScenario::seeded_scenes(
+                    format!("high-fps-{fps}x{frames_per_event}-device-{device}"),
                     n,
-                    frames_per_event,
-                    fps,
                     sensitive_fraction,
-                    seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                scenario.name = format!("{}-device-{device}", scenario.name);
-                scenario
+                    frames_per_event,
+                    spacing,
+                    device_seed(seed, device),
+                )
             })
             .collect()
     }
@@ -356,7 +373,9 @@ impl CameraScenario {
     }
 
     /// Fan-out for a camera fleet: `devices` scene schedules derived from
-    /// `seed`, each distinct but reproducible.
+    /// `seed`, each distinct but reproducible. Device `d` gets
+    /// [`CameraScenario::mixed_scenes`] of its own seed, named
+    /// `camera-device-{d}`.
     pub fn fleet_cameras(
         devices: usize,
         n: usize,
@@ -366,14 +385,14 @@ impl CameraScenario {
     ) -> Vec<CameraScenario> {
         (0..devices)
             .map(|device| {
-                let mut scenario = CameraScenario::mixed_scenes(
+                CameraScenario::seeded_scenes(
+                    format!("camera-device-{device}"),
                     n,
                     sensitive_fraction,
+                    2,
                     spacing,
-                    seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                scenario.name = format!("camera-device-{device}");
-                scenario
+                    device_seed(seed, device),
+                )
             })
             .collect()
     }
@@ -417,6 +436,20 @@ impl CameraScenario {
             .map(|e| e.at)
             .unwrap_or(SimDuration::ZERO)
     }
+}
+
+/// The seed of device `device` in a fleet fan-out derived from `seed`.
+fn device_seed(seed: u64, device: usize) -> u64 {
+    seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// A high-fps stream's frames per window, rate (each at least 1) and
+/// window spacing: `frames_per_event` frames at `fps`.
+fn high_fps_cadence(frames_per_event: usize, fps: u32) -> (usize, u32, SimDuration) {
+    let frames_per_event = frames_per_event.max(1);
+    let fps = fps.max(1);
+    let spacing = SimDuration::from_nanos(frames_per_event as u64 * 1_000_000_000 / u64::from(fps));
+    (frames_per_event, fps, spacing)
 }
 
 #[cfg(test)]
@@ -500,6 +533,32 @@ mod tests {
         assert_ne!(schedules[0].events, schedules[1].events);
         for s in &schedules {
             assert_eq!(s.event_spacing(), schedules[0].event_spacing());
+        }
+    }
+
+    #[test]
+    fn camera_fanouts_equal_the_public_constructors_renamed() {
+        let spacing = SimDuration::from_millis(250);
+        for (devices, seed) in [(1, 0), (3, 0xF1), (5, 0x5EED_CAFE), (9, u64::MAX)] {
+            let renamed = |mut scenario: CameraScenario, name: String| {
+                scenario.name = name;
+                scenario
+            };
+            let fleet = CameraScenario::fleet_high_fps(devices, 6, 2, 30, 0.4, seed);
+            let cameras = CameraScenario::fleet_cameras(devices, 6, 0.4, spacing, seed);
+            assert_eq!(fleet.len(), devices);
+            assert_eq!(cameras.len(), devices);
+            for device in 0..devices {
+                let device_seed = seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let high_fps = CameraScenario::high_fps(6, 2, 30, 0.4, device_seed);
+                let name = format!("{}-device-{device}", high_fps.name);
+                assert_eq!(fleet[device], renamed(high_fps, name));
+                let mixed = CameraScenario::mixed_scenes(6, 0.4, spacing, device_seed);
+                assert_eq!(
+                    cameras[device],
+                    renamed(mixed, format!("camera-device-{device}"))
+                );
+            }
         }
     }
 
