@@ -9,17 +9,20 @@
 //!   the "has this session attested to *this* incarnation" bit. Lost on
 //!   every crash.
 //! * **durable** — the append-only journal (hello, attestation grants,
-//!   stashed arrivals, commits), the re-ack table, the committed-decision
-//!   report, and the rollback-protected monotonic counter / epoch pair.
-//!   Survives crashes; the journal is the single source the volatile
-//!   tier is rebuilt from.
+//!   accepted arrivals, commits), the committed-decision report, and the
+//!   rollback-protected monotonic counter / epoch pair. Survives
+//!   crashes; the journal is the single source the volatile tier is
+//!   rebuilt from.
 //!
 //! Dedup, stash and in-order commit are the direct `MockCloudService`'s
 //! own [`CommitWindow`]. Around it a shard adds only what is its own:
 //! acceptance is gated on the session's epoch, every accepted arrival is
 //! journaled *before* it is acked — so an ack is a durable promise that
-//! survives the shard, and redelivered records are re-acked from the
-//! journal without re-recording — and refusals are typed replies.
+//! survives the shard, and redelivered records are re-acked from their
+//! stashed or journaled event without re-recording — and refusals are
+//! typed replies. The durable tier keeps each accepted record once, in
+//! the journal: a re-ack is [`ack_for_event`] of it, and the
+//! `ingest.commit` series is folded from the commits' journaled depths.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,11 +54,11 @@ enum JournalEntry {
     /// epoch issued for it.
     Attest { counter: u64, epoch: u64 },
     /// An accepted arrival's event bytes (acked; committed at once or
-    /// stashed).
+    /// stashed). A redelivery of `seq` is re-acked from them.
     Stashed { seq: u64, event: Vec<u8> },
-    /// A commit: the sequence retired and the full reply plaintext its
-    /// redeliveries are re-acked with.
-    Committed { seq: u64, ack: Vec<u8> },
+    /// A commit: the sequence retired and the records still stashed
+    /// behind it, which price it in the commit-latency series.
+    Committed { seq: u64, depth: usize },
 }
 
 /// Per-session state. See the module docs for the volatile/durable
@@ -68,7 +71,6 @@ struct SessionState {
     built_incarnation: u64,
     // Durable tier.
     journal: Vec<JournalEntry>,
-    acks: HashMap<u64, Vec<u8>>,
     last_counter: u64,
     epoch: u64,
     report: CloudReport,
@@ -77,8 +79,11 @@ struct SessionState {
     backpressure_rejects: u64,
     attest_grants: u64,
     attest_rejects: u64,
-    commit_hist: LogHistogram,
 }
+
+// Every slot of a shard's session map holds one of these inline, so a
+// fixed-size array here costs every slot, used or not.
+const _: () = assert!(std::mem::size_of::<SessionState>() <= 512);
 
 impl SessionState {
     fn new(incarnation: u64) -> Self {
@@ -88,7 +93,6 @@ impl SessionState {
             attested: false,
             built_incarnation: incarnation,
             journal: Vec::new(),
-            acks: HashMap::new(),
             last_counter: 0,
             epoch: 0,
             report: CloudReport::default(),
@@ -96,23 +100,20 @@ impl SessionState {
             backpressure_rejects: 0,
             attest_grants: 0,
             attest_rejects: 0,
-            commit_hist: LogHistogram::new(),
         }
     }
 
     /// Crash recovery: drops the volatile tier and replays the journal.
     /// The channel comes back from the journaled hello (same
-    /// deterministic keys), the re-ack table from the `Committed`
-    /// entries, and the window resumes past the last commit with the
-    /// `Stashed` arrivals still waiting beyond it. The attested bit is
-    /// *not* restored — that is the rollback fence: the session must
-    /// re-prove itself to the new incarnation before any new record is
-    /// accepted.
+    /// deterministic keys), and the window resumes past the last
+    /// `Committed` entry with the `Stashed` arrivals still waiting beyond
+    /// it. The attested bit is *not* restored — that is the rollback
+    /// fence: the session must re-prove itself to the new incarnation
+    /// before any new record is accepted.
     fn rebuild(&mut self, config: &IngestPlaneConfig, session: u64, incarnation: u64) {
         self.channel = None;
         self.attested = false;
         self.built_incarnation = incarnation;
-        self.acks.clear();
         let mut next_commit = 0;
         for entry in &self.journal {
             match entry {
@@ -130,8 +131,7 @@ impl SessionState {
                     self.epoch = self.epoch.max(*epoch);
                 }
                 JournalEntry::Stashed { .. } => {}
-                JournalEntry::Committed { seq, ack } => {
-                    self.acks.insert(*seq, ack.clone());
+                JournalEntry::Committed { seq, .. } => {
                     next_commit = next_commit.max(seq + 1);
                 }
             }
@@ -145,6 +145,17 @@ impl SessionState {
             _ => None,
         });
         self.window = CommitWindow::resume(next_commit, waiting);
+    }
+
+    /// The event of a committed `seq`, decoded from its journaled
+    /// arrival.
+    fn journaled_event(&self, seq: u64) -> AvsEvent {
+        let event = self.journal.iter().rev().find_map(|entry| match entry {
+            JournalEntry::Stashed { seq: at, event } if *at == seq => Some(event),
+            _ => None,
+        });
+        AvsEvent::decode(event.expect("accepted arrivals are journaled"))
+            .expect("journaled events decoded on arrival")
     }
 }
 
@@ -291,9 +302,11 @@ impl IngestShard {
         // committed). Deliberately epoch-agnostic — the promise was
         // already made; only the ack needs retransmitting.
         if state.window.redelivered(seq, &mut state.report) {
-            let ack = state.acks.get(&seq).cloned();
-            let ack = ack.or_else(|| state.window.stashed(seq).map(ingest_ack));
-            return ack.map(|ack| seal(state, seq, &ack)).unwrap_or_default();
+            let ack = match state.window.stashed(seq) {
+                Some(stashed) => ingest_ack(stashed),
+                None => ingest_ack(&state.journaled_event(seq)),
+            };
+            return seal(state, seq, &ack);
         }
         // The rollback fence: no new promise without a live attestation
         // for this incarnation, and none for a superseded epoch.
@@ -322,29 +335,11 @@ impl IngestShard {
             seq,
             event: event_bytes.to_vec(),
         });
-        let SessionState {
-            window,
-            journal,
-            acks,
-            report,
-            commit_hist,
-            ..
-        } = state;
-        window.accept(seq, event, report, |committed, event, depth| {
-            let committed_ack = if committed == seq {
-                ack.clone()
-            } else {
-                ingest_ack(event)
-            };
-            journal.push(JournalEntry::Committed {
-                seq: committed,
-                ack: committed_ack.clone(),
+        state
+            .window
+            .accept(seq, event, &mut state.report, |seq, _, depth| {
+                state.journal.push(JournalEntry::Committed { seq, depth });
             });
-            acks.insert(committed, committed_ack);
-            commit_hist.record(SimDuration::from_nanos(
-                SERVICE_COST_NS * (depth as u64 + 1),
-            ));
-        });
         seal(state, seq, &ack)
     }
 
@@ -411,10 +406,16 @@ impl IngestShard {
                 count("ingest.backpressure", state.backpressure_rejects);
                 count("ingest.attest", state.attest_grants);
                 count("ingest.journal", state.journal.len() as u64);
-                if !state.commit_hist.is_empty() {
-                    telemetry
-                        .histograms
-                        .insert("ingest.commit", state.commit_hist.clone());
+                let mut commits = LogHistogram::new();
+                for entry in &state.journal {
+                    if let JournalEntry::Committed { depth, .. } = entry {
+                        commits.record(SimDuration::from_nanos(
+                            SERVICE_COST_NS * (*depth as u64 + 1),
+                        ));
+                    }
+                }
+                if !commits.is_empty() {
+                    telemetry.histograms.insert("ingest.commit", commits);
                 }
                 (session, telemetry)
             })

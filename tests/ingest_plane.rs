@@ -71,6 +71,14 @@ impl WireSession {
         self.send_bytes(seq, epoch, &event.encode())
     }
 
+    /// Sends one record that must be acked; returns the ack's directive.
+    fn ack(&mut self, seq: u64, epoch: u64, event: &AvsEvent) -> AvsDirective {
+        match self.send(seq, epoch, event) {
+            Some(IngestReply::Ack(bytes)) => AvsDirective::decode(&bytes).expect("directive"),
+            other => panic!("seq {seq} got {other:?}, not an ack"),
+        }
+    }
+
     /// Sends one record carrying `event_bytes` verbatim; `None` means an
     /// empty reply (shard down, or the record was rejected).
     fn send_bytes(&mut self, seq: u64, epoch: u64, event_bytes: &[u8]) -> Option<IngestReply> {
@@ -295,12 +303,14 @@ fn a_rebuilt_shard_resumes_its_window_from_the_journal() {
         IngestReply::AttestGrant { epoch: 1 }
     ));
     // Before the crash: seq 0 commits, seq 2 waits for seq 1.
-    for seq in [0, 2] {
-        assert!(matches!(
-            wire.send(seq, 1, &event(seq)),
-            Some(IngestReply::Ack(_))
-        ));
-    }
+    let first_acks: Vec<AvsDirective> = [0, 2]
+        .into_iter()
+        .map(|seq| wire.ack(seq, 1, &event(seq)))
+        .collect();
+    assert_eq!(
+        first_acks,
+        [0, 2].map(|dialog_id| AvsDirective::Ack { dialog_id })
+    );
     // After the restart the session re-attests; the waiting seq 2 is a
     // redelivery, and seq 1 commits it in order.
     wire.now_ns = 3_000;
@@ -308,18 +318,31 @@ fn a_rebuilt_shard_resumes_its_window_from_the_journal() {
         wire.attest(ta, 2),
         IngestReply::AttestGrant { epoch: 2 }
     ));
-    for seq in [2, 1, 0] {
-        assert!(matches!(
-            wire.send(seq, 2, &event(seq)),
-            Some(IngestReply::Ack(_))
-        ));
-    }
+    // A redelivery is re-acked with its seq's first ack, read back from
+    // the stash (seq 2) or the journal (seq 0), whatever it carries now.
+    let stashed_reack = wire.ack(2, 2, &event(12));
+    assert_eq!(
+        wire.ack(1, 2, &event(1)),
+        AvsDirective::Ack { dialog_id: 1 }
+    );
+    let committed_reack = wire.ack(0, 2, &event(10));
+    assert_eq!(stashed_reack, first_acks[1]);
+    assert_eq!(committed_reack, first_acks[0]);
     let report = plane.session_report(0);
     assert_eq!(report.committed_records, 3);
     assert_eq!(report.out_of_order_records, 1);
     assert_eq!(report.redelivered_records, 2);
     let order: Vec<u64> = report.events.iter().map(|e| e.dialog_id).collect();
     assert_eq!(order, vec![0, 1, 2]);
+    // Commits at depths 0 (seq 0), then 1 and 0 (seq 1 with seq 2 still
+    // stashed, then seq 2) price 20, 40 and 20 µs; the journal holds the
+    // hello, two grants, three arrivals and three commits.
+    let telemetry = plane.shard_telemetry(0);
+    let commits = &telemetry.histograms["ingest.commit"];
+    assert_eq!(commits.count(), 3);
+    assert_eq!(commits.mean(), SimDuration::from_nanos(26_666));
+    assert_eq!(commits.max(), SimDuration::from_micros(40));
+    assert_eq!(telemetry.counters["ingest.journal"], 9);
 }
 
 #[test]
