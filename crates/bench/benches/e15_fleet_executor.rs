@@ -1,6 +1,7 @@
 //! Criterion bench behind experiment E15: host-time cost of running a
-//! camera fleet on the bounded work-stealing executor as the worker pool
-//! grows, plus the scheduler's steal pass on ragged batches.
+//! camera fleet on the bounded fleet executor (workers sharing one device
+//! counter) as the worker pool grows, plus the session scheduler's steal
+//! pass on ragged batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -955,11 +955,10 @@ fn model_handle_counts(models: &perisec_core::pipeline::SharedModels) -> Vec<usi
     counts
 }
 
-/// E15 — the bounded work-stealing fleet executor: camera fleets of
-/// four-digit device counts on a fixed worker pool, their reports
-/// byte-identical across worker counts, a 10k+ device mega-fleet on 8
-/// workers, and the session scheduler's work-stealing pass on a ragged
-/// high-fps mix.
+/// E15 — the bounded fleet executor: camera fleets of four-digit device
+/// counts on a fixed worker pool, their reports byte-identical across
+/// worker counts, a 10k+ device mega-fleet on 8 workers, and the session
+/// scheduler's work-stealing pass on a ragged high-fps mix.
 pub fn run_e15_fleet_executor() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
     use perisec_core::pipeline::{CameraPipelineConfig, SharedModels};
@@ -967,15 +966,15 @@ pub fn run_e15_fleet_executor() -> Outcome {
     use perisec_core::pool::TeePoolConfig;
     use perisec_workload::scenario::CameraScenario;
 
-    let mut out = String::from("## E15 — bounded work-stealing fleet executor\n\n");
+    let mut out = String::from("## E15 — bounded fleet executor\n\n");
 
     // Part 1: camera fleets on 8 workers. Camera devices carry the
     // table: their per-device work is small, so executor overhead would
     // show rather than drown in ML time. The 1024-device fleet also runs
     // on one worker: the schedule may change host cost, never the report.
     out.push_str(
-        "| devices | workers | host ms | resident stacks | steals | leaked | payload bytes |\n\
-         |---|---|---|---|---|---|---|\n",
+        "| devices | workers | host ms | resident stacks | leaked | payload bytes |\n\
+         |---|---|---|---|---|---|\n",
     );
     let models = SharedModels::deferred(Architecture::Cnn, 60, 0xE15).with_vision_spec(120, 0xE15);
     models.vision().expect("train frame classifier");
@@ -1006,9 +1005,8 @@ pub fn run_e15_fleet_executor() -> Outcome {
         let (resident, workers) = (stats.peak_resident, stats.workers);
         let _ = writeln!(
             out,
-            "| {devices} | {workers} | {:.0} | {resident} | {} | {leaked} | {payload} |",
+            "| {devices} | {workers} | {:.0} | {resident} | {leaked} | {payload} |",
             stats.host_millis,
-            stats.steals.len(),
         );
         outcome.gate(leaked == 0, format!("{devices} devices: {leaked} leaked"));
         outcome.gate(
@@ -1100,10 +1098,9 @@ pub fn run_e15_fleet_executor() -> Outcome {
     let _ = writeln!(
         out,
         "\nThe executor held {} of the {} device stacks resident at once — one per \
-         worker — and stole {} pending devices across queues.",
+         worker.",
         stats.peak_resident,
         mega.device_count(),
-        stats.tasks_stolen(),
     );
     let _ = writeln!(
         out,
@@ -1747,7 +1744,7 @@ pub fn run_e18_telemetry() -> Outcome {
     // Part 2: the determinism contract across worker counts — the report
     // must not notice the telemetry plane, and the fold must not notice
     // the schedule.
-    out.push_str("\n### Determinism: worker counts and steal interleavings\n\n");
+    out.push_str("\n### Determinism: worker counts\n\n");
     out.push_str(
         "| workers | report on == off | fold == 1-worker fold |\n\
          |---|---|---|\n",
@@ -1930,9 +1927,8 @@ pub fn run_e18_telemetry() -> Outcome {
     let _ = writeln!(
         out,
         "\nMega-fleet metrics memory: {} bytes for {} devices ({} span events) — \
-         per-name histograms, flat in the device count. The executor ran {} step \
-         slices and parked idle {} times.",
-        metrics_bytes, devices, mega_events, stats.step_slices, stats.idle_parks,
+         per-name histograms, flat in the device count.",
+        metrics_bytes, devices, mega_events,
     );
     outcome.markdown = out;
     outcome.files.push(("TRACE_E18.json", trace_json));

@@ -8,15 +8,16 @@
 //! pipelines, and the secure model weights exist once in (simulated)
 //! memory.
 //!
-//! Devices execute on the bounded work-stealing [`FleetExecutor`]:
-//! [`FleetConfig::workers`] OS threads step resumable device tasks at
-//! TEE-crossing granularity, so a 10k-device fleet holds `workers`
+//! Devices run on [`executor::run_devices`]: [`FleetConfig::workers`] OS
+//! threads each take the next device off one shared counter and run it to
+//! the end — build its stack, replay its scenario one TEE crossing at a
+//! time, report, drop the stack — so a 10k-device fleet holds `workers`
 //! pipeline stacks in memory instead of 10k. Every device is a
-//! [`SecureDevice`], audio or camera by its [`SensorPath`], and runs as
-//! one generic task over the device's begin/step/finish seam; the fleet
-//! sets each device's planes through [`SensorPath::planes`]. Every run
-//! entry point goes through one body: validate, queue, execute, then fold
-//! the observation sinks.
+//! [`SecureDevice`], audio or camera by its [`SensorPath`], and runs
+//! through one generic function over the device's begin/step/finish seam;
+//! the fleet sets each device's planes through [`SensorPath::planes`].
+//! Every run entry point goes through one body: validate, run every
+//! device, then fold the observation sinks.
 //!
 //! Fleets may be single-modality ([`PipelineFleet::run`]) or mixed
 //! ([`PipelineFleet::run_mixed`]): audio devices and camera devices run
@@ -24,13 +25,12 @@
 //! carries both the speech models and the frame classifier. A camera
 //! sharded across several secure cores
 //! ([`crate::pipeline::ShardedVisionPipeline`]) is a `SecureDevice` too,
-//! but [`FleetConfig`] has no field to queue one.
+//! but [`FleetConfig`] has no field to add one to a fleet.
 //!
 //! Per-device [`PipelineReport`]s are merged into a [`FleetReport`] with
 //! fleet-wide privacy, latency and transition aggregates.
 
 use std::collections::BTreeSet;
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -45,13 +45,11 @@ use perisec_workload::scenario::{CameraScenario, Scenario};
 
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{
-    DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StepOutcome,
-};
+use crate::executor::{self, ExecutorStats};
 use crate::ingest::IngestHook;
 use crate::pipeline::{
-    AudioPath, CameraPath, CameraPipelineConfig, PipelineConfig, ScenarioProgress, SecureDevice,
-    SensorPath, SharedModels,
+    AudioPath, CameraPath, CameraPipelineConfig, PipelineConfig, SecureDevice, SensorPath,
+    SharedModels,
 };
 use crate::report::{LatencyPercentiles, PipelineReport};
 use crate::{CoreError, Result};
@@ -70,8 +68,9 @@ pub struct FleetConfig {
     pub camera_devices: usize,
     /// Configuration applied to every camera device pipeline.
     pub camera_pipeline: CameraPipelineConfig,
-    /// Worker threads of the fleet executor. `0` (the default) means one
-    /// worker per host core; any value is capped by the device count. The
+    /// Worker threads that run the fleet's devices. `0` (the default)
+    /// means one worker per host core; any value is capped by the device
+    /// count. The
     /// merged [`FleetReport`] is byte-identical for every worker count —
     /// workers change wall-clock and memory, never outcomes.
     pub workers: usize,
@@ -90,13 +89,14 @@ pub struct FleetConfig {
     /// by side (one healthy, one degraded) needs more than a single
     /// slot, hence a set.
     pub trace_devices: BTreeSet<usize>,
-    /// The live health plane (see [`PipelineFleet::run_mixed_health`]):
-    /// when set, every device carries a
-    /// [`DeviceHealthMonitor`] that cuts virtual-time epoch slices at
-    /// its step boundaries, judges the configured SLOs and anomaly
-    /// detectors, and feeds one shared [`HealthSink`]. Pure observation:
-    /// the functional [`FleetReport`] stays byte-identical whether the
-    /// plane is on or off.
+    /// The live health plane, read only by
+    /// [`PipelineFleet::run_mixed_health`]: on that run every device
+    /// carries a [`DeviceHealthMonitor`] that cuts virtual-time epoch
+    /// slices at its step boundaries, judges the configured SLOs and
+    /// anomaly detectors, and feeds one shared [`HealthSink`]; the other
+    /// run entry points ignore it and record no metrics for it. Pure
+    /// observation: the functional [`FleetReport`] stays byte-identical
+    /// whether the plane is on or off.
     pub health: Option<HealthConfig>,
     /// Deterministic network chaos applied to **every** device's cloud
     /// link. Each device gets the spec salted with its fleet index
@@ -484,60 +484,17 @@ impl FleetReport {
     }
 }
 
-// ----- device tasks --------------------------------------------------------
+// ----- observation sinks ---------------------------------------------------
 
-/// Where completed devices deposit their telemetry. The fold is
-/// commutative ([`FleetTelemetry::absorb`]), so a single shared sink
-/// stays deterministic no matter which worker finishes which device
-/// first — the same structural argument that makes the [`FleetReport`]
+/// The observation sinks one fleet run feeds; every worker borrows them.
+/// Both folds are commutative ([`FleetTelemetry::absorb`], and
+/// [`FleetHealth`]'s epoch slices), so one shared sink stays
+/// deterministic no matter which worker finishes which device first —
+/// the same structural argument that makes the [`FleetReport`]
 /// worker-count-invariant.
-type TelemetrySink = Arc<Mutex<FleetTelemetry>>;
-
-/// The resumable device state machine, for either device kind: one built
-/// device plus a scenario cursor; each step is one TEE crossing.
-struct FleetDeviceTask<S: SensorPath> {
-    device: usize,
-    scenario: Arc<S::Scenario>,
-    pipeline: SecureDevice<S>,
-    progress: Option<ScenarioProgress<S>>,
-    telemetry: Option<TelemetrySink>,
-    health: Option<DeviceHealthMonitor>,
-}
-
-impl<S: SensorPath<Report = PipelineReport>> DeviceTask for FleetDeviceTask<S> {
-    fn step(&mut self) -> Result<StepOutcome> {
-        let mut progress = self.progress.take().expect("task stepped after completion");
-        if self.pipeline.step_scenario(&self.scenario, &mut progress)? {
-            if let Some(monitor) = &mut self.health {
-                monitor.advance(self.pipeline.now(), self.pipeline.tracer());
-            }
-            self.progress = Some(progress);
-            return Ok(StepOutcome::Yielded);
-        }
-        let report = self.pipeline.finish_scenario(&self.scenario, progress);
-        // The monitor must finish *before* the telemetry absorb:
-        // `take_telemetry` drains the tracer, and an epoch cut over a
-        // drained tracer would read every running total as zero.
-        if let Some(monitor) = self.health.take() {
-            monitor.finish(self.pipeline.now(), self.pipeline.tracer());
-        }
-        if let Some(sink) = &self.telemetry {
-            sink.lock()
-                .absorb(self.device, self.pipeline.take_telemetry());
-        }
-        Ok(StepOutcome::Complete(Box::new(DeviceReport {
-            device: self.device,
-            modality: S::MODALITY,
-            scenario: S::scenario_name(&self.scenario).to_owned(),
-            report,
-        })))
-    }
-}
-
-/// The observation sinks one fleet run feeds.
 #[derive(Default)]
 struct Sinks {
-    telemetry: Option<TelemetrySink>,
+    telemetry: Option<Mutex<FleetTelemetry>>,
     health: Option<(HealthConfig, HealthSink)>,
 }
 
@@ -547,15 +504,6 @@ impl Sinks {
             DeviceHealthMonitor::new(device, config.clone(), Arc::clone(sink))
         })
     }
-}
-
-/// Takes a sink's fold back once the executor has joined its workers.
-/// Nothing else holds the sink by then; the clone fallback is for safety
-/// only.
-fn into_fold<T: Clone>(sink: Arc<Mutex<T>>) -> T {
-    Arc::try_unwrap(sink)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|sink| sink.lock().clone())
 }
 
 /// How much a fleet run observes beyond the report and executor stats:
@@ -627,9 +575,9 @@ impl PipelineFleet {
         &self.config
     }
 
-    /// Runs one scenario per audio device on the bounded executor —
+    /// Runs one scenario per audio device on the fleet's workers —
     /// device `i` replays `scenarios[i % scenarios.len()]`. Every device
-    /// task builds its own full stack (platform, TEE core, secure driver,
+    /// builds its own full stack (platform, TEE core, secure driver,
     /// cloud) around the shared models, runs its scenario, and reports.
     ///
     /// # Errors
@@ -643,7 +591,7 @@ impl PipelineFleet {
     /// Runs a mixed fleet: the configured audio devices replay `audio`
     /// scenarios while the configured camera devices replay `cameras`
     /// scene schedules, all off the same shared model set, multiplexed
-    /// onto [`FleetConfig::workers`] executor threads. Audio devices come
+    /// onto [`FleetConfig::workers`] worker threads. Audio devices come
     /// first in the merged report, camera devices after.
     ///
     /// # Errors
@@ -659,7 +607,7 @@ impl PipelineFleet {
     }
 
     /// [`PipelineFleet::run_mixed`], also returning the executor's
-    /// host-side telemetry (steals, peak residency, wall-clock).
+    /// host-side telemetry (peak residency, wall-clock).
     ///
     /// # Errors
     ///
@@ -677,7 +625,7 @@ impl PipelineFleet {
     /// collected: every completed device's tracer snapshot is folded into
     /// one [`FleetTelemetry`] through a shared sink. The fold is
     /// commutative, so the returned telemetry — like the report — is
-    /// identical at every worker count and under any steal interleaving.
+    /// identical at every worker count, whichever worker runs which device.
     /// With [`FleetConfig::telemetry`] disabled the returned fold is
     /// empty (devices fold in, but no histograms or counters exist).
     ///
@@ -724,8 +672,8 @@ impl PipelineFleet {
         Ok((report, stats, telemetry, health))
     }
 
-    /// The one body behind every run entry point: validate, queue,
-    /// execute, then take the observation sinks' folds back.
+    /// The one body behind every run entry point: validate, run every
+    /// device, then take the observation sinks' folds back.
     fn execute(
         &self,
         audio: &[Scenario],
@@ -740,7 +688,7 @@ impl PipelineFleet {
         self.validate_mixed(audio, cameras)?;
         let mut sinks = Sinks::default();
         if observe != Observe::Report {
-            sinks.telemetry = Some(Arc::new(Mutex::new(FleetTelemetry::new())));
+            sinks.telemetry = Some(Mutex::new(FleetTelemetry::new()));
         }
         if observe == Observe::Health {
             let Some(config) = &self.config.health else {
@@ -750,32 +698,25 @@ impl PipelineFleet {
                         .to_owned(),
                 });
             };
-            let sink = Arc::new(Mutex::new(FleetHealth::new(config.window)));
-            sinks.health = Some((config.clone(), sink));
+            sinks.health = Some((config.clone(), FleetHealth::sink(config.window)));
         }
-        let (audio_devices, total) = (self.config.devices, self.config.total_devices());
-        let mut tasks = Vec::with_capacity(total);
-        self.queue::<AudioPath>(
-            &mut tasks,
-            0..audio_devices,
-            audio,
-            &self.config.pipeline,
-            &sinks,
-        );
-        self.queue::<CameraPath>(
-            &mut tasks,
-            audio_devices..total,
-            cameras,
-            &self.config.camera_pipeline,
-            &sinks,
-        );
-        let executor = FleetExecutor::new(ExecutorConfig::with_workers(self.config.workers));
-        let (reports, stats) = executor.run(tasks)?;
+        let audio_devices = self.config.devices;
+        let (reports, stats) =
+            executor::run_devices(self.config.workers, self.config.total_devices(), |device| {
+                if device < audio_devices {
+                    let scenario = &audio[device % audio.len()];
+                    self.run_device::<AudioPath>(device, scenario, &self.config.pipeline, &sinks)
+                } else {
+                    let scenario = &cameras[(device - audio_devices) % cameras.len()];
+                    let base = &self.config.camera_pipeline;
+                    self.run_device::<CameraPath>(device, scenario, base, &sinks)
+                }
+            })?;
         Ok((
             FleetReport::new(reports),
             stats,
-            sinks.telemetry.map(into_fold).unwrap_or_default(),
-            sinks.health.map(|(_, sink)| into_fold(sink).report()),
+            sinks.telemetry.map(Mutex::into_inner).unwrap_or_default(),
+            sinks.health.map(|(_, sink)| sink.lock().report()),
         ))
     }
 
@@ -803,68 +744,73 @@ impl PipelineFleet {
     /// fleet's metrics switch, with span retention only on the designated
     /// deep-dive devices. Falls back to the per-pipeline config when the
     /// fleet plane is off, so direct pipeline telemetry keeps working —
-    /// unless the health plane is on, which needs the tracer's metrics to
-    /// cut epochs from and therefore forces them.
-    fn device_telemetry(&self, base: TelemetryConfig, device: usize) -> TelemetryConfig {
-        if !self.config.telemetry.enabled {
-            if self.config.health.is_some() {
-                return TelemetryConfig {
-                    capture_spans: self.config.trace_devices.contains(&device),
-                    ..TelemetryConfig::metrics()
-                };
-            }
+    /// unless this is a health run, whose monitors cut epochs from the
+    /// tracer's metrics and therefore force them on.
+    fn device_telemetry(
+        &self,
+        base: TelemetryConfig,
+        device: usize,
+        sinks: &Sinks,
+    ) -> TelemetryConfig {
+        let fleet = if self.config.telemetry.enabled {
+            self.config.telemetry
+        } else if sinks.health.is_some() {
+            TelemetryConfig::metrics()
+        } else {
             return base;
-        }
+        };
         TelemetryConfig {
             capture_spans: self.config.trace_devices.contains(&device),
-            ..self.config.telemetry
+            ..fleet
         }
     }
 
-    /// Queues the fleet's devices of one kind: the `i`-th device of
-    /// `devices` replays `scenarios[i % scenarios.len()]` under `base`
-    /// with the fleet's planes applied. `validate_mixed` has already
-    /// checked that `scenarios` is non-empty exactly when `devices` is.
-    ///
-    /// Each stack builds lazily, when a worker first schedules its
-    /// device, and scenarios are shared by `Arc`: a 10k-device fleet
-    /// cycling over a few scenarios must not hold 10k copies of their
-    /// event lists in its run queues.
-    fn queue<S: SensorPath<Report = PipelineReport>>(
+    /// Runs fleet device `device` to the end: builds its stack from
+    /// `base` with the fleet's planes applied, replays `scenario` one TEE
+    /// crossing at a time (the health monitor cuts its epochs at each
+    /// crossing), folds its telemetry into the sinks and reports. The
+    /// stack drops when this returns, before the worker takes its next
+    /// device.
+    fn run_device<S: SensorPath<Report = PipelineReport>>(
         &self,
-        tasks: &mut Vec<QueuedDevice>,
-        devices: Range<usize>,
-        scenarios: &[S::Scenario],
+        device: usize,
+        scenario: &S::Scenario,
         base: &S::Config,
         sinks: &Sinks,
-    ) {
-        let scenarios: Vec<Arc<S::Scenario>> = scenarios.iter().cloned().map(Arc::new).collect();
-        for (i, device) in devices.enumerate() {
-            let mut config = base.clone();
-            let (telemetry, faults, ingest) = S::planes(&mut config);
-            *telemetry = self.device_telemetry(*telemetry, device);
-            if let Some(spec) = self.config.faults {
-                *faults = Some(spec.for_device(device as u64));
-            }
-            if let Some(plane) = &self.config.ingest {
-                *ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
-            }
-            let scenario = Arc::clone(&scenarios[i % scenarios.len()]);
-            let models = self.models.clone();
-            let (telemetry, health) = (sinks.telemetry.clone(), sinks.monitor(device));
-            tasks.push(QueuedDevice::new(device, move || {
-                let mut pipeline = SecureDevice::<S>::with_models(config, &models)?;
-                let progress = pipeline.begin_scenario();
-                Ok(Box::new(FleetDeviceTask {
-                    device,
-                    scenario,
-                    pipeline,
-                    progress: Some(progress),
-                    telemetry,
-                    health,
-                }) as Box<dyn DeviceTask>)
-            }));
+    ) -> Result<DeviceReport> {
+        let mut config = base.clone();
+        let (telemetry, faults, ingest) = S::planes(&mut config);
+        *telemetry = self.device_telemetry(*telemetry, device, sinks);
+        if let Some(spec) = self.config.faults {
+            *faults = Some(spec.for_device(device as u64));
         }
+        if let Some(plane) = &self.config.ingest {
+            *ingest = Some(IngestHook::new(Arc::clone(plane), device as u64));
+        }
+        let mut pipeline = SecureDevice::<S>::with_models(config, &self.models)?;
+        let mut health = sinks.monitor(device);
+        let mut progress = pipeline.begin_scenario();
+        while pipeline.step_scenario(scenario, &mut progress)? {
+            if let Some(monitor) = &mut health {
+                monitor.advance(pipeline.now(), pipeline.tracer());
+            }
+        }
+        let report = pipeline.finish_scenario(scenario, progress);
+        // The monitor must finish *before* the telemetry absorb:
+        // `take_telemetry` drains the tracer, and an epoch cut over a
+        // drained tracer would read every running total as zero.
+        if let Some(monitor) = health {
+            monitor.finish(pipeline.now(), pipeline.tracer());
+        }
+        if let Some(sink) = &sinks.telemetry {
+            sink.lock().absorb(device, pipeline.take_telemetry());
+        }
+        Ok(DeviceReport {
+            device,
+            modality: S::MODALITY,
+            scenario: S::scenario_name(scenario).to_owned(),
+            report,
+        })
     }
 }
 

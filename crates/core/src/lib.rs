@@ -35,9 +35,10 @@
 //! * [`vision_ta`] — [`vision_ta::FrameFilter`], the camera's window
 //!   filter: classifies frames with the in-TA frame CNN, so the vision TA
 //!   relays only sealed verdict records — never pixels;
-//! * [`executor`] — the bounded work-stealing fleet executor:
-//!   [`executor::FleetExecutor`] steps resumable device tasks on a fixed
-//!   worker pool, so fleet scale is a function of work, not thread count;
+//! * [`executor`] — the fleet executor: [`executor::run_devices`] runs
+//!   a fleet's devices on a fixed worker pool, each worker taking the
+//!   next device off one shared counter and running it to the end, so
+//!   fleet scale is a function of work, not thread count;
 //! * [`batcher`] — [`batcher::AdaptiveBatcher`]: picks each TEE
 //!   crossing's batch size from queue depth against a latency SLO;
 //! * [`fleet`] — [`fleet::PipelineFleet`]: M concurrent device pipelines
@@ -69,10 +70,7 @@ pub mod stage;
 pub mod vision_ta;
 
 pub use batcher::AdaptiveBatcher;
-pub use executor::{
-    DeviceTask, ExecutorConfig, ExecutorStats, FleetExecutor, QueuedDevice, StealRecord,
-    StepOutcome,
-};
+pub use executor::ExecutorStats;
 pub use filter_ta::{FilterTa, FILTER_TA_NAME};
 pub use fleet::{DeviceReport, FleetConfig, FleetReport, Modality, PipelineFleet};
 pub use ingest::IngestHook;

@@ -504,10 +504,10 @@ impl SharedModels {
 }
 
 /// Cursor over one scenario replay: which event the stages have consumed
-/// up to, plus the marks the final report counts from. This is the
-/// resumable seam the fleet executor's `DeviceTask` state machine is
-/// built on — a device run is `begin`, then `step` once per TEE crossing
-/// (the natural yield point), then `finish`.
+/// up to, plus the marks the final report counts from. A device run is
+/// `begin`, then `step` once per TEE crossing, then `finish`; between
+/// steps the caller may observe the device, as a fleet's health monitor
+/// does to cut its epochs.
 pub struct ScenarioProgress<S: SensorPath> {
     marks: S::Marks,
     next_event: usize,
@@ -564,11 +564,11 @@ pub type PlaneFields<'a> = (
 /// same for every kind.
 pub trait SensorPath: Sized + 'static {
     /// The device kind's configuration.
-    type Config: Clone + Send + 'static;
+    type Config: Clone;
     /// One event of a scenario.
     type Event: Clone;
     /// The scenario a device of this kind replays.
-    type Scenario: Clone + Send + Sync + 'static;
+    type Scenario;
     /// The normal-world stage that queues each event on a lane's sensor
     /// input and describes its capture windows.
     type Capture: PipelineStage<Input = Vec<Self::Event>, Output = PreparedBatch>;
@@ -1607,10 +1607,8 @@ impl<S: SensorPath> SecureDevice<S> {
     /// which case the adaptive batcher picks it from the remaining queue
     /// depth. The batch's events are placed on the lanes, and each lane
     /// that received a share crosses into its TEE core once. Returns
-    /// whether events remain. This is the fleet executor's yield point: a
-    /// `DeviceTask` calls it once per executor step, so thousands of
-    /// devices interleave at TEE-crossing granularity on a bounded worker
-    /// pool.
+    /// whether events remain. A fleet device calls it in a loop until it
+    /// returns `false`, and its health monitor cuts epochs at each return.
     ///
     /// # Errors
     ///

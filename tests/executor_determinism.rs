@@ -6,10 +6,10 @@
 //! merged [`FleetReport`] must be **byte-identical** for
 //!
 //! * any worker count (1, 2, 8),
-//! * and any steal interleaving (seeded victim order),
+//! * and whichever worker runs whichever device,
 //!
-//! while the executor's host telemetry (steals, peak residency) is free
-//! to vary. Peak residency itself is pinned: never more than one built
+//! while the executor's host telemetry (peak residency, wall-clock) is
+//! free to vary. Peak residency itself is pinned: never more than one built
 //! device stack per worker — the bounded-memory half of the contract.
 
 use std::collections::BTreeSet;
@@ -70,8 +70,8 @@ fn same_seed_reproduces_byte_identical_reports_across_worker_counts() {
 
 #[test]
 fn executor_reports_are_stable_across_repeated_runs() {
-    // Same fleet, run twice on the same worker count: steal interleavings
-    // and queue timings differ run to run, the report must not.
+    // Same fleet, run twice on the same worker count: which worker takes
+    // which device differs run to run, the report must not.
     let models =
         SharedModels::deferred(Architecture::Cnn, 60, 0x2EAD).with_vision_spec(120, 0x2EAD);
     let cameras = CameraScenario::fleet_cameras(6, 4, 0.4, SimDuration::from_secs(1), 0x2EAD);
@@ -125,8 +125,8 @@ fn telemetry_plane_never_perturbs_the_report() {
     // full span capture on device 3), the functional `FleetReport` is
     // byte-for-byte the report of a silent run — at every worker count.
     // The other half is the fold's own determinism: the merged
-    // `FleetTelemetry` must not notice worker counts or steal
-    // interleavings either, because histogram/counter merging is
+    // `FleetTelemetry` must not notice worker counts or which worker
+    // ran which device either, because histogram/counter merging is
     // commutative and traces key on device ids.
     let models =
         SharedModels::deferred(Architecture::Cnn, 60, 0x7E1E).with_vision_spec(120, 0x7E1E);
@@ -162,8 +162,8 @@ fn telemetry_plane_never_perturbs_the_report() {
         }
     }
 
-    // Repeated runs at a steal-prone worker count: interleavings differ,
-    // the fold must not.
+    // Repeated runs at an uneven worker count: interleavings differ, the
+    // fold must not.
     let fleet = observed_fleet(3, TelemetryConfig::metrics(), &models);
     let (_, _, first) = fleet.run_mixed_telemetry(&audio, &cameras).unwrap();
     let (_, _, second) = fleet.run_mixed_telemetry(&audio, &cameras).unwrap();

@@ -182,12 +182,11 @@ fn health_monitors_every_device(kind: Kind) {
         ..HealthConfig::with_window(SimDuration::from_secs(1))
     };
     let (audio, cameras) = scenarios(kind);
-    let (report, _, _, judged) = fleet(FleetConfig {
+    let monitored = fleet(FleetConfig {
         health: Some(health),
         ..config(kind)
-    })
-    .run_mixed_health(&audio, &cameras)
-    .unwrap();
+    });
+    let (report, _, _, judged) = monitored.run_mixed_health(&audio, &cameras).unwrap();
     assert_eq!(judged.devices, DEVICES as u64, "{kind:?}");
     assert!(!judged.epochs.is_empty(), "{kind:?}: no epoch was cut");
     assert_eq!(
@@ -195,6 +194,18 @@ fn health_monitors_every_device(kind: Kind) {
         report.to_json(),
         "{kind:?}: the health plane perturbed the report"
     );
+    // Only a health run forces the tracer's metrics on: with telemetry
+    // off, the same health-set fleet's telemetry run folds no metrics.
+    let (report, _, fold) = monitored.run_mixed_telemetry(&audio, &cameras).unwrap();
+    assert!(
+        fold.histograms.is_empty(),
+        "{kind:?}: histograms recorded with telemetry off"
+    );
+    assert!(
+        fold.counters.is_empty(),
+        "{kind:?}: counters recorded with telemetry off"
+    );
+    assert_eq!(silent.to_json(), report.to_json(), "{kind:?}");
 }
 
 #[test]

@@ -366,78 +366,105 @@ proptest! {
         );
     }
 
-    /// The fleet executor never drops or duplicates a device task, for
-    /// any fleet size, worker count, steal seed and yield pattern —
-    /// every queued device reports exactly once, in device order.
+    /// The fleet executor never drops or duplicates a device, for any
+    /// fleet size, worker count and mix of failing and panicking devices:
+    /// every device runs exactly once, and either every device reports,
+    /// in device order, or the lowest-indexed failure is returned.
     #[test]
     fn fleet_executor_never_drops_or_duplicates_tasks(
         shape in any::<u64>(),
-        yield_seeds in proptest::collection::vec(any::<u64>(), 1..40),
+        outcome_seeds in proptest::collection::vec(any::<u64>(), 1..40),
     ) {
-        use perisec::core::executor::{
-            DeviceTask, ExecutorConfig, FleetExecutor, QueuedDevice, StepOutcome,
-        };
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use perisec::core::executor::run_devices;
         use perisec::core::fleet::{DeviceReport, Modality};
         use perisec::core::report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};
+        use perisec::core::CoreError;
 
-        struct SyntheticTask {
-            device: usize,
-            yields: usize,
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Outcome {
+            Report,
+            Error,
+            Panic,
         }
-        impl DeviceTask for SyntheticTask {
-            fn step(&mut self) -> perisec::core::Result<StepOutcome> {
-                if self.yields == 0 {
-                    return Ok(StepOutcome::Complete(Box::new(DeviceReport {
-                        device: self.device,
-                        modality: Modality::Audio,
-                        scenario: format!("prop-{}", self.device),
-                        report: PipelineReport {
-                            pipeline: "synthetic".to_owned(),
-                            workload: WorkloadSummary::default(),
-                            latency: LatencyBreakdown::default(),
-                            cloud: CloudOutcome::default(),
-                            tz: Default::default(),
-                            energy: perisec::tz::power::EnergyReport {
-                                window: SimDuration::ZERO,
-                                total_mj: 0.0,
-                                per_component: Default::default(),
-                            },
-                            virtual_time: SimDuration::ZERO,
-                            bytes_to_cloud: 0,
-                        },
-                    })));
-                }
-                self.yields -= 1;
-                Ok(StepOutcome::Yielded)
-            }
-        }
-
-        let workers = (shape % 6 + 1) as usize;
-        let steal_seed = shape >> 8;
-        let tasks: Vec<QueuedDevice> = yield_seeds
+        // Half the cases run a fleet where every device reports; in the
+        // other half about one device in eight errors or panics.
+        let failing = shape >> 8 & 1 == 1;
+        let outcomes: Vec<Outcome> = outcome_seeds
             .iter()
-            .enumerate()
-            .map(|(device, &seed)| {
-                let yields = (seed % 7) as usize;
-                QueuedDevice::new(device, move || {
-                    Ok(Box::new(SyntheticTask { device, yields }) as Box<dyn DeviceTask>)
-                })
+            .map(|seed| match seed % 16 {
+                0 if failing => Outcome::Error,
+                1 if failing => Outcome::Panic,
+                _ => Outcome::Report,
             })
             .collect();
-        let devices = tasks.len();
-        let executor = FleetExecutor::new(ExecutorConfig {
-            workers,
-            steal_seed,
-            ..ExecutorConfig::default()
+        let devices = outcomes.len();
+        let workers = (shape % 6 + 1) as usize;
+        let runs: Vec<AtomicUsize> = (0..devices).map(|_| AtomicUsize::new(0)).collect();
+        let result = run_devices(workers, devices, |device| {
+            runs[device].fetch_add(1, Ordering::Relaxed);
+            match outcomes[device] {
+                Outcome::Error => Err(CoreError::Config {
+                    reason: format!("synthetic failure of device {device}"),
+                }),
+                Outcome::Panic => panic!("synthetic panic of device {device}"),
+                Outcome::Report => Ok(DeviceReport {
+                    device,
+                    modality: Modality::Audio,
+                    scenario: format!("prop-{device}"),
+                    report: PipelineReport {
+                        pipeline: "synthetic".to_owned(),
+                        workload: WorkloadSummary::default(),
+                        latency: LatencyBreakdown::default(),
+                        cloud: CloudOutcome::default(),
+                        tz: Default::default(),
+                        energy: perisec::tz::power::EnergyReport {
+                            window: SimDuration::ZERO,
+                            total_mj: 0.0,
+                            per_component: Default::default(),
+                        },
+                        virtual_time: SimDuration::ZERO,
+                        bytes_to_cloud: 0,
+                    },
+                }),
+            }
         });
-        let (reports, stats) = executor.run(tasks).unwrap();
-        prop_assert_eq!(reports.len(), devices);
-        for (index, report) in reports.iter().enumerate() {
-            prop_assert_eq!(report.device, index);
-            prop_assert_eq!(&report.scenario, &format!("prop-{}", index));
+        for (device, count) in runs.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            prop_assert_eq!(count, 1, "device {} ran {} times", device, count);
         }
-        prop_assert_eq!(stats.completed, devices);
-        prop_assert!(stats.peak_resident <= stats.workers);
+        let first_failure = outcomes.iter().position(|o| *o != Outcome::Report);
+        match (result, first_failure) {
+            (Ok((reports, stats)), None) => {
+                prop_assert_eq!(reports.len(), devices);
+                for (index, report) in reports.iter().enumerate() {
+                    prop_assert_eq!(report.device, index);
+                    prop_assert_eq!(&report.scenario, &format!("prop-{}", index));
+                }
+                prop_assert_eq!(stats.completed, devices);
+                prop_assert_eq!(stats.workers, workers.min(devices));
+                prop_assert!(stats.peak_resident <= stats.workers);
+            }
+            (Err(error), Some(device)) => {
+                let expected = match outcomes[device] {
+                    Outcome::Error => format!("synthetic failure of device {device}"),
+                    _ => format!("device {device} pipeline thread panicked: synthetic panic of device {device}"),
+                };
+                prop_assert!(
+                    error.to_string().ends_with(&expected),
+                    "returned {} where device {} failed first",
+                    error,
+                    device
+                );
+            }
+            (result, first_failure) => prop_assert!(
+                false,
+                "first failing device {:?}, but the run returned {:?}",
+                first_failure,
+                result.map(|(reports, _)| reports.len())
+            ),
+        }
     }
 }
 
