@@ -12,13 +12,13 @@
 
 use std::time::Instant;
 
-use perisec_core::pipeline::SharedModels;
+use perisec_core::pipeline::{transcribe_corpus, SharedModels};
 use perisec_devices::camera::{CameraSensor, SceneKind};
 use perisec_ml::classifier::Architecture;
 use perisec_ml::plan::FeaturePlan;
 use perisec_ml::quant::{dot_i8, dot_i8_ref, quantize_activations, QuantizedMatrix};
 use perisec_ml::tensor::Matrix;
-use perisec_workload::corpus::{to_training_examples, CorpusGenerator};
+use perisec_workload::corpus::CorpusGenerator;
 use perisec_workload::vocab::Vocabulary;
 
 fn time(label: &str, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -46,18 +46,7 @@ fn main() {
     let vocabulary = Vocabulary::smart_home();
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, 0x16E6);
     let (eval, _) = generator.train_test_split(192, 1);
-    let eval: Vec<(Vec<usize>, bool)> = to_training_examples(&eval)
-        .into_iter()
-        .map(|(tokens, label)| {
-            let rendered = audio.synth.render_tokens(&tokens);
-            let decoded = audio.stt.transcribe_to_tokens(rendered.samples());
-            if decoded.is_empty() {
-                (tokens, label)
-            } else {
-                (decoded, label)
-            }
-        })
-        .collect();
+    let eval = transcribe_corpus(&audio.synth, &audio.stt, &eval).expect("decode eval corpus");
     let windows: Vec<&[usize]> = eval.iter().map(|(t, _)| t.as_slice()).collect();
     let mut plan = FeaturePlan::new();
 

@@ -1169,6 +1169,7 @@ pub fn run_e15_fleet_executor() -> Outcome {
 /// that seeds the perf trajectory.
 pub fn run_e16_int8_inference() -> Outcome {
     use perisec_core::fleet::{FleetConfig, PipelineFleet};
+    use perisec_core::pipeline::transcribe_corpus;
     use perisec_core::pipeline::{CameraPipelineConfig, SecurePipeline, SharedModels};
     use perisec_core::pipeline::{ShardedCameraConfig, ShardedVisionPipeline};
     use perisec_core::pool::TeePoolConfig;
@@ -1200,18 +1201,7 @@ pub fn run_e16_int8_inference() -> Outcome {
     let vocabulary = Vocabulary::smart_home();
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, 0x16E6);
     let (eval, _) = generator.train_test_split(192, 1);
-    let eval: Vec<(Vec<usize>, bool)> = to_training_examples(&eval)
-        .into_iter()
-        .map(|(tokens, label)| {
-            let rendered = audio.synth.render_tokens(&tokens);
-            let decoded = audio.stt.transcribe_to_tokens(rendered.samples());
-            if decoded.is_empty() {
-                (tokens, label)
-            } else {
-                (decoded, label)
-            }
-        })
-        .collect();
+    let eval = transcribe_corpus(&audio.synth, &audio.stt, &eval).expect("decode eval corpus");
     let windows: Vec<&[usize]> = eval.iter().map(|(tokens, _)| tokens.as_slice()).collect();
     let mut plan = FeaturePlan::new();
     // Warm both paths (and the plan's high-water marks) before timing.

@@ -17,6 +17,10 @@
 //! therefore keeps every worker busy until the last device has been
 //! taken; nothing smarter is needed.
 //!
+//! Nothing here looks inside a device's result, so the same pool also
+//! runs other independent indexed work: model set-up transcribes its
+//! training corpus on it, one utterance per index.
+//!
 //! **Determinism contract.** Every device builds its own hermetic stack
 //! (platform, virtual clock, TEE core, cloud) and no report field depends
 //! on host time, so a given fleet seed reproduces a byte-identical
@@ -31,7 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use crate::fleet::DeviceReport;
 use crate::{CoreError, Result};
 
 /// Host-side telemetry of one executor run. Timing-dependent (the
@@ -73,22 +76,23 @@ impl ExecutorStats {
 }
 
 /// Runs devices `0..devices` on `workers` threads and returns their
-/// reports **in device order** (scheduling can never reorder a fleet
+/// results **in device order** (scheduling can never reorder a fleet
 /// report) plus the run's telemetry. `workers == 0` means one per host
 /// core; any value is capped by the device count. `run(device)` runs one
-/// device to the end: build its stack, step it through its scenario and
-/// report; the stack is dropped before the worker takes its next device.
+/// device to the end — for a fleet: build its stack, step it through its
+/// scenario and report; the stack is dropped before the worker takes its
+/// next device.
 ///
 /// # Errors
 ///
 /// Returns the lowest-indexed device's failure after every device has
 /// run. A panicking device is translated into a [`CoreError::Config`]
 /// carrying the device index and the panic message.
-pub fn run_devices(
+pub fn run_devices<T: Send>(
     workers: usize,
     devices: usize,
-    run: impl Fn(usize) -> Result<DeviceReport> + Sync,
-) -> Result<(Vec<DeviceReport>, ExecutorStats)> {
+    run: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<(Vec<T>, ExecutorStats)> {
     let workers = match workers {
         0 => thread::available_parallelism().map_or(1, |n| n.get()),
         workers => workers,
@@ -116,7 +120,7 @@ pub fn run_devices(
             outcomes.push((device, outcome));
         }
     };
-    let mut outcomes: Vec<(usize, Result<DeviceReport>)> = thread::scope(|scope| {
+    let mut outcomes: Vec<(usize, Result<T>)> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         handles
             .into_iter()
@@ -133,11 +137,11 @@ pub fn run_devices(
         step_slices: outcomes.len() as u64,
         idle_parks: 0,
     };
-    let reports = outcomes
+    let results = outcomes
         .into_iter()
         .map(|(_, outcome)| outcome)
         .collect::<Result<Vec<_>>>()?;
-    Ok((reports, stats))
+    Ok((results, stats))
 }
 
 /// Extracts the human-readable message of a panic payload.
@@ -158,7 +162,7 @@ fn device_panic_error(device: usize, message: &str) -> CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::Modality;
+    use crate::fleet::{DeviceReport, Modality};
     use crate::report::{CloudOutcome, LatencyBreakdown, PipelineReport, WorkloadSummary};
     use std::sync::mpsc;
     use std::sync::Mutex;

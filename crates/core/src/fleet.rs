@@ -87,7 +87,10 @@ pub struct FleetConfig {
     /// device's spans on a 10k-device fleet would be unbounded, so deep
     /// dives are opt-in and per-device — but comparing two devices side
     /// by side (one healthy, one degraded) needs more than a single
-    /// slot, hence a set.
+    /// slot, hence a set. Spans are captured only with
+    /// [`FleetConfig::telemetry`] enabled or on a
+    /// [`PipelineFleet::run_mixed_health`] run; any other run refuses a
+    /// non-empty set.
     pub trace_devices: BTreeSet<usize>,
     /// The live health plane, read only by
     /// [`PipelineFleet::run_mixed_health`]: on that run every device
@@ -599,8 +602,10 @@ impl PipelineFleet {
     /// Returns the first device failure, or [`CoreError::Config`] when a
     /// modality's devices and scenarios disagree — devices with no
     /// scenarios *and* scenarios with no devices are both rejected, so
-    /// nothing is ever silently skipped — or when the fleet is empty
-    /// (checked on every run: [`PipelineFleet::with_models`] skips `new`).
+    /// nothing is ever silently skipped — when the fleet is empty
+    /// (checked on every run: [`PipelineFleet::with_models`] skips `new`),
+    /// or when [`FleetConfig::trace_devices`] is set with
+    /// [`FleetConfig::telemetry`] off.
     pub fn run_mixed(&self, audio: &[Scenario], cameras: &[CameraScenario]) -> Result<FleetReport> {
         self.run_mixed_stats(audio, cameras)
             .map(|(report, _)| report)
@@ -656,7 +661,9 @@ impl PipelineFleet {
     /// Same contract as [`PipelineFleet::run_mixed`], plus
     /// [`CoreError::Config`] when [`FleetConfig::health`] is unset — a
     /// health run with no health config would silently return an empty
-    /// report that reads as a perfectly healthy fleet.
+    /// report that reads as a perfectly healthy fleet. A health run forces
+    /// the metrics plane on, so it honours [`FleetConfig::trace_devices`]
+    /// with [`FleetConfig::telemetry`] off.
     pub fn run_mixed_health(
         &self,
         audio: &[Scenario],
@@ -686,6 +693,19 @@ impl PipelineFleet {
         Option<FleetHealthReport>,
     )> {
         self.validate_mixed(audio, cameras)?;
+        // With the fleet plane off a device keeps its own pipeline's
+        // telemetry config, which captures no fleet-chosen spans; only a
+        // health run forces metrics on and honours the set.
+        if !self.config.trace_devices.is_empty()
+            && !self.config.telemetry.enabled
+            && observe != Observe::Health
+        {
+            return Err(CoreError::Config {
+                reason: "FleetConfig::trace_devices is set but FleetConfig::telemetry is off; \
+                         no span would be captured"
+                    .to_owned(),
+            });
+        }
         let mut sinks = Sinks::default();
         if observe != Observe::Report {
             sinks.telemetry = Some(Mutex::new(FleetTelemetry::new()));
@@ -1196,6 +1216,52 @@ mod tests {
         assert_eq!(judged.healthy, 0);
         assert!(judged.transitions_to(HealthState::Degraded) >= 2);
         assert!(judged.alerts_of("slo_breach") > 0);
+    }
+
+    #[test]
+    fn trace_devices_without_telemetry_is_refused_outside_a_health_run() {
+        let models = SharedModels::deferred(perisec_ml::classifier::Architecture::Cnn, 60, 0x7D0);
+        let fleet = |telemetry: TelemetryConfig, health: Option<HealthConfig>| {
+            PipelineFleet::with_models(
+                FleetConfig {
+                    telemetry,
+                    trace_devices: BTreeSet::from([0]),
+                    health,
+                    ..FleetConfig::mixed(0, 2)
+                },
+                models.clone(),
+            )
+        };
+        let cameras = perisec_workload::scenario::CameraScenario::fleet_cameras(
+            2,
+            2,
+            0.5,
+            SimDuration::from_secs(1),
+            0x7D0,
+        );
+        let refused = |result: Result<()>| {
+            let error = result.expect_err("a trace set with telemetry off is refused");
+            assert!(error.to_string().contains("trace_devices"), "{error}");
+        };
+        let silent = fleet(TelemetryConfig::default(), None);
+        refused(silent.run_mixed(&[], &cameras).map(drop));
+        refused(silent.run_mixed_stats(&[], &cameras).map(drop));
+        refused(silent.run_mixed_telemetry(&[], &cameras).map(drop));
+
+        // With the plane on, the chosen device, and only it, is traced.
+        let (_, _, fold) = fleet(TelemetryConfig::metrics(), None)
+            .run_mixed_telemetry(&[], &cameras)
+            .unwrap();
+        assert!(fold.trace(0).is_some());
+        assert!(fold.trace(1).is_none());
+
+        // A health run forces metrics on and honours the set.
+        let health = HealthConfig::with_window(SimDuration::from_secs(1));
+        let (_, _, fold, _) = fleet(TelemetryConfig::default(), Some(health))
+            .run_mixed_health(&[], &cameras)
+            .unwrap();
+        assert!(fold.trace(0).is_some());
+        assert!(fold.trace(1).is_none());
     }
 
     #[test]

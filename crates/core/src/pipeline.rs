@@ -25,6 +25,7 @@
 //! transition-amortization lever the related work identifies as the key to
 //! production throughput on TrustZone-class hardware.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,6 +37,7 @@ use perisec_kernel::pcm::PcmHwParams;
 use perisec_kernel::trace::FunctionTracer;
 use perisec_ml::classifier::{Architecture, SensitiveClassifier, TrainConfig};
 use perisec_ml::int8::{QuantFrameCnn, QuantSensitiveClassifier};
+use perisec_ml::plan::FeaturePlan;
 use perisec_ml::quant::QuantMode;
 use perisec_ml::stt::{KeywordStt, SttConfig};
 use perisec_ml::vision::{FrameCnn, VisionConfig};
@@ -54,7 +56,7 @@ use perisec_tz::platform::Platform;
 use perisec_tz::power::{Component, ComponentEnergy, EnergyReport};
 use perisec_tz::stats::TzStatsSnapshot;
 use perisec_tz::time::{SimDuration, SimInstant};
-use perisec_workload::corpus::CorpusGenerator;
+use perisec_workload::corpus::{CorpusGenerator, Utterance};
 use perisec_workload::scenario::{CameraScenario, CameraScenarioEvent, Scenario, ScenarioEvent};
 use perisec_workload::synth::SpeechSynthesizer;
 use perisec_workload::vocab::Vocabulary;
@@ -62,6 +64,7 @@ use perisec_workload::vocab::Vocabulary;
 use serde::{Deserialize, Serialize};
 
 use crate::batcher::AdaptiveBatcher;
+use crate::executor;
 use crate::filter_ta::{
     cmd as filter_cmd, default_cloud_host, default_psk, FilterTa, FilterTaModels, SpeechFilter,
     MAX_BATCH_WINDOWS,
@@ -326,10 +329,66 @@ fn train_frame_cnn(train_frames: usize, seed: u64) -> Result<FrameCnn> {
     Ok(cnn)
 }
 
+/// Renders every utterance of `corpus` with `synth` and transcribes it
+/// with `stt`, returning one `(tokens, sensitive)` example per utterance,
+/// in corpus order. This is what the filter TA hands its classifier at
+/// run time: the STT's (imperfect) transcription of the rendered
+/// waveform, not the clean corpus tokens. An utterance the STT loses
+/// entirely keeps its clean tokens, so no label is wasted.
+///
+/// The utterances are independent, so they run on the fleet executor's
+/// pool with one worker per host core; collecting in corpus order makes
+/// the result the same at any worker count.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Config`] if rendering or transcribing an
+/// utterance panics.
+pub fn transcribe_corpus(
+    synth: &SpeechSynthesizer,
+    stt: &KeywordStt,
+    corpus: &[Utterance],
+) -> Result<Vec<(Vec<usize>, bool)>> {
+    transcribe_corpus_on(0, synth, stt, corpus)
+}
+
+/// [`transcribe_corpus`] on `workers` pool workers (`0` = one per host
+/// core).
+fn transcribe_corpus_on(
+    workers: usize,
+    synth: &SpeechSynthesizer,
+    stt: &KeywordStt,
+    corpus: &[Utterance],
+) -> Result<Vec<(Vec<usize>, bool)>> {
+    thread_local! {
+        /// A pool worker's STT scratch, reused across the utterances it
+        /// takes and freed when the worker exits.
+        static PLAN: RefCell<FeaturePlan> = RefCell::default();
+    }
+    let (examples, _) = executor::run_devices(workers, corpus.len(), |i| {
+        let utterance = &corpus[i];
+        let audio = synth.render_tokens(&utterance.tokens);
+        let decoded =
+            PLAN.with_borrow_mut(|plan| stt.transcribe_to_tokens_with(audio.samples(), plan));
+        let tokens = if decoded.is_empty() {
+            utterance.tokens.clone()
+        } else {
+            decoded
+        };
+        Ok((tokens, utterance.sensitive))
+    })?;
+    Ok(examples)
+}
+
+/// Trains the speech models, transcribing the training corpus on
+/// `workers` pool workers (`0` = one per host core). The worker count
+/// changes only the host time: every token, weight and scale is the same
+/// at any count.
 fn train_audio_models(
     architecture: Architecture,
     train_utterances: usize,
     corpus_seed: u64,
+    workers: usize,
 ) -> Result<AudioModels> {
     let synth = SpeechSynthesizer::smart_home();
     let vocabulary = synth.vocabulary().clone();
@@ -337,24 +396,11 @@ fn train_audio_models(
         .map_err(CoreError::from)?;
     let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, corpus_seed);
     let corpus = generator.generate(train_utterances.max(16));
-    // Train the classifier on what it will actually see in the TA: the
-    // STT's (imperfect) transcription of the rendered waveform, not the
-    // clean corpus tokens. Without this train/serve match, recognition
-    // noise pushes neutral utterances across the sensitive threshold
-    // and the filter over-drops. Utterances the STT loses entirely
-    // fall back to their clean tokens so no label is wasted.
-    let examples: Vec<(Vec<usize>, bool)> = corpus
-        .iter()
-        .map(|utterance| {
-            let audio = synth.render_tokens(&utterance.tokens);
-            let decoded = stt.transcribe_to_tokens(audio.samples());
-            if decoded.is_empty() {
-                (utterance.tokens.clone(), utterance.sensitive)
-            } else {
-                (decoded, utterance.sensitive)
-            }
-        })
-        .collect();
+    // Train the classifier on what it will actually see in the TA.
+    // Without this train/serve match, recognition noise pushes neutral
+    // utterances across the sensitive threshold and the filter
+    // over-drops.
+    let examples = transcribe_corpus_on(workers, &synth, &stt, &corpus)?;
     let mut classifier =
         SensitiveClassifier::new(architecture, TrainConfig::small(vocabulary.len()));
     classifier.fit(&examples).map_err(CoreError::from)?;
@@ -436,6 +482,7 @@ impl SharedModels {
             self.audio_architecture,
             self.audio_train_utterances,
             self.audio_corpus_seed,
+            0,
         )?;
         *slot = Some(models.clone());
         Ok(models)
@@ -1898,6 +1945,90 @@ mod tests {
         PipelineConfig {
             train_utterances: 60,
             ..PipelineConfig::default()
+        }
+    }
+
+    /// The serial set-up, the oracle of the pooled one: the same training
+    /// steps, with every utterance rendered and transcribed on the
+    /// allocating STT path, in corpus order, on the calling thread.
+    fn serial_audio_models(
+        architecture: Architecture,
+        train_utterances: usize,
+        corpus_seed: u64,
+    ) -> AudioModels {
+        let synth = SpeechSynthesizer::smart_home();
+        let vocabulary = synth.vocabulary().clone();
+        let stt = KeywordStt::train(&synth.reference_renderings(), SttConfig::default()).unwrap();
+        let mut generator = CorpusGenerator::new(vocabulary.clone(), 0.5, corpus_seed);
+        let examples: Vec<(Vec<usize>, bool)> = generator
+            .generate(train_utterances.max(16))
+            .into_iter()
+            .map(|utterance| {
+                let audio = synth.render_tokens(&utterance.tokens);
+                let decoded = stt.transcribe_to_tokens(audio.samples());
+                if decoded.is_empty() {
+                    (utterance.tokens, utterance.sensitive)
+                } else {
+                    (decoded, utterance.sensitive)
+                }
+            })
+            .collect();
+        let mut classifier =
+            SensitiveClassifier::new(architecture, TrainConfig::small(vocabulary.len()));
+        classifier.fit(&examples).unwrap();
+        let classifier_int8 = QuantSensitiveClassifier::from_trained(&classifier).map(Arc::new);
+        AudioModels {
+            stt: Arc::new(stt),
+            classifier: Arc::new(classifier),
+            classifier_int8,
+            vocabulary,
+            synth,
+        }
+    }
+
+    #[test]
+    fn an_utterance_the_stt_loses_keeps_its_clean_tokens() {
+        // A similarity floor above any cosine: the STT recognizes nothing.
+        let synth = SpeechSynthesizer::smart_home();
+        let deaf = SttConfig {
+            confidence_floor: 2.0,
+            ..SttConfig::default()
+        };
+        let stt = KeywordStt::train(&synth.reference_renderings(), deaf).unwrap();
+        let corpus = CorpusGenerator::new(synth.vocabulary().clone(), 0.5, 0x105E).generate(4);
+        assert_eq!(
+            transcribe_corpus(&synth, &stt, &corpus).unwrap(),
+            perisec_workload::corpus::to_training_examples(&corpus)
+        );
+    }
+
+    #[test]
+    fn audio_setup_matches_the_serial_oracle_at_every_worker_count() {
+        let (utterances, seed) = (24, 0x5E7);
+        let oracle = serial_audio_models(Architecture::Cnn, utterances, seed);
+        assert!(oracle.classifier_int8.is_some(), "a CNN quantizes");
+        let json = |classifier: &SensitiveClassifier| serde_json::to_string(classifier).unwrap();
+        let probe = CorpusGenerator::new(oracle.vocabulary.clone(), 0.5, seed ^ 1).generate(1);
+        let probe = oracle.synth.render_tokens(&probe[0].tokens);
+        let probe_tokens = oracle.stt.transcribe_to_tokens(probe.samples());
+        assert!(!probe_tokens.is_empty());
+        for workers in [1, 2, 8] {
+            let models = train_audio_models(Architecture::Cnn, utterances, seed, workers).unwrap();
+            assert_eq!(models.classifier, oracle.classifier, "{workers} workers");
+            assert_eq!(
+                json(&models.classifier),
+                json(&oracle.classifier),
+                "{workers} workers"
+            );
+            assert_eq!(
+                models.classifier_int8, oracle.classifier_int8,
+                "{workers} workers"
+            );
+            assert_eq!(
+                models.stt.transcribe_to_tokens(probe.samples()),
+                probe_tokens,
+                "{workers} workers"
+            );
         }
     }
 

@@ -430,6 +430,8 @@ impl KeywordStt {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Renders a "word" as a dual-tone signature, the same scheme the
@@ -561,6 +563,78 @@ mod tests {
         }
     }
 
+    /// The bits of the allocating path's voiced mean of every VAD segment
+    /// of `samples`. That path re-extracts each segment up to and
+    /// including frame `end`, where the audio has one.
+    fn allocating_segment_mean_bits(stt: &KeywordStt, samples: &[i16]) -> Vec<Vec<u32>> {
+        let (hop, frame_len) = (stt.config.mfcc.hop_len, stt.config.mfcc.frame_len);
+        stt.segment(samples)
+            .into_iter()
+            .map(|(start, end)| {
+                let segment = &samples[start * hop..(end * hop + frame_len).min(samples.len())];
+                KeywordStt::voiced_mean(&stt.extractor, segment, stt.config.vad_threshold)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The bits of the segment means the planned path left in `plan`.
+    fn planned_segment_mean_bits(stt: &KeywordStt, plan: &FeaturePlan) -> Vec<Vec<u32>> {
+        plan.mean
+            .chunks_exact(stt.config.mfcc.n_coeffs)
+            .map(|mean| mean.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    proptest! {
+        /// The planned path equals the allocating one, token for token and
+        /// segment mean for segment mean, bit for bit. Each case builds two
+        /// utterances of random words at a random gain, with random gaps
+        /// between the words (about one in five of length zero, so words
+        /// run together), and transcribes each whole and cut at a random
+        /// sample (mostly mid-word), all through one plan, so every call
+        /// starts on the scratch another utterance left.
+        #[test]
+        fn planned_transcription_matches_the_allocating_path_on_random_utterances(
+            words in proptest::collection::vec(0usize..10, 0..10),
+            gaps in proptest::collection::vec(0usize..3_000, 20..21),
+            split in 0usize..10,
+            gain in 0.02f64..1.0,
+            cut in 0.0f64..1.0,
+        ) {
+            let vocab = vocabulary(10);
+            let stt = KeywordStt::train(&vocab, SttConfig::default()).unwrap();
+            let utterance = |words: &[usize], gaps: &[usize]| {
+                let gap = |i: usize| silence(gaps[i].saturating_sub(600));
+                let mut samples = Vec::new();
+                for (i, &word) in words.iter().enumerate() {
+                    samples.extend(gap(i));
+                    samples.extend(vocab[word].1.iter().map(|&s| (f64::from(s) * gain) as i16));
+                }
+                samples.extend(gap(words.len()));
+                samples
+            };
+            let (first, second) = words.split_at(split.min(words.len()));
+            let (a, b) = (utterance(first, &gaps[..10]), utterance(second, &gaps[10..]));
+            let clip = |samples: &[i16]| (samples.len() as f64 * cut) as usize;
+            let mut plan = FeaturePlan::new();
+            for case in [&a[..], &b[..], &a[..clip(&a)], &b[..clip(&b)], &a[..]] {
+                prop_assert_eq!(
+                    stt.transcribe_to_tokens_with(case, &mut plan),
+                    stt.transcribe_to_tokens(case),
+                    "tokens of {} samples", case.len()
+                );
+                prop_assert_eq!(
+                    planned_segment_mean_bits(&stt, &plan),
+                    allocating_segment_mean_bits(&stt, case),
+                    "segment means of {} samples", case.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn segment_means_are_bit_identical_to_the_voiced_mean_of_the_segment() {
         let vocab = vocabulary(6);
@@ -580,20 +654,13 @@ mod tests {
             stt.extractor.frame_count(samples.len()),
             "last segment is clipped at the end of the audio"
         );
-        let mut plan = crate::plan::FeaturePlan::new();
+        let mut plan = FeaturePlan::new();
         stt.segment_means_into(&samples, &mut plan);
         assert_eq!(plan.bounds, segments);
-        let (hop, frame_len) = (stt.config.mfcc.hop_len, stt.config.mfcc.frame_len);
-        let means = plan.mean.chunks_exact(stt.config.mfcc.n_coeffs);
-        assert_eq!(means.len(), segments.len());
-        for (&(start, end), mean) in segments.iter().zip(means) {
-            // The allocating path's segment: up to and including frame
-            // `end` where the audio has one.
-            let segment = &samples[start * hop..(end * hop + frame_len).min(samples.len())];
-            let want = KeywordStt::voiced_mean(&stt.extractor, segment, stt.config.vad_threshold);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(mean), bits(&want), "segment {start}..{end}");
-        }
+        assert_eq!(
+            planned_segment_mean_bits(&stt, &plan),
+            allocating_segment_mean_bits(&stt, &samples)
+        );
     }
 
     #[test]

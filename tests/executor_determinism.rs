@@ -111,7 +111,13 @@ fn observed_fleet(
             },
             workers,
             telemetry,
-            trace_devices: BTreeSet::from([3]),
+            // A trace set needs the telemetry plane on: the silent fleet
+            // traces nothing.
+            trace_devices: if telemetry.enabled {
+                BTreeSet::from([3])
+            } else {
+                BTreeSet::new()
+            },
             ..FleetConfig::of(0)
         },
         models.clone(),
